@@ -466,16 +466,11 @@ def inverted_baths(baths: list[BathSpec], inv: dict[str, str]) -> list[BathSpec]
         if not all(b.decomposable for b in baths):
             raise ConfigError("custom inversion needs baths given by (beta, h)")
         bl, br = by_side["L"], by_side["R"]
-        new_l = replace(
-            bl,
-            beta=float(inv["beta_L"]) if "beta_L" in inv else bl.beta,
-            h=float(inv["h_L"]) if "h_L" in inv else bl.h,
-        )
-        new_r = replace(
-            br,
-            beta=float(inv["beta_R"]) if "beta_R" in inv else br.beta,
-            h=float(inv["h_R"]) if "h_R" in inv else br.h,
-        )
+        def pick(key: str, default: float) -> float:
+            return _get_float(inv, key, "inversion") if key in inv else default
+
+        new_l = replace(bl, beta=pick("beta_L", bl.beta), h=pick("h_L", bl.h))
+        new_r = replace(br, beta=pick("beta_R", br.beta), h=pick("h_R", br.h))
         return [new_l, new_r]
     raise ConfigError(
         f"unknown inversion kind {kind!r}; use identity, flip_f, flip_h, kappa_swap, or custom"
@@ -580,25 +575,34 @@ def cmd_ri_converge(args) -> int:
     spec = build_chain(cfg)
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     require_decomposable(baths)
-    ri_sec = cfg.get("ri", {})
-    taus = [float(part) for part in ri_sec.get("taus", "1e-2,5e-3,2.5e-3").split(",")]
+    ri_sec = {
+        "taus": "1e-2,5e-3,2.5e-3", "convergence_tol": "1e-12",
+        "n_cycles": "500000", "consecutive": "3", **cfg.get("ri", {}),
+    }
+    taus = _float_tuple(ri_sec["taus"], "taus", "ri")
     if len(taus) < 3:
         raise ConfigError("ri-converge needs at least 3 tau values ([ri] taus)")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("[ri] taus must be strictly decreasing")
-    conv_tol = args.tol if args.tol is not None else float(ri_sec.get("convergence_tol", "1e-12"))
-    n_cycles = int(ri_sec.get("n_cycles", "500000"))
-    n_max = int(ri_sec["n_max"]) if "n_max" in ri_sec else None
+    conv_tol = args.tol if args.tol is not None else _get_float(ri_sec, "convergence_tol", "ri")
+    n_cycles = _get_int(ri_sec, "n_cycles", "ri")
+    n_max = _get_int(ri_sec, "n_max", "ri") if "n_max" in ri_sec else None
+    consecutive = _get_int(ri_sec, "consecutive", "ri")
+    try:
+        ri_cfgs = [
+            RIConfig(tau=tau, n_cycles=n_cycles, n_max=n_max,
+                     convergence_tol=conv_tol, consecutive=consecutive)
+            for tau in taus
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"invalid [ri]: {exc}") from None
 
     reference = steady_for(spec, baths)
     report = current_report(spec, baths, reference)
 
     rows = []
-    for tau in taus:
-        ri_cfg = RIConfig(
-            tau=tau, n_cycles=n_cycles, n_max=n_max,
-            convergence_tol=conv_tol, consecutive=int(ri_sec.get("consecutive", "3")),
-        )
+    for ri_cfg in ri_cfgs:
+        tau = ri_cfg.tau
         state, history = ri_fixed_point(spec, baths, ri_cfg)
         rates = ri_rates(history, tau)
         rows.append({

@@ -2,7 +2,9 @@
 
 Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
 from the handful of primitives in this module: Kronecker products, partial
-traces, Hermitian matrix exponentials, and SVD-based null spaces.  All
+traces, Hermitian matrix exponentials, and SVD-based null spaces.  The
+steady-state solver uses ``svd_kernel`` only as the fallback behind its
+bordered LU solve, for degenerate or ill-conditioned kernels.  All
 matrices are plain complex numpy arrays; no sparse backend is provided, and
 any request that would materialise a matrix larger than ``MAX_DENSE_DIM``
 is rejected up front.
@@ -160,7 +162,9 @@ def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarr
 def svd_kernel(m: np.ndarray, tol: float = KERNEL_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Full-SVD kernel split: returns (kernel basis as columns, all singular values).
 
-    Singular values at or below ``tol * s_max`` count as kernel.  The basis
+    This costs a full SVD of ``m``; the steady-state solver calls it only when
+    its bordered LU solve is refused.  Singular values at or below
+    ``tol * s_max`` count as kernel.  The basis
     columns are orthonormal right singular vectors.  Raises KernelError when
     nothing falls below the threshold.
     """

@@ -2,7 +2,9 @@
 
 Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``A``, so ``vec([[a, b], [c, d]]) = (a, c, b, d)`` and
-``vec(A X B) = (B^T kron A) vec(X)``.
+``vec(A X B) = (B^T kron A) vec(X)``.  The dense generator is written
+straight into its ``d^2 x d^2`` buffer, with no other ``d^4`` array (see
+``liouvillian_matrix``).
 
 Both bath families reduce to jump-operator form:
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,22 +81,6 @@ def dissipator_action(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarra
     return out
 
 
-def dissipator_spin(b: BathSpec, n_sites: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Dissipator of a spin bath as an action ``rho -> D(rho)``."""
-    if b.kind != "spin":
-        raise ValueError("dissipator_spin expects a spin bath")
-    jumps = jump_ops(b, n_sites)
-    return lambda rho: dissipator_action(jumps, rho)
-
-
-def dissipator_bosonic(b: BathSpec, n_sites: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Dissipator of a bosonic bath as an action ``rho -> D(rho)``."""
-    if b.kind != "bosonic":
-        raise ValueError("dissipator_bosonic expects a bosonic bath")
-    jumps = jump_ops(b, n_sites)
-    return lambda rho: dissipator_action(jumps, rho)
-
-
 def liouvillian_action(h: np.ndarray, jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     """One application of ``-i [h, rho] + sum_k D_k(rho)``."""
     rho = np.asarray(rho, dtype=complex)
@@ -121,21 +107,29 @@ class Liouvillian:
     matrix: np.ndarray
     dim: int  # Hilbert-space dimension; matrix is dim^2 x dim^2
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
 
 def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense superoperator of ``-i[h, .] + sum_k D_k`` under column stacking."""
+    """Dense superoperator of ``-i[h, .] + sum_k D_k`` under column stacking.
+
+    The matrix is written in place into one ``d^2 x d^2`` buffer through its
+    ``(d, d, d, d)`` view with axes ``[j, i, l, k]``, for row ``i + d j`` and
+    column ``k + d l``; no other ``d^4`` array is formed.  The jump term
+    ``sum_k conj(L_k) kron L_k`` is one einsum.  The commutator and the
+    anticommutators fold into ``h_eff = h - (i/2) sum_k L_k^dag L_k``, so the
+    rest is ``-i (I kron h_eff) + i (conj(h_eff) kron I)``, added on the two
+    diagonal index views.
+    """
+    h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     check_dense_dim(d * d)
-    eye = np.eye(d, dtype=complex)
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for L in jumps:
-        LdL = L.conj().T @ L
-        m += np.kron(L.conj(), L)
-        m -= 0.5 * (np.kron(eye, LdL) + np.kron(LdL.T, eye))
+    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
+    h_eff = h - 0.5j * np.einsum("aki,akj->ij", stack.conj(), stack)
+    m = np.empty((d * d, d * d), dtype=complex)
+    view = m.reshape(d, d, d, d)
+    np.einsum("ajl,aik->jilk", stack.conj(), stack, out=view)
+    for r in range(d):
+        view[r, :, r, :] -= 1j * h_eff
+        view[:, r, :, r] += 1j * h_eff.conj()
     return m
 
 

@@ -285,6 +285,7 @@ def ri_fixed_point(
         residual=defect,
         nullspace_dim=1,
         min_eig=float(eigs[0]),
+        solver="collision",
     )
     return state, history
 

@@ -1,12 +1,21 @@
 """Steady-state extraction from the Liouvillian kernel.
 
 The steady manifold is the numerical null space of the vectorized
-generator.  When it is one-dimensional the state is unique; when it is
-degenerate (which happens for diagonal chains whose middle spins are never
-flipped) a canonical representative is returned: the projection of the
-maximally mixed state onto the kernel, hermitized and trace-normalized.
-That choice is basis-independent and reproducible, and for the models here
-every physical current of interest is independent of the kernel mixture.
+generator.  When it is one-dimensional the state is unique, and it is found
+by a trace-constrained ("bordered") linear solve: one row of the generator
+is replaced by ``vec(I)^T`` and the system ``B vec(rho) = e_0`` is solved by
+a single LU, the direct method of QuTiP's ``steadystate`` (Johansson, Nation
+and Nori, CPC 184, 1234 (2013)).  The bordered result is accepted only when
+the LU is regular, a probe estimate of the condition number of ``B`` is
+small, the state is stationary to the kernel tolerance and it is positive.
+
+Anything else falls back to a full SVD of the generator.  When the kernel
+is degenerate (which happens for diagonal chains whose middle spins are
+never flipped) that path returns a canonical representative: the
+projection of the maximally mixed state onto the kernel, hermitized and
+trace-normalized.  That choice is basis-independent and reproducible, and
+for the models here every physical current of interest is independent of
+the kernel mixture.
 """
 
 from __future__ import annotations
@@ -37,6 +46,12 @@ MIN_EIG_FLOOR = -1e-9
 # Residual bound, relative to the generator's spectral norm.
 RESIDUAL_FACTOR = 1e-8
 
+# Seed of the random right-hand sides that probe the bordered system's
+# condition number.  A fixed, call-local generator keeps results independent
+# of call order and thread scheduling.
+PROBE_SEED = 20130
+PROBES = 2
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -46,6 +61,7 @@ class SteadyState:
     residual: float
     nullspace_dim: int
     min_eig: float
+    solver: str  # "bordered", "svd", "diagonal_ansatz" or "collision"
 
 
 def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -63,14 +79,66 @@ def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
     return rho / tr
 
 
-def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
-    """Steady state of a Liouvillian via a full SVD of the generator.
+def _bordered(liou: Liouvillian, tol: float) -> SteadyState | None:
+    """Unique steady state from one bordered LU solve, or None when not trusted.
 
-    Raises KernelError when the kernel is empty at ``tol``, when the split
-    between kernel and non-kernel singular values is not clean (factor
-    ``GAP_FACTOR``), or when the resulting state violates positivity or
-    stationarity beyond solver-noise bounds.
+    ``B`` is the generator with row 0 replaced by ``vec(I)^T``, so
+    ``B vec(rho) = e_0`` fixes ``Tr rho = 1`` in place of one redundant
+    stationarity equation.  The same LU also solves ``PROBES`` random
+    right-hand sides ``r``; ``||B||_1 max ||B^-1 r|| / ||r||`` estimates the
+    condition number of ``B`` from below and must stay under
+    ``1 / (GAP_FACTOR tol)``, the analogue of the SVD path's gap rule.  A
+    degenerate kernel makes ``B`` singular or near-singular, so it is
+    refused here.  The residual ``||L vec rho|| / ||rho||_F`` must be at most
+    ``tol`` times the largest column 2-norm of ``L``, a lower bound on its
+    spectral norm, so this test is never looser than the SVD kernel
+    threshold.
     """
+    m = liou.matrix
+    n = m.shape[0]
+    b = np.array(m, dtype=complex)
+    b[0, :] = vec(np.eye(liou.dim))
+    rng = np.random.default_rng(PROBE_SEED)
+    rhs = np.zeros((n, 1 + PROBES), dtype=complex)
+    rhs[0, 0] = 1.0
+    rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
+    try:
+        x = np.linalg.solve(b, rhs)
+    except np.linalg.LinAlgError:  # exactly singular LU
+        return None
+    growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
+    cond = float(np.linalg.norm(b, 1) * np.max(growth))
+    if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
+        return None
+    rho = hermitize(unvec(x[:, 0], liou.dim))
+    rho = rho / float(np.trace(rho).real)
+    residual = float(np.linalg.norm(m @ vec(rho)))
+    scale = float(np.max(np.linalg.norm(m, axis=0)))
+    if not residual <= tol * scale * float(np.linalg.norm(rho)):
+        return None
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < MIN_EIG_FLOOR:
+        return None
+    return SteadyState(rho=rho, residual=residual, nullspace_dim=1, min_eig=min_eig,
+                       solver="bordered")
+
+
+def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
+    """Steady state of a Liouvillian: a bordered LU solve, else a full SVD.
+
+    The bordered solve (see ``_bordered``) handles a unique, well-separated
+    kernel and reports ``nullspace_dim = 1`` and ``solver = "bordered"``.  When
+    any of its checks fails, the generator goes through a full SVD instead
+    (``solver = "svd"``), which also handles degenerate kernels.
+
+    The SVD path raises KernelError when the kernel is empty at ``tol``, when
+    the split between kernel and non-kernel singular values is not clean
+    (factor ``GAP_FACTOR``), or when the resulting state violates positivity
+    or stationarity beyond solver-noise bounds.
+    """
+    state = _bordered(liou, tol)
+    if state is not None:
+        return state
     basis, s = svd_kernel(liou.matrix, tol)
     k = basis.shape[1]
     if k < s.size:
@@ -90,7 +158,8 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     min_eig = float(eigs[0])
     if min_eig < MIN_EIG_FLOOR:
         raise KernelError(f"steady state has a negative eigenvalue {min_eig:.3e}")
-    return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig)
+    return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig,
+                       solver="svd")
 
 
 def steady_for(spec: ChainSpec, baths: Sequence[BathSpec], tol: float = KERNEL_TOL) -> SteadyState:
@@ -158,4 +227,5 @@ def solve_diagonal_ansatz(
     min_eig = float(np.min(p))
     if min_eig < MIN_EIG_FLOOR:
         raise KernelError(f"diagonal ansatz produced a negative population {min_eig:.3e}")
-    return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig)
+    return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig,
+                       solver="diagonal_ansatz")

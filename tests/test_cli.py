@@ -266,6 +266,17 @@ def test_check_one_way_kappa_swap(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("key", ["beta_L", "h_L", "beta_R", "h_R"])
+def test_custom_inversion_rejects_non_numbers(tmp_path, capsys, key):
+    cfg = tmp_path / "custom.ini"
+    cfg.write_text(f"[inversion]\nkind = custom\n{key} = abc\n[sweep]\npoints = 3\n")
+    code, _, err = run_cli(
+        ["check-one-way", "--preset", "eq16", "--config", str(cfg)], capsys
+    )
+    assert code == 2
+    assert "config error:" in err and key in err
+
+
 def test_check_one_way_needs_inversion_section(capsys):
     code, _, err = run_cli(["check-one-way", "--preset", "eq16"], capsys)
     assert code == 2
@@ -286,6 +297,26 @@ def test_ri_converge_reports_first_order(tmp_path, capsys):
     order = float(rows[0]["fitted_order"])
     assert 0.8 <= order <= 1.2
     assert "order" in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("taus = 1e-2, x", "taus"),
+    ("convergence_tol = tiny", "convergence_tol"),
+    ("n_cycles = 1.5", "n_cycles"),
+    ("n_cycles = 0", "n_cycles"),
+    ("n_max = many", "n_max"),
+    ("consecutive = three", "consecutive"),
+])
+def test_ri_converge_rejects_bad_numbers(tmp_path, capsys, line, key):
+    cfg = tmp_path / "ri.ini"
+    cfg.write_text(
+        "[model]\nkind = xxz\nn = 2\nalpha = 1\n"
+        "[bath_L]\nbeta = 1\nh = 1\n[bath_R]\nbeta = 2\nh = -0.5\n"
+        f"[ri]\n{line}\n"
+    )
+    code, _, err = run_cli(["ri-converge", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "config error:" in err and key in err
 
 
 def test_command_required():

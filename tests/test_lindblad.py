@@ -169,6 +169,39 @@ def test_matrix_matches_action():
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+def kron_reference(h, jumps):
+    """The generator term by term from dense Kronecker products."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for L in jumps:
+        LdL = L.conj().T @ L
+        m += np.kron(L.conj(), L)
+        m -= 0.5 * (np.kron(eye, LdL) + np.kron(LdL.T, eye))
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["xxz", "ising"])
+@pytest.mark.parametrize("bath_kind", ["spin", "bosonic"])
+def test_matrix_matches_kron_reference(n, kind, bath_kind):
+    fields = (0.4, -0.3, 0.7, 0.2)[:n]
+    bonds = (0.9, -1.1, 0.6)[:n - 1]
+    if kind == "xxz":
+        spec = ChainSpec(kind="xxz", n=n, alpha=0.8, field=fields, bond_Delta=bonds)
+    else:
+        spec = ChainSpec(kind="ising", n=n, field=fields, bond_Delta=bonds)
+    if bath_kind == "spin":
+        baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.1),
+                 BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.6)]
+    else:
+        baths = [BathSpec(side="L", kind="bosonic", beta=1.0, omega=1.0, g=0.4),
+                 BathSpec(side="R", kind="bosonic", beta=2.0, omega=1.3, g=0.3)]
+    h = build_hamiltonian(spec)
+    jumps = [L for b in baths for L in jump_ops(b, n)]
+    m = liouvillian_matrix(h, jumps)
+    assert np.max(np.abs(m - kron_reference(h, jumps))) <= 1e-14
+
+
 def test_trace_preservation_left_kernel():
     # vec(I)^dag M = 0: the generator never changes the trace
     spec = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.7, delta=0.3, h=0.2)

@@ -185,6 +185,7 @@ def test_nonconvergence_raises():
 
 def test_fixed_point_diagnostics():
     state, history = ri_fixed_point(XXZ3, SPIN_PAIR, RIConfig(tau=0.01))
+    assert state.solver == "collision"
     assert state.nullspace_dim == 1
     assert abs(np.trace(state.rho).real - 1.0) < 1e-12
     assert state.min_eig > -1e-9
