@@ -3,8 +3,8 @@
 The master-equation dissipators in ``lindblad`` never materialise a bath.
 Splitting the boundary energy current into heat and work, and running the
 repeated-interaction protocol, both do: they need the bath copy's own
-Hamiltonian, its thermal state, and the system-bath coupling operator on
-the joint space.  This module builds those pieces.
+Hamiltonian, its thermal state, and its coupling to the boundary site.
+This module builds those pieces.
 
 Spin bath copies are exact two-level objects.  Bosonic copies live on a
 truncated Fock space; the cutoff is chosen so the neglected thermal weight

@@ -213,10 +213,6 @@ def load_config(preset: str | None, config_path: str | None) -> dict[str, dict[s
                     dst[key] = raw.strip()
     if not merged:
         raise ConfigError("no configuration given; use --preset and/or --config")
-    for section in merged:
-        bad = set(merged[section]) - _SECTION_KEYS[section]
-        if bad:
-            raise ConfigError(f"unknown key(s) {sorted(bad)} in section [{section}]")
     return merged
 
 

@@ -1,12 +1,17 @@
 """Heat, work, and transport observables of the boundary-driven steady state.
 
-The authoritative heat and work rates are trace formulas on the joint
-system-bath space.  With ``v`` the (rate-rescaled) system-bath coupling,
-``H_b`` the bath copy's Hamiltonian, ``H_s`` the chain Hamiltonian, and
-``w_b`` the bath thermal state,
+Each boundary's heat and work rates are linear functionals ``Tr(O rho)`` of
+the chain state.  With ``v = p sum_k B_k (x) S_k`` the (rate-rescaled)
+coupling of a bath copy with Hamiltonian ``A`` and thermal state ``g`` to
+the boundary-site Paulis ``S_k``, and ``H`` the chain Hamiltonian, the
+double-commutator trace formulas on the joint system-bath space reduce to
 
-    qdot =  Tr( [v, [v, H_b]]       (rho (x) w_b) ) / 2
-    wdot = -Tr( [v, [v, H_b + H_s]] (rho (x) w_b) ) / 2
+    O_q =  (p^2 / 2) sum_kl c_kl S_k S_l
+    O_w = -O_q - (p^2 / 2) sum_kl t_kl (S_k S_l H - 2 S_k H S_l + H S_k S_l)
+
+so the bath enters only through its moments
+``c_kl = Tr(g (B_k B_l A - 2 B_k A B_l + A B_k B_l))`` and
+``t_kl = Tr(g B_k B_l)``.  No joint-space matrix is formed.
 
 The work rate is the part of the boundary energy flow spent switching the
 coupling on and off; the remainder is heat drawn from the bath.  Their sum
@@ -27,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from .bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy, check_gibbs_tail
-from .linalg import check_dense_dim
 from .lindblad import dissipator_action, jump_ops
 from .models import BathSpec, ChainSpec, bath_f, build_hamiltonian
 from .operators import site_op, two_site_op
@@ -83,56 +87,49 @@ def _density(state) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
-def _joint_pieces(spec: ChainSpec, bath: BathSpec, rho: np.ndarray):
-    """Extended-space (v, H_bath, H_sys, rho (x) gibbs) for one boundary.
+def _nested(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``x y z - 2 x z y + z x y``: the ``(x, y)`` term of ``[v, [v, z]]``."""
+    return x @ (y @ z - z @ y) - (x @ z - z @ x) @ y
 
-    Factor order follows the global layout: a left bath sits before the
-    chain, a right bath after it.
+
+def _rate_operators(spec: ChainSpec, bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One bath's heat and work rate operators ``(O_q, O_w)`` on the chain space.
+
+    See the module docstring for the formulas and the moments ``c_kl``, ``t_kl``.
     """
     copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
     if bath.kind == "bosonic":
         check_gibbs_tail(copy, 10.0 * CURRENT_TAIL)
-    n = spec.n
-    d_sys = spec.dim
-    check_dense_dim(copy.dim * d_sys)
-    eye_b = np.eye(copy.dim, dtype=complex)
-    eye_s = np.eye(d_sys, dtype=complex)
-    site = bath.boundary_site(n)
-    h_sys = build_hamiltonian(spec)
-
-    if bath.side == "L":
-        pair = lambda b_op, s_op: np.kron(b_op, s_op)
-    else:
-        pair = lambda b_op, s_op: np.kron(s_op, b_op)
-
-    v = np.zeros((copy.dim * d_sys,) * 2, dtype=complex)
-    for b_op, kind in copy.couplings:
-        v += pair(b_op, site_op(kind, site, n))
-    v *= copy.prefactor
-    h_bath = pair(copy.h_op, eye_s)
-    h_sys_ext = pair(eye_b, h_sys)
-    rho_tot = pair(copy.gibbs, rho)
-    return v, h_bath, h_sys_ext, rho_tot
+    h = build_hamiltonian(spec)
+    site = bath.boundary_site(spec.n)
+    pairs = [(b_op, site_op(kind, site, spec.n)) for b_op, kind in copy.couplings]
+    o_q = np.zeros_like(h)
+    o_h = np.zeros_like(h)
+    for b_k, s_k in pairs:
+        for b_l, s_l in pairs:
+            c_kl = np.einsum("ij,ji->", copy.gibbs, _nested(b_k, b_l, copy.h_op))
+            t_kl = np.einsum("ij,ji->", copy.gibbs, b_k @ b_l)
+            o_q += c_kl * (s_k @ s_l)
+            o_h += t_kl * _nested(s_k, s_l, h)
+    scale = 0.5 * copy.prefactor ** 2
+    o_q *= scale
+    return o_q, -o_q - scale * o_h
 
 
-def _double_commutator_rate(v, h, rho_tot) -> float:
-    inner = v @ h - h @ v
-    outer = v @ inner - inner @ v
-    return float(np.einsum("ij,ji->", outer, rho_tot).real)
+def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
+    return float(np.einsum("ij,ji->", op, rho).real)
 
 
 def heat_rate_general(spec: ChainSpec, bath: BathSpec, state) -> float:
-    """Heat absorbed from one bath per unit time, via the joint trace formula."""
-    rho = _density(state)
-    v, h_bath, _, rho_tot = _joint_pieces(spec, bath, rho)
-    return 0.5 * _double_commutator_rate(v, h_bath, rho_tot)
+    """Heat absorbed from one bath per unit time, ``Tr(O_q rho)``."""
+    o_q, _ = _rate_operators(spec, bath)
+    return _expectation(o_q, _density(state))
 
 
 def work_rate_general(spec: ChainSpec, bath: BathSpec, state) -> float:
-    """Work injected by one bath's coupling switches per unit time."""
-    rho = _density(state)
-    v, h_bath, h_sys_ext, rho_tot = _joint_pieces(spec, bath, rho)
-    return -0.5 * _double_commutator_rate(v, h_bath + h_sys_ext, rho_tot)
+    """Work injected by one bath's coupling switches per unit time, ``Tr(O_w rho)``."""
+    _, o_w = _rate_operators(spec, bath)
+    return _expectation(o_w, _density(state))
 
 
 def energy_inflow(spec: ChainSpec, bath: BathSpec, state) -> float:
@@ -449,10 +446,8 @@ def current_report(
     if set(by_side) != {"L", "R"}:
         raise ValueError("a current report needs exactly one bath per side")
     rho = _density(state)
-    q_l = heat_rate_general(spec, by_side["L"], rho)
-    q_r = heat_rate_general(spec, by_side["R"], rho)
-    w_l = work_rate_general(spec, by_side["L"], rho)
-    w_r = work_rate_general(spec, by_side["R"], rho)
+    q_l, w_l = (_expectation(op, rho) for op in _rate_operators(spec, by_side["L"]))
+    q_r, w_r = (_expectation(op, rho) for op in _rate_operators(spec, by_side["R"]))
     total = q_l + q_r + w_l + w_r
     scale = max(abs(q_l), abs(q_r), abs(w_l), abs(w_r))
     if abs(total) > max(first_law_tol * scale, 1e-12):

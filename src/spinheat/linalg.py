@@ -182,16 +182,6 @@ def svd_kernel(m: np.ndarray, tol: float = KERNEL_TOL) -> tuple[np.ndarray, np.n
     return basis, s
 
 
-def null_space(m: np.ndarray, tol: float = KERNEL_TOL) -> tuple[np.ndarray, int]:
-    """Orthonormal kernel basis of a square matrix.
-
-    Returns ``(basis, dim)`` where ``basis`` has the kernel vectors as
-    columns.  See ``svd_kernel`` for the thresholding rule.
-    """
-    basis, _ = svd_kernel(m, tol)
-    return basis, basis.shape[1]
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance ``||a - b||_1 / 2`` between Hermitian matrices."""
     diff = hermitize(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))

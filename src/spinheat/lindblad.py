@@ -81,14 +81,6 @@ def dissipator_action(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarra
     return out
 
 
-def liouvillian_action(h: np.ndarray, jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """One application of ``-i [h, rho] + sum_k D_k(rho)``."""
-    rho = np.asarray(rho, dtype=complex)
-    out = -1j * (h @ rho - rho @ h)
-    out += dissipator_action(jumps, rho)
-    return out
-
-
 def lindblad_action(spec: ChainSpec, baths: Sequence[BathSpec], rho: np.ndarray) -> np.ndarray:
     """Right-hand side of the master equation for the given chain and baths."""
     rho = np.asarray(rho, dtype=complex)
@@ -97,7 +89,7 @@ def lindblad_action(spec: ChainSpec, baths: Sequence[BathSpec], rho: np.ndarray)
     _check_sides(baths)
     h = build_hamiltonian(spec)
     jumps = [L for b in baths for L in jump_ops(b, spec.n)]
-    return liouvillian_action(h, jumps, rho)
+    return -1j * (h @ rho - rho @ h) + dissipator_action(jumps, rho)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from spinheat.cli import (
+    _SECTION_KEYS,
     COLUMNS,
     ConfigError,
     PRESETS,
@@ -46,6 +47,14 @@ def test_presets_cover_all_defined(capsys):
     _, out, _ = run_cli(["presets", "list"], capsys)
     for name in PRESETS:
         assert name in out
+
+
+def test_presets_use_known_sections_and_keys():
+    # load_config validates only what it reads from a file
+    for name, preset in PRESETS.items():
+        for section, keys in preset["sections"].items():
+            assert section in _SECTION_KEYS, (name, section)
+            assert set(keys) <= _SECTION_KEYS[section], (name, section)
 
 
 def test_steady_single_row(capsys):
@@ -126,6 +135,17 @@ def test_unknown_preset_and_sections(tmp_path, capsys):
     code, _, err = run_cli(["steady", "--preset", "eq16", "--config", str(bad2)], capsys)
     assert code == 2
     assert "mass" in err
+
+
+def test_steady_with_hot_bosonic_baths(tmp_path, capsys):
+    # 542 Fock levels per bath: the rates never build the bath-chain space
+    cfg = tmp_path / "hot.ini"
+    cfg.write_text("[bath_L]\nbeta = 0.06\n[bath_R]\nbeta = 0.046153846153846156\n")
+    code, out, _ = run_cli(["steady", "--preset", "ising_boson_n3", "--config", str(cfg)], capsys)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["error"] == ""
+    assert float(row["wdot_L"]) == pytest.approx(0.5 ** 2 * 1.0, rel=1e-10)
 
 
 def test_config_without_anything_errors(capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat import (
     BathSpec,
@@ -27,8 +29,37 @@ from spinheat import (
     work_rate_general,
     work_rate_xxz_closed,
 )
+from spinheat.bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
 from spinheat.lindblad import lindblad_action
-from spinheat.models import bond_energy
+from spinheat.models import bond_energy, build_hamiltonian
+from spinheat.operators import site_op
+
+
+def joint_rates(spec, bath, rho):
+    """Reference ``(qdot, wdot)`` from the double commutator on the joint space.
+
+    ``qdot = Tr([v, [v, H_b]] (rho (x) g)) / 2`` and
+    ``wdot = -Tr([v, [v, H_b + H_s]] (rho (x) g)) / 2``, with a left bath
+    before the chain and a right bath after it.
+    """
+    copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
+    if bath.side == "L":
+        pair = lambda b_op, s_op: np.kron(b_op, s_op)
+    else:
+        pair = lambda b_op, s_op: np.kron(s_op, b_op)
+    site = bath.boundary_site(spec.n)
+    v = copy.prefactor * sum(
+        pair(b_op, site_op(kind, site, spec.n)) for b_op, kind in copy.couplings
+    )
+    h_bath = pair(copy.h_op, np.eye(spec.dim))
+    h_sys = pair(np.eye(copy.dim), build_hamiltonian(spec))
+    rho_tot = pair(copy.gibbs, rho)
+
+    def rate(x):
+        inner = v @ x - x @ v
+        return 0.5 * float(np.einsum("ij,ji->", v @ inner - inner @ v, rho_tot).real)
+
+    return rate(h_bath), -rate(h_bath + h_sys)
 
 
 def opposite_driving_baths(f, h_L, h_R, gamma=1.0):
@@ -213,6 +244,60 @@ def test_ising_bosonic_exact_rates():
     # entropy production is then beta_L g_L^2 w_L + beta_R g_R^2 w_R
     expected_pi = 1.0 * 0.4 ** 2 * 1.0 + 2.0 * 0.3 ** 2 * 1.3
     assert rep.pi_ss == pytest.approx(expected_pi, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["xxz", "ising"]),
+    n=st.integers(2, 4),
+    coupling=st.floats(0.3, 2.0),
+    anisotropy=st.floats(-1.5, 1.5),
+    h=st.floats(-1.0, 1.0),
+    bosonic=st.booleans(),
+    side=st.sampled_from(["L", "R"]),
+    beta=st.floats(0.8, 2.0),
+    energy=st.floats(0.6, 1.5),
+    rate=st.floats(0.2, 1.5),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rate_operators_match_joint_space(
+    kind, n, coupling, anisotropy, h, bosonic, side, beta, energy, rate, seed
+):
+    if kind == "xxz":
+        spec = ChainSpec(kind="xxz", n=n, alpha=coupling, Delta=anisotropy, h=h)
+    else:
+        spec = ChainSpec(kind="ising", n=n, Delta=anisotropy, h=h)
+    if bosonic:
+        bath = BathSpec(side=side, kind="bosonic", beta=beta, omega=energy, g=rate)
+    else:
+        bath = BathSpec(side=side, beta=beta, h=energy, gamma=rate)
+    # any Hermitian unit-trace matrix: the rates are linear functionals of rho
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(spec.dim,) * 2) + 1j * rng.normal(size=(spec.dim,) * 2)
+    rho = (a + a.conj().T) / 2
+    rho += (1.0 - np.trace(rho)) / spec.dim * np.eye(spec.dim)
+    q_ref, w_ref = joint_rates(spec, bath, rho)
+    assert abs(heat_rate_general(spec, bath, rho) - q_ref) <= 1e-12
+    assert abs(work_rate_general(spec, bath, rho) - w_ref) <= 1e-12
+
+
+def test_hot_bosonic_baths_beyond_the_joint_space_cap():
+    # beta omega = 0.06 keeps 542 Fock levels: a joint space of 4336 > 4096,
+    # yet each rate is an expectation on the 8-dimensional chain space
+    spec = ChainSpec(
+        kind="ising", n=3, field=(0.4, 0.3, 0.7), bond_Delta=(0.9, 1.1), Delta13=0.6
+    )
+    baths = [
+        BathSpec(side="L", kind="bosonic", beta=0.06, omega=1.0, g=0.5),
+        BathSpec(side="R", kind="bosonic", beta=0.06 / 1.3, omega=1.3, g=0.35),
+    ]
+    assert bath_copy(baths[0], tail=CURRENT_TAIL, margin=CURRENT_MARGIN).dim == 542
+    rep = current_report(spec, baths, steady_for(spec, baths))
+    w_l, w_r = 0.5 ** 2 * 1.0, 0.35 ** 2 * 1.3
+    assert rep.qdot_L == pytest.approx(-w_l, rel=1e-10)
+    assert rep.wdot_L == pytest.approx(+w_l, rel=1e-10)
+    assert rep.qdot_R == pytest.approx(-w_r, rel=1e-10)
+    assert rep.wdot_R == pytest.approx(+w_r, rel=1e-10)
 
 
 def test_ising_spin_all_rates_vanish():

@@ -18,7 +18,6 @@ from spinheat.linalg import (
     hermitize,
     is_hermitian,
     kron,
-    null_space,
     require_hermitian,
     svd_kernel,
 )
@@ -148,20 +147,20 @@ def test_svd_kernel_rank_deficient_diagonal():
     assert np.max(np.abs(v[:3])) < 1e-13
 
 
-def test_null_space_kernel_of_dependent_columns():
+def test_svd_kernel_of_dependent_columns():
     rng = np.random.default_rng(10)
     m = rng.normal(size=(5, 5))
     m[:, 2] = m[:, 0] + m[:, 1]  # columns dependent, so m^T has a kernel
-    basis, dim = null_space(m.T)
-    assert dim == 1
+    basis, _ = svd_kernel(m.T)
+    assert basis.shape == (5, 1)
     assert np.max(np.abs(m.T @ basis)) < 1e-10
 
 
-def test_null_space_raises_on_full_rank():
+def test_svd_kernel_raises_on_full_rank():
     from spinheat import KernelError
 
     with pytest.raises(KernelError):
-        null_space(np.eye(3))
+        svd_kernel(np.eye(3))
 
 
 def test_trace_distance_basics():
