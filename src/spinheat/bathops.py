@@ -6,6 +6,13 @@ repeated-interaction protocol, both do: they need the bath copy's own
 Hamiltonian, its thermal state, and its coupling to the boundary site.
 This module builds those pieces.
 
+Both bath families are diagonal in their own energy basis: the Hamiltonian
+is ``diag(energies)`` and the thermal state ``diag(populations)``.  A copy
+therefore carries those two vectors only, and its users rely on this form:
+the heat/work moments of ``currents`` are sums over level pairs, and the
+collision map of ``ri`` is the Kraus sum ``sum_ab K_ab rho K_ab^dagger``
+with ``K_ab = sqrt(populations[b]) <a|U|b>``.
+
 Spin bath copies are exact two-level objects.  Bosonic copies live on a
 truncated Fock space; the cutoff is chosen so the neglected thermal weight
 is below a target tail, and callers pick the tail appropriate to their
@@ -46,15 +53,17 @@ def bose_n_max(beta: float, omega: float, tail: float = RI_TAIL, margin: int = R
 class BathCopy:
     """One fresh bath unit: its space, energy, thermal state, and coupling.
 
-    ``couplings`` pairs a bath-side operator with the Pauli kind it couples
-    to on the boundary site; the full interaction is
+    ``energies`` and ``populations`` are the real diagonals of the unit's
+    Hamiltonian and of its thermal state, level by level.  ``couplings``
+    pairs a bath-side operator with the Pauli kind it couples to on the
+    boundary site; the full interaction is
     ``prefactor * sum_pairs (bath op) (site op)`` (tensor product, ordered
     by the global layout convention).
     """
 
     dim: int
-    h_op: np.ndarray
-    gibbs: np.ndarray
+    energies: np.ndarray
+    populations: np.ndarray
     couplings: tuple[tuple[np.ndarray, str], ...]
     prefactor: float
 
@@ -79,14 +88,12 @@ def bath_copy(
                 "requires the bath's own level splitting and temperature (beta, h)"
             )
         f = bath_f(b)
-        h_op = (b.h / 2.0) * np.diag([1.0, -1.0]).astype(complex)
-        gibbs = np.diag([(1.0 + f) / 2.0, (1.0 - f) / 2.0]).astype(complex)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
         return BathCopy(
             dim=2,
-            h_op=h_op,
-            gibbs=gibbs,
+            energies=np.array([b.h / 2.0, -b.h / 2.0]),
+            populations=np.array([(1.0 + f) / 2.0, (1.0 - f) / 2.0]),
             couplings=((sx, "x"), (sy, "y")),
             prefactor=math.sqrt(b.gamma),
         )
@@ -95,15 +102,13 @@ def bath_copy(
     levels = cutoff + 1
     check_dense_dim(levels)
     ns = np.arange(levels)
-    h_op = np.diag(b.omega * ns).astype(complex)
     weights = np.exp(-b.beta * b.omega * ns)
-    gibbs = np.diag(weights / weights.sum()).astype(complex)
     ladder = np.diag(np.sqrt(ns[1:]), k=1)  # annihilation operator
     position = (ladder + ladder.T).astype(complex)  # a + a^dagger
     return BathCopy(
         dim=levels,
-        h_op=h_op,
-        gibbs=gibbs,
+        energies=b.omega * ns,
+        populations=weights / weights.sum(),
         couplings=((position, "x"),),
         prefactor=float(b.g),
     )
@@ -111,7 +116,7 @@ def bath_copy(
 
 def check_gibbs_tail(copy: BathCopy, tail: float) -> None:
     """Raise when the top retained Fock level carries more weight than ``tail``."""
-    top = float(copy.gibbs[-1, -1].real)
+    top = float(copy.populations[-1])
     if top > tail:
         raise TruncationError(
             f"bosonic truncation insufficient: the top Fock level holds weight "

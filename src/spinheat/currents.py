@@ -105,10 +105,14 @@ def _rate_operators(spec: ChainSpec, bath: BathSpec) -> tuple[np.ndarray, np.nda
     pairs = [(b_op, site_op(kind, site, spec.n)) for b_op, kind in copy.couplings]
     o_q = np.zeros_like(h)
     o_h = np.zeros_like(h)
+    # with g = diag(p) and A = diag(E): P_ij = p_i (B_k)_ij (B_l)_ji gives
+    # t_kl = sum P and c_kl = 2 sum P (E_i - E_j)
+    gap = copy.energies[:, None] - copy.energies[None, :]
     for b_k, s_k in pairs:
         for b_l, s_l in pairs:
-            c_kl = np.einsum("ij,ji->", copy.gibbs, _nested(b_k, b_l, copy.h_op))
-            t_kl = np.einsum("ij,ji->", copy.gibbs, b_k @ b_l)
+            p_kl = copy.populations[:, None] * b_k * b_l.T
+            c_kl = 2.0 * np.sum(p_kl * gap)
+            t_kl = np.sum(p_kl)
             o_q += c_kl * (s_k @ s_l)
             o_h += t_kl * _nested(s_k, s_l, h)
     scale = 0.5 * copy.prefactor ** 2

@@ -15,10 +15,17 @@ the coupling, which by joint energy conservation equals
 work is independently available as the interaction energy left in the
 discarded unit, ``Tr(V (rho_before - rho_after))``; both are logged.
 
-Because the bath units are refreshed identically every cycle, the cycle
-map is linear in the chain state.  The engine materialises it once as a
-superoperator, so long fixed-point iterations cost dense matvecs on the
-chain space only.
+The bath units are refreshed every cycle in a thermal state that is
+diagonal in their energy basis, with populations ``p_b``.  The cycle map is
+then the Kraus sum ``rho -> sum_ab K_ab rho K_ab^dagger`` with
+``K_ab = sqrt(p_b) <a|U|b>``, where ``a`` and ``b`` run over the unit levels
+and ``U`` is the joint propagator (Ciccarello et al., Phys. Rep. 954, 1
+(2022)).  The engine forms the Kraus tensor once.  The superoperator is its
+Gram product, and each ledger row (a unit's energy after the cycle, the
+interaction energy before and after it, a bosonic unit's top-level weight)
+is a chain-space operator ``X`` with the row equal to ``Tr(X rho)``.  Long
+fixed-point iterations then cost dense matvecs on the chain space only, and
+no joint density matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -29,11 +36,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .bathops import RI_MARGIN, RI_TAIL, TruncationError, bath_copy
-from .linalg import check_dense_dim, herm_expm, hermitize, partial_trace, trace_distance
+from .bathops import RI_MARGIN, RI_TAIL, BathCopy, TruncationError, bath_copy
+from .linalg import check_dense_dim, herm_expm, hermitize, kron_all, trace_distance
 from .lindblad import lindblad_action, unvec, vec
 from .models import BathSpec, ChainSpec, build_hamiltonian
-from .operators import op_at, pauli
+from .operators import site_op
 from .steady_state import SteadyState
 
 
@@ -52,6 +59,8 @@ class RIConfig:
             raise ValueError("cycle duration tau must be positive")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be at least 1")
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError("n_max must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,10 @@ class CycleLog:
     step_distance: float
 
 
+def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
+    return float(np.einsum("ij,ji->", op, rho).real)
+
+
 def _system_of(spec_or_h) -> tuple[np.ndarray, int]:
     if isinstance(spec_or_h, ChainSpec):
         return build_hamiltonian(spec_or_h), spec_or_h.n
@@ -77,148 +90,117 @@ def _system_of(spec_or_h) -> tuple[np.ndarray, int]:
 
 
 class CollisionEngine:
-    """Precomputed one-cycle map for a fixed chain, bath set, and tau."""
+    """Precomputed one-cycle map for a fixed chain, bath set, and tau.
+
+    After construction it holds the chain-space superoperator and d x d
+    ledger operators only.
+    """
 
     def __init__(self, spec_or_h, baths: Sequence[BathSpec], cfg: RIConfig):
         h_sys, n = _system_of(spec_or_h)
         self.cfg = cfg
         self.n_sites = n
-        self.d_sys = h_sys.shape[0]
+        self.d_sys = d = h_sys.shape[0]
         by_side = {b.side: b for b in baths}
         if len(by_side) != len(baths):
             raise ValueError("at most one bath per side")
-
-        copies = []  # (side, BathCopy, boundary site)
-        for side in ("L", "R"):
-            if side in by_side:
-                b = by_side[side]
-                copies.append(
-                    (side, bath_copy(b, tail=RI_TAIL, margin=RI_MARGIN, n_max=cfg.n_max),
-                     b.boundary_site(n))
-                )
-        if not copies:
+        if not by_side:
             raise ValueError("the collision protocol needs at least one bath")
+        # joint layout [L unit] (x) chain (x) [R unit]; an absent side is a
+        # one-level unit at zero energy with no coupling, which leaves the
+        # cycle and its ledger unchanged
+        idle = BathCopy(dim=1, energies=np.zeros(1), populations=np.ones(1),
+                        couplings=(), prefactor=0.0)
+        units = {
+            side: bath_copy(by_side[side], tail=RI_TAIL, margin=RI_MARGIN, n_max=cfg.n_max)
+            if side in by_side else idle
+            for side in ("L", "R")
+        }
+        d_l, d_r = units["L"].dim, units["R"].dim
+        check_dense_dim(d_l * d * d_r)
+        axis = {"L": 2, "R": 3}  # bath axes of the Kraus tensor below
 
-        dims = []
-        slot = {}
-        for side, copy, _ in copies:
-            if side == "L":
-                slot["L"] = len(dims)
-                dims.append(copy.dim)
-        slot["sys"] = len(dims)
-        dims.append(self.d_sys)
-        for side, copy, _ in copies:
-            if side == "R":
-                slot["R"] = len(dims)
-                dims.append(copy.dim)
-        total = int(np.prod(dims))
-        check_dense_dim(total)
-        self.dims = dims
-        self.slot = slot
+        def joint(side: str, b_op: np.ndarray, s_op: np.ndarray) -> np.ndarray:
+            factors = [np.eye(d_l), s_op, np.eye(d_r)]
+            factors[0 if side == "L" else 2] = b_op
+            return kron_all(factors)
 
         tau = cfg.tau
-        h_tot = op_at(h_sys, slot["sys"], dims)
-        self._h_sys_small = h_sys
-        self._gibbs = {}
-        self._h_bath_emb = {}
-        self._bath_energy = {}
-        self._copies = {side: copy for side, copy, _ in copies}
+        h_tot = kron_all([np.eye(d_l), h_sys, np.eye(d_r)])
         v_tot = np.zeros_like(h_tot)
-        for side, copy, site in copies:
-            h_tot += op_at(copy.h_op, slot[side], dims)
-            self._gibbs[side] = copy.gibbs
-            self._h_bath_emb[side] = op_at(copy.h_op, slot[side], dims)
-            self._bath_energy[side] = float(np.trace(copy.h_op @ copy.gibbs).real)
-            site_dims_local = [2] * n
-            for b_op, kind in copy.couplings:
-                s_full = op_at(
-                    op_at(pauli(kind), site - 1, site_dims_local), slot["sys"], dims
-                )
-                b_full = op_at(b_op, slot[side], dims)
-                v_tot += copy.prefactor * (b_full @ s_full)
+        terms = []  # (side, coefficient, bath op, site op) of V = sum coef b (x) s
+        for side, unit in units.items():
+            h_tot += joint(side, np.diag(unit.energies), np.eye(d))
+            for b_op, kind in unit.couplings:
+                s_op = site_op(kind, by_side[side].boundary_site(n), n)
+                v_tot += unit.prefactor * joint(side, b_op, s_op)
+                terms.append((side, unit.prefactor / math.sqrt(tau), b_op, s_op))
         v_tot /= math.sqrt(tau)
         h_tot += v_tot
-        self._v = v_tot
-        self._u = herm_expm(h_tot, tau)
+        u = herm_expm(h_tot, tau)
+        del h_tot, v_tot
 
-        self._build_superoperator()
+        # Kraus tensor k[i, j, a_L, a_R, b] = sqrt(p_b) <a_L i a_R| U |b_L j b_R>
+        # with b = (b_L, b_R) flattened
+        u = u.reshape(d_l, d, d_r, d_l, d, d_r).transpose(1, 4, 0, 2, 3, 5)
+        weights = np.sqrt(np.outer(units["L"].populations, units["R"].populations))
+        k = (u * weights).reshape(d, d, d_l, d_r, d_l * d_r)
+        del u
 
-    # -- full-space cycle ---------------------------------------------------
+        m = k.reshape(d * d, -1)
+        gram = (m @ m.conj().T).reshape(d, d, d, d)
+        self._phi = gram.transpose(2, 0, 3, 1).reshape(d * d, d * d)  # column stacking
 
-    def _joint(self, rho_sys: np.ndarray) -> np.ndarray:
-        out = rho_sys
-        if "L" in self._gibbs:
-            out = np.kron(self._gibbs["L"], out)
-        if "R" in self._gibbs:
-            out = np.kron(out, self._gibbs["R"])
-        return out
+        k_conj = k.conj()
 
-    def cycle_full(self, rho_sys: np.ndarray):
-        """One cycle on the joint space; returns (new system state, joint after)."""
-        rho_tot = self._joint(np.asarray(rho_sys, dtype=complex))
-        after = self._u @ rho_tot @ self._u.conj().T
-        rho_new = partial_trace(after, self.dims, [self.slot["sys"]])
-        return rho_new, after
+        def after(side: str, b_op: np.ndarray, s_op: np.ndarray | None = None) -> np.ndarray:
+            """X with Tr(X rho) = Tr((b_op on the unit of side, s_op on the chain) rho_after)."""
+            ok = np.moveaxis(np.tensordot(b_op, k, axes=(1, axis[side])), 0, axis[side])
+            if s_op is not None:
+                ok = np.tensordot(s_op, ok, axes=(1, 0))
+            return np.tensordot(k_conj, ok, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
 
-    def check_truncation(self, after: np.ndarray, threshold: float = 1e-6) -> None:
-        """Bosonic guard: the evolved unit must not pile weight on the top level."""
-        for side, copy in self._copies.items():
-            if copy.dim == 2:
-                continue
-            rho_b = partial_trace(after, self.dims, [self.slot[side]])
-            top = float(rho_b[-1, -1].real)
+        # interaction energy Tr(V rho_before) - Tr(V rho_after) as one operator
+        v_drop = np.zeros((d, d), dtype=complex)
+        for side, coef, b_op, s_op in terms:
+            before = units[side].populations @ np.diag(b_op)
+            v_drop += coef * (before * s_op - after(side, b_op, s_op))
+        self._h_sys = h_sys
+        self._energy_before = [float(unit.populations @ unit.energies) for unit in units.values()]
+        # rows of (L energy after, R energy after, interaction energy drop);
+        # Tr(X rho) = X.ravel() @ vec(rho) in column stacking
+        self._ledger = np.array(
+            [after(side, np.diag(unit.energies)).ravel() for side, unit in units.items()]
+            + [v_drop.ravel()]
+        )
+        self._top = {  # projector on the top Fock level
+            side: after(side, np.diag(np.eye(units[side].dim)[-1]))
+            for side, b in by_side.items() if b.kind == "bosonic"
+        }
+
+    def check_truncation(self, rho_sys: np.ndarray, threshold: float = 1e-6) -> None:
+        """Bosonic guard: a cycle from ``rho_sys`` must not pile weight on a unit's top level."""
+        for side, op in self._top.items():
+            top = _expectation(op, rho_sys)
             if top > threshold:
                 raise TruncationError(
                     f"collision unit on side {side} reached the top Fock level "
                     f"(weight {top:.3e}); raise n_max or shorten tau"
                 )
 
-    # -- precomputed linear form --------------------------------------------
-
-    def _build_superoperator(self) -> None:
-        d = self.d_sys
-        d2 = d * d
-        phi = np.empty((d2, d2), dtype=complex)
-        rows = {side: np.empty(d2, dtype=complex) for side in self._gibbs}
-        v_after = np.empty(d2, dtype=complex)
-        v_before = np.empty(d2, dtype=complex)
-        basis = np.zeros((d, d), dtype=complex)
-        for col in range(d2):
-            i, j = col % d, col // d  # column-stacking order
-            basis[i, j] = 1.0
-            rho_tot = self._joint(basis)
-            after = self._u @ rho_tot @ self._u.conj().T
-            phi[:, col] = vec(partial_trace(after, self.dims, [self.slot["sys"]]))
-            for side in rows:
-                rows[side][col] = np.einsum("ij,ji->", self._h_bath_emb[side], after)
-            v_after[col] = np.einsum("ij,ji->", self._v, after)
-            v_before[col] = np.einsum("ij,ji->", self._v, rho_tot)
-            basis[i, j] = 0.0
-        self._phi = phi
-        self._bath_energy_rows = rows
-        self._v_after_row = v_after
-        self._v_before_row = v_before
-
     def step(self, rho_sys: np.ndarray) -> tuple[np.ndarray, CycleLog]:
         """Advance one cycle and return the new state with its energy ledger."""
         rho_sys = np.asarray(rho_sys, dtype=complex)
         r = vec(rho_sys)
-        r_new = self._phi @ r
-        rho_new = unvec(r_new, self.d_sys)
-        dq = {}
-        for side in ("L", "R"):
-            if side in self._gibbs:
-                after_energy = float((self._bath_energy_rows[side] @ r).real)
-                dq[side] = self._bath_energy[side] - after_energy
-            else:
-                dq[side] = 0.0
-        de = float(np.einsum("ij,ji->", self._h_sys_small, rho_new - rho_sys).real)
-        dw = de - dq["L"] - dq["R"]
-        dw_int = float(((self._v_before_row - self._v_after_row) @ r).real)
+        rho_new = unvec(self._phi @ r, self.d_sys)
+        after_l, after_r, dw_int = map(float, (self._ledger @ r).real)
+        dq_l = self._energy_before[0] - after_l
+        dq_r = self._energy_before[1] - after_r
+        de = _expectation(self._h_sys, rho_new - rho_sys)
         return rho_new, CycleLog(
-            dq_L=dq["L"],
-            dq_R=dq["R"],
-            dw=dw,
+            dq_L=dq_l,
+            dq_R=dq_r,
+            dw=de - dq_l - dq_r,
             de=de,
             dw_interaction=dw_int,
             step_distance=trace_distance(rho_new, rho_sys),
@@ -231,8 +213,7 @@ def ri_step(
     """One collision cycle. Builds a fresh engine; use CollisionEngine for loops."""
     engine = CollisionEngine(spec_or_h, baths, cfg)
     rho_new, log = engine.step(rho_sys)
-    _, after = engine.cycle_full(rho_sys)
-    engine.check_truncation(after)
+    engine.check_truncation(rho_sys)
     return rho_new, log
 
 
@@ -270,8 +251,7 @@ def ri_fixed_point(
             f"collision map did not settle within {cfg.n_cycles} cycles "
             f"(last step moved {history[-1].step_distance:.3e}, tol {cfg.convergence_tol:.1e})"
         )
-    _, after = engine.cycle_full(rho)
-    engine.check_truncation(after)
+    engine.check_truncation(rho)
     rho = hermitize(rho)
     rho = rho / float(np.trace(rho).real)
     if isinstance(spec_or_h, ChainSpec):

@@ -325,6 +325,8 @@ def test_ri_converge_reports_first_order(tmp_path, capsys):
     ("n_cycles = 1.5", "n_cycles"),
     ("n_cycles = 0", "n_cycles"),
     ("n_max = many", "n_max"),
+    ("n_max = -1", "n_max"),
+    ("n_max = 0", "n_max"),
     ("consecutive = three", "consecutive"),
 ])
 def test_ri_converge_rejects_bad_numbers(tmp_path, capsys, line, key):

@@ -51,9 +51,9 @@ def joint_rates(spec, bath, rho):
     v = copy.prefactor * sum(
         pair(b_op, site_op(kind, site, spec.n)) for b_op, kind in copy.couplings
     )
-    h_bath = pair(copy.h_op, np.eye(spec.dim))
+    h_bath = pair(np.diag(copy.energies), np.eye(spec.dim))
     h_sys = pair(np.eye(copy.dim), build_hamiltonian(spec))
-    rho_tot = pair(copy.gibbs, rho)
+    rho_tot = pair(np.diag(copy.populations), rho)
 
     def rate(x):
         inner = v @ x - x @ v
