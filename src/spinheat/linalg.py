@@ -2,12 +2,13 @@
 
 Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
 from the handful of primitives in this module: Kronecker products, partial
-traces, Hermitian matrix exponentials, and SVD-based null spaces.  The
-steady-state solver uses ``svd_kernel`` only as the fallback behind its
-bordered LU solve, for degenerate or ill-conditioned kernels.  All
-matrices are plain complex numpy arrays; no sparse backend is provided, and
-any request that would materialise a matrix larger than ``MAX_DENSE_DIM``
-is rejected up front.
+traces, Hermitian matrix exponentials, SVD-based null spaces and the
+connected components of a sparsity pattern.  The steady-state solver splits
+its generator into those components and uses ``svd_kernel`` block by block,
+only as the fallback behind its bordered LU solve, for degenerate or
+ill-conditioned kernels.  All matrices are plain complex numpy arrays; no
+sparse backend is provided, and any request that would materialise a matrix
+larger than ``MAX_DENSE_DIM`` is rejected up front.
 """
 
 from __future__ import annotations
@@ -159,26 +160,86 @@ def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarr
     return (v * phases) @ v.conj().T
 
 
-def svd_kernel(m: np.ndarray, tol: float = KERNEL_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Full-SVD kernel split: returns (kernel basis as columns, all singular values).
+def sparsity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries of a complex matrix."""
+    nz = np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
+    return np.nonzero(nz[:, 0::2] | nz[:, 1::2])  # real or imaginary part
 
-    This costs a full SVD of ``m``; the steady-state solver calls it only when
-    its bordered LU solve is refused.  Singular values at or below
-    ``tol * s_max`` count as kernel.  The basis
-    columns are orthonormal right singular vectors.  Raises KernelError when
-    nothing falls below the threshold.
+
+def components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
+    """Connected components of the graph on ``range(size)`` with edges ``rows[k]--cols[k]``.
+
+    Edges count in both directions, so the components of the nonzero pattern
+    of a matrix (see ``sparsity``) are the blocks over which it is block
+    diagonal after a symmetric permutation.  Components come back grouped by
+    size: one ``(count, size)`` integer array per size, in ascending size
+    order.  Each row holds one component's indices in ascending order, and
+    the rows are ordered by their first index.  Labels are found by min-label
+    propagation with pointer jumping, so every label ends as the smallest
+    vertex of its component.
+    """
+    labels = np.arange(size)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    comp = np.cumsum(labels == np.arange(size))[labels] - 1  # numbered by smallest vertex
+    sizes = np.bincount(comp)
+    order = np.lexsort((comp, sizes[comp]))  # by component size, then component
+    per_size = np.bincount(sizes)
+    groups, start = [], 0
+    for s in np.flatnonzero(per_size):
+        groups.append(order[start:start + per_size[s] * s].reshape(-1, s))
+        start += per_size[s] * s
+    return groups
+
+
+def blocks_of(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Stack of the diagonal blocks ``m[c][:, c]`` for the rows ``c`` of ``idx``."""
+    return m[idx[:, :, None], idx[:, None, :]]
+
+
+def svd_kernel(
+    m: np.ndarray, tol: float = KERNEL_TOL, blocks: Sequence[np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """SVD kernel split: returns (kernel basis as columns, all singular values).
+
+    ``blocks`` are index arrays as returned by ``components``, over which
+    ``m`` must be block diagonal; each block is decomposed on its own, and
+    blocks of one size go through one stacked SVD.  Without ``blocks`` this is
+    a full SVD of ``m``.  The singular values of all blocks are pooled in
+    descending order, so ``s_max`` and the threshold are those of ``m``:
+    singular values at or below ``tol * s_max`` count as kernel.  The basis
+    columns are orthonormal right singular vectors, zero outside their
+    block.  Raises KernelError when nothing falls below the threshold.
     """
     m = as_matrix(m)
-    _, s, vh = np.linalg.svd(m)
+    if blocks is None:
+        blocks = [np.arange(m.shape[0])[None, :]]
+    parts = []
+    for idx in blocks:
+        _, s, vh = np.linalg.svd(blocks_of(m, idx))
+        parts.append((idx, s, vh))
+    s = np.sort(np.concatenate([p[1].ravel() for p in parts]))[::-1]
     smax = float(s[0]) if s.size else 0.0
-    mask = s <= tol * smax
-    k = int(np.count_nonzero(mask))
+    cut = tol * smax
+    k = int(np.count_nonzero(s <= cut))
     if k == 0:
         raise KernelError(
             f"no null space at relative tolerance {tol:.1e}: smallest singular value "
             f"{s[-1]:.3e} against largest {smax:.3e}"
         )
-    basis = vh[mask].conj().T
+    basis = np.zeros((m.shape[0], k), dtype=complex)
+    filled = 0
+    for idx, sv, vh in parts:
+        block, row = np.nonzero(sv <= cut)
+        cols = filled + np.arange(block.size)
+        basis[idx[block], cols[:, None]] = vh[block, row].conj()
+        filled += block.size
     return basis, s
 
 

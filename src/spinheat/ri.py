@@ -266,6 +266,7 @@ def ri_fixed_point(
         nullspace_dim=1,
         min_eig=float(eigs[0]),
         solver="collision",
+        largest_block=0,  # the fixed point is iterated; nothing is factored
     )
     return state, history
 

@@ -1,21 +1,29 @@
 """Steady-state extraction from the Liouvillian kernel.
 
 The steady manifold is the numerical null space of the vectorized
-generator.  When it is one-dimensional the state is unique, and it is found
-by a trace-constrained ("bordered") linear solve: one row of the generator
-is replaced by ``vec(I)^T`` and the system ``B vec(rho) = e_0`` is solved by
-a single LU, the direct method of QuTiP's ``steadystate`` (Johansson, Nation
-and Nori, CPC 184, 1234 (2013)).  The bordered result is accepted only when
-the LU is regular, a probe estimate of the condition number of ``B`` is
-small, the state is stationary to the kernel tolerance and it is positive.
+generator.  Conserved quantities (the magnetization of xxz chains, the
+never-flipped middle spins of ising chains) make the generator block
+diagonal in the basis ``|i><j|``, so every factorization here runs on the
+connected components of its sparsity pattern, one block at a time; blocks
+of one size go through one stacked LAPACK call.
 
-Anything else falls back to a full SVD of the generator.  When the kernel
-is degenerate (which happens for diagonal chains whose middle spins are
-never flipped) that path returns a canonical representative: the
-projection of the maximally mixed state onto the kernel, hermitized and
-trace-normalized.  That choice is basis-independent and reproducible, and
-for the models here every physical current of interest is independent of
-the kernel mixture.
+When the kernel is one-dimensional the state is unique, and it is found by
+a trace-constrained ("bordered") linear solve: one row of the generator is
+replaced by ``vec(I)^T`` and the system ``B vec(rho) = e_0`` is solved by an
+LU of each block of ``B``, the direct method of QuTiP's ``steadystate``
+(Johansson, Nation and Nori, CPC 184, 1234 (2013)).  The bordered result is
+accepted only when every LU is regular, a probe estimate of the condition
+number of ``B`` is small, the state is stationary to the kernel tolerance
+and it is positive.
+
+Anything else falls back to an SVD of each block of the generator, with the
+singular values pooled so that the kernel threshold and the gap rule are
+those of the whole matrix.  When the kernel is degenerate (which happens for
+diagonal chains whose middle spins are never flipped) that path returns a
+canonical representative: the projection of the maximally mixed state onto
+the kernel, hermitized and trace-normalized.  That choice is
+basis-independent and reproducible, and for the models here every physical
+current of interest is independent of the kernel mixture.
 """
 
 from __future__ import annotations
@@ -25,7 +33,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import KERNEL_TOL, KernelError, hermitize, svd_kernel
+from .linalg import (
+    KERNEL_TOL,
+    KernelError,
+    blocks_of,
+    components,
+    hermitize,
+    sparsity,
+    svd_kernel,
+)
 from .lindblad import (
     Liouvillian,
     build_liouvillian,
@@ -62,6 +78,7 @@ class SteadyState:
     nullspace_dim: int
     min_eig: float
     solver: str  # "bordered", "svd", "diagonal_ansatz" or "collision"
+    largest_block: int  # size of the largest matrix the solve factored
 
 
 def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -79,67 +96,90 @@ def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
     return rho / tr
 
 
-def _bordered(liou: Liouvillian, tol: float) -> SteadyState | None:
-    """Unique steady state from one bordered LU solve, or None when not trusted.
+def _bordered(
+    m: np.ndarray, dim: int, tol: float, blocks: list[np.ndarray], scale: float, norm1: float
+) -> SteadyState | None:
+    """Unique steady state from a bordered LU solve, or None when not trusted.
 
-    ``B`` is the generator with row 0 replaced by ``vec(I)^T``, so
+    ``B`` is the generator ``m`` with row 0 replaced by ``vec(I)^T``, so
     ``B vec(rho) = e_0`` fixes ``Tr rho = 1`` in place of one redundant
-    stationarity equation.  The same LU also solves ``PROBES`` random
-    right-hand sides ``r``; ``||B||_1 max ||B^-1 r|| / ||r||`` estimates the
-    condition number of ``B`` from below and must stay under
-    ``1 / (GAP_FACTOR tol)``, the analogue of the SVD path's gap rule.  A
-    degenerate kernel makes ``B`` singular or near-singular, so it is
+    stationarity equation.  ``blocks`` are the components of the pattern of
+    ``B`` (see ``components``); each block is solved on its own, with its
+    slice of the right-hand sides.  The same LUs also solve ``PROBES`` random
+    right-hand sides ``r``; ``norm1 max ||B^-1 r|| / ||r||``, with ``norm1 =
+    ||B||_1``, estimates the condition number of ``B`` from below and must
+    stay under ``1 / (GAP_FACTOR tol)``, the analogue of the SVD path's gap
+    rule.  A degenerate kernel makes ``B`` singular or near-singular, so it is
     refused here.  The residual ``||L vec rho|| / ||rho||_F`` must be at most
-    ``tol`` times the largest column 2-norm of ``L``, a lower bound on its
-    spectral norm, so this test is never looser than the SVD kernel
+    ``tol`` times ``scale``, the largest column 2-norm of ``L``, a lower bound
+    on its spectral norm, so this test is never looser than the SVD kernel
     threshold.
     """
-    m = liou.matrix
     n = m.shape[0]
-    b = np.array(m, dtype=complex)
-    b[0, :] = vec(np.eye(liou.dim))
     rng = np.random.default_rng(PROBE_SEED)
     rhs = np.zeros((n, 1 + PROBES), dtype=complex)
     rhs[0, 0] = 1.0
     rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
-    try:
-        x = np.linalg.solve(b, rhs)
-    except np.linalg.LinAlgError:  # exactly singular LU
-        return None
+    x = np.empty_like(rhs)
+    for idx in blocks:
+        b = blocks_of(m, idx)
+        if idx[0, 0] == 0:  # the block holding row 0 leads its group
+            b[0, 0, :] = vec(np.eye(dim))[idx[0]]
+        try:
+            x[idx] = np.linalg.solve(b, rhs[idx])
+        except np.linalg.LinAlgError:  # exactly singular LU
+            return None
     growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
-    cond = float(np.linalg.norm(b, 1) * np.max(growth))
+    cond = norm1 * float(np.max(growth))
     if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
         return None
-    rho = hermitize(unvec(x[:, 0], liou.dim))
+    rho = hermitize(unvec(x[:, 0], dim))
     rho = rho / float(np.trace(rho).real)
     residual = float(np.linalg.norm(m @ vec(rho)))
-    scale = float(np.max(np.linalg.norm(m, axis=0)))
     if not residual <= tol * scale * float(np.linalg.norm(rho)):
         return None
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < MIN_EIG_FLOOR:
         return None
     return SteadyState(rho=rho, residual=residual, nullspace_dim=1, min_eig=min_eig,
-                       solver="bordered")
+                       solver="bordered", largest_block=_largest(blocks))
+
+
+def _largest(blocks: list[np.ndarray]) -> int:
+    return max(idx.shape[1] for idx in blocks)
 
 
 def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
-    """Steady state of a Liouvillian: a bordered LU solve, else a full SVD.
+    """Steady state of a Liouvillian: a bordered LU solve, else an SVD, block by block.
 
     The bordered solve (see ``_bordered``) handles a unique, well-separated
     kernel and reports ``nullspace_dim = 1`` and ``solver = "bordered"``.  When
-    any of its checks fails, the generator goes through a full SVD instead
-    (``solver = "svd"``), which also handles degenerate kernels.
+    any of its checks fails, each block of the generator goes through an SVD
+    instead (``solver = "svd"``), which also handles degenerate kernels.
+    ``largest_block`` is the size of the largest block either path factored.
 
     The SVD path raises KernelError when the kernel is empty at ``tol``, when
     the split between kernel and non-kernel singular values is not clean
     (factor ``GAP_FACTOR``), or when the resulting state violates positivity
     or stationarity beyond solver-noise bounds.
     """
-    state = _bordered(liou, tol)
+    m = np.asarray(liou.matrix, dtype=complex)
+    size = m.shape[0]
+    rows, cols = sparsity(m)
+    magnitude = np.abs(m[rows, cols])
+    scale = float(np.sqrt(np.max(np.bincount(cols, magnitude ** 2, size))))
+    # B: row 0 of L gives way to vec(I)^T, which ties every diagonal entry together
+    diagonal = np.arange(liou.dim) * (liou.dim + 1)
+    kept = rows != 0
+    column_sums = np.bincount(cols[kept], magnitude[kept], size)
+    column_sums[diagonal] += 1.0
+    bordered = components(np.concatenate((rows[kept], np.zeros_like(diagonal))),
+                          np.concatenate((cols[kept], diagonal)), size)
+    state = _bordered(m, liou.dim, tol, bordered, scale, float(np.max(column_sums)))
     if state is not None:
         return state
-    basis, s = svd_kernel(liou.matrix, tol)
+    blocks = components(rows, cols, size)
+    basis, s = svd_kernel(m, tol, blocks)
     k = basis.shape[1]
     if k < s.size:
         s_kernel = float(s[-k])  # singular values are sorted descending
@@ -150,7 +190,7 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
                 f"are separated by less than a factor {GAP_FACTOR:g}"
             )
     rho = _representative(basis, liou.dim)
-    residual = float(np.linalg.norm(liou.matrix @ vec(rho)))
+    residual = float(np.linalg.norm(m @ vec(rho)))
     smax = float(s[0]) if s.size else 0.0
     if residual > RESIDUAL_FACTOR * max(smax, 1.0):
         raise KernelError(f"steady-state residual {residual:.3e} is too large")
@@ -159,7 +199,7 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     if min_eig < MIN_EIG_FLOOR:
         raise KernelError(f"steady state has a negative eigenvalue {min_eig:.3e}")
     return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig,
-                       solver="svd")
+                       solver="svd", largest_block=max(_largest(bordered), _largest(blocks)))
 
 
 def steady_for(spec: ChainSpec, baths: Sequence[BathSpec], tol: float = KERNEL_TOL) -> SteadyState:
@@ -228,4 +268,4 @@ def solve_diagonal_ansatz(
     if min_eig < MIN_EIG_FLOOR:
         raise KernelError(f"diagonal ansatz produced a negative population {min_eig:.3e}")
     return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig,
-                       solver="diagonal_ansatz")
+                       solver="diagonal_ansatz", largest_block=dim)

@@ -15,10 +15,12 @@ from spinheat import (
 )
 from spinheat.linalg import (
     check_dense_dim,
+    components,
     hermitize,
     is_hermitian,
     kron,
     require_hermitian,
+    sparsity,
     svd_kernel,
 )
 
@@ -161,6 +163,27 @@ def test_svd_kernel_raises_on_full_rank():
 
     with pytest.raises(KernelError):
         svd_kernel(np.eye(3))
+
+
+def test_components_of_a_one_way_pattern():
+    # each edge is given in one direction only; a lone vertex is its own block
+    m = np.zeros((5, 5), dtype=complex)
+    m[1, 0] = 1j
+    m[2, 3] = -2.0
+    groups = components(*sparsity(m), 5)
+    assert [g.tolist() for g in groups] == [[[4]], [[0, 1], [2, 3]]]
+
+
+def test_svd_kernel_pools_block_singular_values():
+    # the 1e-12 block is kernel against the largest singular value of the
+    # whole matrix, though not against its own
+    m = np.array([[1.0, 0.0, 1.0], [0.0, 1e-12, 0.0], [1.0, 0.0, 1.0]])
+    groups = components(*sparsity(m), 3)
+    basis, singulars = svd_kernel(m, blocks=groups)
+    full, full_singulars = svd_kernel(m)
+    assert basis.shape == full.shape == (3, 2)
+    assert np.allclose(singulars, full_singulars, atol=1e-15)
+    assert np.allclose(basis @ basis.conj().T, full @ full.conj().T, atol=1e-13)
 
 
 def test_trace_distance_basics():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from spinheat import (
     unvec,
     vec,
 )
-from spinheat.linalg import svd_kernel
+from spinheat.linalg import blocks_of, components, sparsity, svd_kernel
 
 SPIN_PAIR = [
     BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
@@ -131,20 +133,56 @@ def test_ising_spin_three_sites_product_with_free_middle():
     check_state(spec, SPIN_PAIR, state)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def degenerate_ising(n):
+    return ChainSpec(kind="ising", n=n, field=(0.4, 0.3, 0.7, -0.5, 0.2)[:n],
+                     bond_Delta=(0.9, 1.1, 0.6, -0.8)[:n - 1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("baths", [SPIN_PAIR, BOSON_PAIR], ids=["spin", "bosonic"])
 def test_degenerate_ising_kernel_takes_the_svd_path(n, baths):
     # the n - 2 middle spins are never flipped: one stationary state per
     # middle configuration, represented by the projection of I / d
-    spec = ChainSpec(kind="ising", n=n, field=(0.4, 0.3, 0.7, -0.5)[:n],
-                     bond_Delta=(0.9, 1.1, 0.6)[:n - 1])
+    spec = degenerate_ising(n)
     liou = build_liouvillian(spec, baths)
     state = solve_steady(liou)
     assert state.solver == "svd"
-    rho, k = svd_reference(liou)
-    assert state.nullspace_dim == k == 2 ** (n - 2)
-    assert np.max(np.abs(state.rho - rho)) < 1e-12
+    assert state.nullspace_dim == 2 ** (n - 2)
+    # the refused bordered LU sees only the 2^n populations, which row 0 ties
+    # together, and the SVD only the generator's small blocks
+    assert state.largest_block <= 2 ** n
     check_state(spec, baths, state)
+    if n <= 4:  # the full-SVD reference costs seconds beyond that
+        rho, k = svd_reference(liou)
+        assert k == state.nullspace_dim
+        assert np.max(np.abs(state.rho - rho)) < 1e-12
+
+
+def split(liou):
+    """Components of the generator, checked to hold every entry of it."""
+    m = liou.matrix
+    groups = components(*sparsity(m), m.shape[0])
+    rebuilt = np.zeros_like(m)
+    for idx in groups:
+        rebuilt[idx[:, :, None], idx[:, None, :]] = blocks_of(m, idx)
+    assert np.array_equal(rebuilt, m)
+    return groups
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_splits_into_conserved_sectors(n):
+    xxz = split(build_liouvillian(ChainSpec(kind="xxz", n=n, alpha=1.0, Delta=0.5, h=0.1),
+                                  SPIN_PAIR))
+    # magnetization difference of |i><j| runs over -n..n; sector q holds C(2n, n + q)
+    assert sum(idx.shape[0] for idx in xxz) == 2 * n + 1
+    assert max(idx.shape[1] for idx in xxz) == comb(2 * n, n)
+    boson = split(build_liouvillian(degenerate_ising(n), BOSON_PAIR))
+    assert [idx.shape for idx in boson] == [(4 ** (n - 1), 4)]
+    spin = split(build_liouvillian(degenerate_ising(n), SPIN_PAIR))
+    assert sum(idx.shape[0] for idx in spin) == 9 * 4 ** (n - 2)
+    for groups in (xxz, boson, spin):
+        every = np.sort(np.concatenate([idx.ravel() for idx in groups]))
+        assert np.array_equal(every, np.arange(4 ** n))
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,6 +205,49 @@ def test_bordered_matches_svd_projection(n, alpha, Delta, h, f_L, f_R, gamma_L, 
     assert state.nullspace_dim == 1
     rho, k = svd_reference(liou)
     assert k == 1
+    assert np.max(np.abs(state.rho - rho)) < 1e-12
+
+
+def grid(lo, hi, step=0.05):
+    return st.integers(round(lo / step), round(hi / step)).map(lambda k: k * step)
+
+
+@st.composite
+def driven_chains(draw):
+    # Parameters sit on a grid: a chain tuned to within ~1e-5 of an exact
+    # degeneracy has a singular value just above the kernel threshold, and the
+    # full SVD of the whole generator then resolves the kernel only to about
+    # eps * s_max / s_next, too coarse to referee the block solve at 1e-12.
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        spec = ChainSpec(kind="xxz", n=n, alpha=draw(grid(0.3, 2.0)),
+                         Delta=draw(grid(-1.5, 1.5)), h=draw(grid(-1.0, 1.0)))
+    else:
+        spec = ChainSpec(kind="ising", n=n,
+                         field=tuple(draw(grid(-1.0, 1.0)) for _ in range(n)),
+                         bond_Delta=tuple(draw(grid(-1.5, 1.5)) for _ in range(n - 1)))
+    if draw(st.booleans()):
+        gammas = [draw(grid(0.2, 2.0)), draw(grid(0.2, 2.0))]
+        off = draw(st.sampled_from([None, 0, 1]))  # one side may be switched off
+        if off is not None:
+            gammas[off] = 0.0
+        baths = [BathSpec(side=side, f=draw(grid(-1.0, 1.0)), gamma=g)
+                 for side, g in zip("LR", gammas)]
+    else:
+        baths = [BathSpec(side=side, kind="bosonic", beta=draw(grid(0.3, 3.0)),
+                          omega=draw(grid(0.5, 2.0)), g=draw(grid(0.2, 0.6)))
+                 for side in "LR"]
+    return spec, baths
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=driven_chains())
+def test_block_solve_matches_full_svd(chain):
+    spec, baths = chain
+    liou = build_liouvillian(spec, baths)
+    state = solve_steady(liou)
+    rho, k = svd_reference(liou)
+    assert state.nullspace_dim == k
     assert np.max(np.abs(state.rho - rho)) < 1e-12
 
 
