@@ -8,7 +8,7 @@ the coupling on and off is work.  Nothing about this is a modeling choice
 inside the master equation; it is extra physical structure the protocol
 carries and the limit keeps.
 
-This script iterates the cycle map to its fixed point for a few cycle
+This script solves for the cycle map's fixed point at a few cycle
 durations, showing first-order convergence to the master-equation steady
 state, and compares the per-cycle energy ledger with the stationary rates.
 """
@@ -44,7 +44,7 @@ def main() -> None:
     taus = [2e-2, 1e-2, 5e-3, 2.5e-3]
     dists = []
     for tau in taus:
-        state, history = ri_fixed_point(spec, baths, RIConfig(tau=tau, convergence_tol=1e-13))
+        state, history = ri_fixed_point(spec, baths, RIConfig(tau=tau))
         rates = ri_rates(history, tau)
         d = trace_distance(state.rho, exact_state.rho)
         dists.append(d)

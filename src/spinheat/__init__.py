@@ -5,7 +5,7 @@ chains: build the Lindblad generator for spin or bosonic boundary baths,
 solve for the nonequilibrium steady state, and split each boundary's
 energy current into heat and work using the microscopic bath model that
 the master equation came from. Includes a repeated-interaction (collision)
-integrator whose cycles converge to the same master equation and whose
+map whose fixed point converges to the same steady state and whose
 per-cycle energy ledger converges to the same heat and work rates.
 """
 
@@ -33,7 +33,6 @@ from .linalg import (
     KernelError,
     herm_expm,
     kron_all,
-    partial_trace,
     trace_distance,
 )
 from .lindblad import (
@@ -57,8 +56,8 @@ from .models import (
     with_f,
 )
 from .operators import op_at, pauli, site_op, two_site_op
-from .ri import CollisionEngine, CycleLog, RIConfig, ri_fixed_point, ri_rates, ri_step
-from .steady_state import SteadyState, solve_diagonal_ansatz, solve_steady, steady_for
+from .ri import CollisionEngine, CycleLog, RIConfig, ri_fixed_point, ri_rates
+from .steady_state import SteadyState, solve_steady, steady_for
 
 __version__ = "0.1.0"
 
@@ -72,9 +71,8 @@ __all__ = [
     "dissipator_action", "energy_current_closed_form_3site", "energy_inflow",
     "entropy_production", "entropy_production_rate", "heat_rate_general",
     "heat_rate_xxz_closed", "herm_expm", "jump_ops", "kron_all",
-    "lindblad_action", "liouvillian_matrix", "op_at", "partial_trace",
-    "pauli", "ri_fixed_point", "ri_rates", "ri_step", "site_op",
-    "solve_diagonal_ansatz", "solve_steady", "spin_current", "steady_for",
-    "trace_distance", "two_site_op", "unvec", "vec", "von_neumann_entropy",
-    "with_f", "work_rate_general", "work_rate_xxz_closed",
+    "lindblad_action", "liouvillian_matrix", "op_at", "pauli",
+    "ri_fixed_point", "ri_rates", "site_op", "solve_steady", "spin_current",
+    "steady_for", "trace_distance", "two_site_op", "unvec", "vec",
+    "von_neumann_entropy", "with_f", "work_rate_general", "work_rate_xxz_closed",
 ]

@@ -59,7 +59,9 @@ COLUMNS = (
 _MODEL_KEYS = {"kind", "n", "alpha", "Delta", "delta", "h", "field", "bond_Delta", "Delta13"}
 _BATH_KEYS = {"kind", "beta", "h", "gamma", "f", "omega", "g"}
 _SWEEP_KEYS = {"parameter", "from", "to", "points"}
-_RI_KEYS = {"tau", "taus", "n_cycles", "n_max", "convergence_tol", "consecutive"}
+# accepted with a note but ignored: the collision fixed point is solved, not iterated
+_RI_RETIRED = ("n_cycles", "convergence_tol", "consecutive")
+_RI_KEYS = {"taus", "n_max", *_RI_RETIRED}
 _INVERSION_KEYS = {"kind", "kappa_L", "kappa_R", "beta_L", "h_L", "beta_R", "h_R"}
 _SECTION_KEYS = {
     "model": _MODEL_KEYS,
@@ -571,35 +573,29 @@ def cmd_ri_converge(args) -> int:
     spec = build_chain(cfg)
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     require_decomposable(baths)
-    ri_sec = {
-        "taus": "1e-2,5e-3,2.5e-3", "convergence_tol": "1e-12",
-        "n_cycles": "500000", "consecutive": "3", **cfg.get("ri", {}),
-    }
+    ri_sec = {"taus": "1e-2,5e-3,2.5e-3", **cfg.get("ri", {})}
+    for key in _RI_RETIRED:
+        if key in ri_sec:
+            print(f"note: [ri] {key} is retired and has no effect", file=sys.stderr)
     taus = _float_tuple(ri_sec["taus"], "taus", "ri")
     if len(taus) < 3:
         raise ConfigError("ri-converge needs at least 3 tau values ([ri] taus)")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("[ri] taus must be strictly decreasing")
-    conv_tol = args.tol if args.tol is not None else _get_float(ri_sec, "convergence_tol", "ri")
-    n_cycles = _get_int(ri_sec, "n_cycles", "ri")
+    tol = args.tol if args.tol is not None else KERNEL_TOL
     n_max = _get_int(ri_sec, "n_max", "ri") if "n_max" in ri_sec else None
-    consecutive = _get_int(ri_sec, "consecutive", "ri")
     try:
-        ri_cfgs = [
-            RIConfig(tau=tau, n_cycles=n_cycles, n_max=n_max,
-                     convergence_tol=conv_tol, consecutive=consecutive)
-            for tau in taus
-        ]
+        ri_cfgs = [RIConfig(tau=tau, n_max=n_max) for tau in taus]
     except ValueError as exc:
         raise ConfigError(f"invalid [ri]: {exc}") from None
 
-    reference = steady_for(spec, baths)
+    reference = steady_for(spec, baths, tol=tol)
     report = current_report(spec, baths, reference)
 
     rows = []
     for ri_cfg in ri_cfgs:
         tau = ri_cfg.tau
-        state, history = ri_fixed_point(spec, baths, ri_cfg)
+        state, history = ri_fixed_point(spec, baths, ri_cfg, tol)
         rates = ri_rates(history, tau)
         rows.append({
             "tau": tau,
@@ -640,8 +636,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="grid points evaluated concurrently (output stays in grid order)")
     parser.add_argument("--tol", type=float, default=None, metavar="X",
-                        help="steady/sweep: kernel tolerance; check-one-way: invariance "
-                             "tolerance (default 1e-10); ri-converge: cycle convergence tolerance")
+                        help="steady/sweep/ri-converge: kernel tolerance; check-one-way: "
+                             "invariance tolerance (default 1e-10)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,9 +669,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (KernelError, DimensionLimitError, TruncationError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

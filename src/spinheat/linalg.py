@@ -1,11 +1,11 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
-from the handful of primitives in this module: Kronecker products, partial
-traces, Hermitian matrix exponentials, SVD-based null spaces and the
-connected components of a sparsity pattern.  The steady-state solver splits
-its generator into those components and uses ``svd_kernel`` block by block,
-only as the fallback behind its bordered LU solve, for degenerate or
+from the handful of primitives in this module: Kronecker products,
+Hermitian matrix exponentials, SVD-based null spaces and the connected
+components of a sparsity pattern.  The steady-state solver splits its
+generator into those components and uses ``svd_kernel`` block by block, only
+as the fallback behind its bordered LU solve, for degenerate or
 ill-conditioned kernels.  All matrices are plain complex numpy arrays; no
 sparse backend is provided, and any request that would materialise a matrix
 larger than ``MAX_DENSE_DIM`` is rejected up front.
@@ -60,12 +60,6 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True when ``max |a - a^dagger|`` is at most ``tol`` (absolute)."""
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = as_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
@@ -101,50 +95,6 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     for f in factors[1:]:
         out = kron(out, f)
     return out
-
-
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out all tensor factors except those listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : array, shape (D, D) with D = prod(dims)
-        Operator on the full tensor-product space.
-    dims : sequence of int
-        Dimension of each factor, in tensor order (left factor first).
-    keep : iterable of int
-        Zero-based indices of the factors to retain.  The result acts on
-        the kept factors in their original order.
-    """
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (total, total):
-        raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep must name at least one factor")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-
-    n = len(dims)
-    if n > 24:
-        raise ValueError("too many tensor factors for the einsum-based partial trace")
-    reshaped = rho.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUV"
-    row = list(letters[:n])
-    col = []
-    next_free = n
-    for i in range(n):
-        if i in keep:
-            col.append(letters[next_free])
-            next_free += 1
-        else:
-            col.append(row[i])  # repeated index: summed over
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    result = np.einsum("".join(row + col) + "->" + "".join(out), reshaped)
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return result.reshape(d_keep, d_keep)
 
 
 def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarray:

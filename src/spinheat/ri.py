@@ -23,25 +23,26 @@ and ``U`` is the joint propagator (Ciccarello et al., Phys. Rep. 954, 1
 (2022)).  The engine forms the Kraus tensor once.  The superoperator is its
 Gram product, and each ledger row (a unit's energy after the cycle, the
 interaction energy before and after it, a bosonic unit's top-level weight)
-is a chain-space operator ``X`` with the row equal to ``Tr(X rho)``.  Long
-fixed-point iterations then cost dense matvecs on the chain space only, and
-no joint density matrix is ever formed.
+is a chain-space operator ``X`` with the row equal to ``Tr(X rho)``.  No
+joint density matrix is ever formed.  The stationary state of the cycle map
+is the kernel of the generator ``(phi - I) / tau``, found by the same
+``solve_steady`` as the master equation's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bathops import RI_MARGIN, RI_TAIL, BathCopy, TruncationError, bath_copy
-from .linalg import check_dense_dim, herm_expm, hermitize, kron_all, trace_distance
-from .lindblad import lindblad_action, unvec, vec
+from .linalg import KERNEL_TOL, check_dense_dim, herm_expm, kron_all
+from .lindblad import Liouvillian, unvec, vec
 from .models import BathSpec, ChainSpec, build_hamiltonian
 from .operators import site_op
-from .steady_state import SteadyState
+from .steady_state import SteadyState, solve_steady
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,11 @@ class RIConfig:
     """Knobs of the collision protocol."""
 
     tau: float
-    n_cycles: int = 500_000
     n_max: int | None = None  # bosonic Fock cutoff override
-    convergence_tol: float = 1e-12
-    consecutive: int = 3
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("cycle duration tau must be positive")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be at least 1")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
@@ -72,7 +68,6 @@ class CycleLog:
     dw: float
     de: float
     dw_interaction: float
-    step_distance: float
 
 
 def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
@@ -203,76 +198,35 @@ class CollisionEngine:
             dw=de - dq_l - dq_r,
             de=de,
             dw_interaction=dw_int,
-            step_distance=trace_distance(rho_new, rho_sys),
         )
-
-
-def ri_step(
-    rho_sys: np.ndarray, spec_or_h, baths: Sequence[BathSpec], cfg: RIConfig
-) -> tuple[np.ndarray, CycleLog]:
-    """One collision cycle. Builds a fresh engine; use CollisionEngine for loops."""
-    engine = CollisionEngine(spec_or_h, baths, cfg)
-    rho_new, log = engine.step(rho_sys)
-    engine.check_truncation(rho_sys)
-    return rho_new, log
 
 
 def ri_fixed_point(
     spec_or_h,
     baths: Sequence[BathSpec],
     cfg: RIConfig,
-    rho0: np.ndarray | None = None,
+    tol: float = KERNEL_TOL,
 ) -> tuple[SteadyState, list[CycleLog]]:
-    """Iterate the cycle map to its fixed point.
+    """Stationary state of the cycle map and the ledger of one cycle from it.
 
-    Convergence requires the trace distance between consecutive cycles to
-    stay at or below ``cfg.convergence_tol`` for ``cfg.consecutive`` cycles.
-    Raises RuntimeError when ``cfg.n_cycles`` is exhausted first.
-
-    The returned SteadyState carries the map's stationarity defect per unit
-    time as ``residual`` (trace norm of one cycle's change divided by tau);
-    its distance from the Lindblad steady state is O(tau).
+    The fixed points of the map ``phi`` span the kernel of the generator
+    ``(phi - I) / tau``, which ``solve_steady`` finds at kernel tolerance
+    ``tol``; its ``residual``, ``nullspace_dim``, ``min_eig`` and
+    ``largest_block`` are reported with ``solver = "collision"``.  The state's
+    distance from the Lindblad steady state is O(tau).  The returned history
+    holds the ledger of one cycle from that state, for ``ri_rates``.
     """
     engine = CollisionEngine(spec_or_h, baths, cfg)
     d = engine.d_sys
-    rho = np.eye(d, dtype=complex) / d if rho0 is None else np.asarray(rho0, dtype=complex)
-    history: list[CycleLog] = []
-    streak = 0
-    converged = False
-    for _ in range(cfg.n_cycles):
-        rho, log = engine.step(rho)
-        history.append(log)
-        streak = streak + 1 if log.step_distance <= cfg.convergence_tol else 0
-        if streak >= cfg.consecutive:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(
-            f"collision map did not settle within {cfg.n_cycles} cycles "
-            f"(last step moved {history[-1].step_distance:.3e}, tol {cfg.convergence_tol:.1e})"
-        )
-    engine.check_truncation(rho)
-    rho = hermitize(rho)
-    rho = rho / float(np.trace(rho).real)
-    if isinstance(spec_or_h, ChainSpec):
-        defect = float(np.linalg.norm(lindblad_action(spec_or_h, baths, rho)))
-    else:
-        step_rho, _ = engine.step(rho)
-        defect = float(np.linalg.norm(step_rho - rho)) / cfg.tau
-    eigs = np.linalg.eigvalsh(rho)
-    state = SteadyState(
-        rho=rho,
-        residual=defect,
-        nullspace_dim=1,
-        min_eig=float(eigs[0]),
-        solver="collision",
-        largest_block=0,  # the fixed point is iterated; nothing is factored
-    )
-    return state, history
+    generator = (engine._phi - np.eye(d * d)) / cfg.tau
+    state = solve_steady(Liouvillian(matrix=generator, dim=d), tol)
+    engine.check_truncation(state.rho)
+    _, log = engine.step(state.rho)
+    return replace(state, solver="collision"), [log]
 
 
 def ri_rates(history: Sequence[CycleLog], tau: float) -> dict[str, float]:
-    """Per-time rates from the last cycle of a converged run."""
+    """Per-time rates from the last cycle of a ledger history."""
     last = history[-1]
     return {
         "qdot_L": last.dq_L / tau,

@@ -42,15 +42,8 @@ from .linalg import (
     sparsity,
     svd_kernel,
 )
-from .lindblad import (
-    Liouvillian,
-    build_liouvillian,
-    jump_ops,
-    lindblad_action,
-    unvec,
-    vec,
-)
-from .models import BathSpec, ChainSpec, bath_f, build_hamiltonian
+from .lindblad import Liouvillian, build_liouvillian, unvec, vec
+from .models import BathSpec, ChainSpec, bath_f
 
 # A kernel is only trusted when the first excluded singular value sits at
 # least this factor above the largest included one.
@@ -77,7 +70,7 @@ class SteadyState:
     residual: float
     nullspace_dim: int
     min_eig: float
-    solver: str  # "bordered", "svd", "diagonal_ansatz" or "collision"
+    solver: str  # "bordered" or "svd"; "collision" for the fixed point of ri's cycle map
     largest_block: int  # size of the largest matrix the solve factored
 
 
@@ -221,51 +214,3 @@ def steady_for(spec: ChainSpec, baths: Sequence[BathSpec], tol: float = KERNEL_T
                 f"{state.nullspace_dim}"
             )
     return state
-
-
-def solve_diagonal_ansatz(
-    spec: ChainSpec, baths: Sequence[BathSpec], tol: float = KERNEL_TOL
-) -> SteadyState:
-    """Steady state of a diagonal (ising) chain from the populations alone.
-
-    With a diagonal Hamiltonian and boundary jumps that map basis states to
-    basis states, the populations close on themselves: they obey a classical
-    rate equation whose kernel gives the diagonal of the steady state.  The
-    result is cross-checkable against ``solve_steady`` but costs only a
-    2^n-dimensional solve.
-    """
-    if spec.kind != "ising":
-        raise ValueError("the diagonal ansatz applies to ising chains")
-    h = build_hamiltonian(spec)
-    if np.max(np.abs(h - np.diag(np.diag(h)))) > 0:
-        raise ValueError("ansatz inconsistent: the Hamiltonian has off-diagonal terms")
-    dim = spec.dim
-    jumps = [L for b in baths for L in jump_ops(b, spec.n)]
-    for L in jumps:
-        # one nonzero per column keeps diagonal states diagonal
-        if np.max(np.count_nonzero(np.abs(L) > 0, axis=0)) > 1:
-            raise ValueError("ansatz inconsistent: a jump operator mixes populations")
-    rate = np.zeros((dim, dim))
-    for L in jumps:
-        w = np.abs(L) ** 2
-        rate += w.real
-        rate -= np.diag(np.sum(w.real, axis=0))
-    basis, s = svd_kernel(rate.astype(complex), tol)
-    k = basis.shape[1]
-    uniform = np.full(dim, 1.0 / dim, dtype=complex)
-    p = basis @ (basis.conj().T @ uniform)
-    p = p.real
-    total = float(np.sum(p))
-    if abs(total) <= 1e-12:
-        raise KernelError("rate-equation kernel holds no normalizable population vector")
-    p = p / total
-    rho = np.diag(p.astype(complex))
-    residual = float(np.linalg.norm(lindblad_action(spec, baths, rho)))
-    smax = float(s[0]) if s.size else 0.0
-    if residual > RESIDUAL_FACTOR * max(smax, 1.0):
-        raise KernelError(f"diagonal-ansatz residual {residual:.3e} is too large")
-    min_eig = float(np.min(p))
-    if min_eig < MIN_EIG_FLOOR:
-        raise KernelError(f"diagonal ansatz produced a negative population {min_eig:.3e}")
-    return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig,
-                       solver="diagonal_ansatz", largest_block=dim)

@@ -390,9 +390,7 @@ def test_10_collision_cycles_converge_at_first_order():
     taus = [1e-2, 5e-3, 2.5e-3]
     dists = []
     for tau in taus:
-        state, _ = ri_fixed_point(
-            EQ16_CHAIN, baths, RIConfig(tau=tau, convergence_tol=1e-13)
-        )
+        state, _ = ri_fixed_point(EQ16_CHAIN, baths, RIConfig(tau=tau))
         dists.append(trace_distance(state.rho, exact))
     order = float(np.polyfit(np.log(taus), np.log(dists), 1)[0])
     dt = time.perf_counter() - t0

@@ -319,26 +319,60 @@ def test_ri_converge_reports_first_order(tmp_path, capsys):
     assert "order" in err
 
 
+RI_CHAIN = (
+    "[model]\nkind = xxz\nn = 2\nalpha = 1\n"
+    "[bath_L]\nbeta = 1\nh = 1\n[bath_R]\nbeta = 2\nh = -0.5\n"
+)
+
+
 @pytest.mark.parametrize("line, key", [
     ("taus = 1e-2, x", "taus"),
-    ("convergence_tol = tiny", "convergence_tol"),
-    ("n_cycles = 1.5", "n_cycles"),
-    ("n_cycles = 0", "n_cycles"),
     ("n_max = many", "n_max"),
     ("n_max = -1", "n_max"),
     ("n_max = 0", "n_max"),
-    ("consecutive = three", "consecutive"),
+    ("tau = 1e-3", "tau"),
 ])
 def test_ri_converge_rejects_bad_numbers(tmp_path, capsys, line, key):
     cfg = tmp_path / "ri.ini"
-    cfg.write_text(
-        "[model]\nkind = xxz\nn = 2\nalpha = 1\n"
-        "[bath_L]\nbeta = 1\nh = 1\n[bath_R]\nbeta = 2\nh = -0.5\n"
-        f"[ri]\n{line}\n"
-    )
+    cfg.write_text(RI_CHAIN + f"[ri]\n{line}\n")
     code, _, err = run_cli(["ri-converge", "--config", str(cfg)], capsys)
     assert code == 2
     assert "config error:" in err and key in err
+
+
+def test_ri_converge_notes_retired_keys(tmp_path, capsys):
+    # the knobs of the old cycle loop are still read, but only to say so
+    cfg = tmp_path / "ri.ini"
+    cfg.write_text(RI_CHAIN + "[ri]\ntaus = 2e-2, 1e-2, 5e-3\n"
+                   "n_cycles = 0\nconvergence_tol = tiny\nconsecutive = three\n")
+    code, out, err = run_cli(["ri-converge", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert len(parse_csv(out)) == 3
+    for key in ("n_cycles", "convergence_tol", "consecutive"):
+        assert f"[ri] {key} is retired and has no effect" in err
+
+
+def test_ri_converge_tol_is_the_kernel_tolerance(tmp_path, capsys, monkeypatch):
+    import spinheat.cli as cli_mod
+
+    seen = []
+    real_steady, real_fixed = cli_mod.steady_for, cli_mod.ri_fixed_point
+
+    def steady_for(spec, baths, tol):
+        seen.append(("steady", tol))
+        return real_steady(spec, baths, tol)
+
+    def ri_fixed_point(spec, baths, cfg, tol):
+        seen.append(("collision", tol))
+        return real_fixed(spec, baths, cfg, tol)
+
+    monkeypatch.setattr(cli_mod, "steady_for", steady_for)
+    monkeypatch.setattr(cli_mod, "ri_fixed_point", ri_fixed_point)
+    cfg = tmp_path / "ri.ini"
+    cfg.write_text(RI_CHAIN + "[ri]\ntaus = 2e-2, 1e-2, 5e-3\n")
+    code, _, _ = run_cli(["ri-converge", "--config", str(cfg), "--tol", "1e-9"], capsys)
+    assert code == 0
+    assert seen == [("steady", 1e-9)] + [("collision", 1e-9)] * 3
 
 
 def test_command_required():

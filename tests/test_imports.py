@@ -1,8 +1,10 @@
-"""Import-time guard: the package loads numpy and nothing heavier."""
+"""Import-time guards: the package loads numpy and nothing heavier, and its exports resolve."""
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,23 @@ def test_import_leaves_scipy_unloaded():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_exports_resolve_and_cover_the_readme():
+    import spinheat
+
+    names = spinheat.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(spinheat, name)]
+    assert not missing
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    imported = {
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "spinheat"
+        for alias in node.names
+    }
+    assert imported and imported <= set(names)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -13,19 +14,21 @@ from spinheat import (
     BathSpec,
     ChainSpec,
     CollisionEngine,
+    Liouvillian,
     RIConfig,
     TruncationError,
     build_hamiltonian,
     herm_expm,
     lindblad_action,
     op_at,
-    partial_trace,
     pauli,
     ri_fixed_point,
     ri_rates,
-    ri_step,
+    solve_steady,
+    trace_distance,
 )
 from spinheat.bathops import RI_MARGIN, RI_TAIL, bath_copy
+from spinheat.cli import build_bath, build_chain, load_config
 
 XXZ3 = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.0, delta=1.0)
 SPIN_PAIR = [
@@ -38,6 +41,50 @@ def random_state(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Trace out all tensor factors except those listed in ``keep``.
+
+    Parameters
+    ----------
+    rho : array, shape (D, D) with D = prod(dims)
+        Operator on the full tensor-product space.
+    dims : sequence of int
+        Dimension of each factor, in tensor order (left factor first).
+    keep : iterable of int
+        Zero-based indices of the factors to retain.  The result acts on
+        the kept factors in their original order.
+    """
+    dims = [int(d) for d in dims]
+    total = int(np.prod(dims))
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (total, total):
+        raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep must name at least one factor")
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
+
+    n = len(dims)
+    if n > 24:
+        raise ValueError("too many tensor factors for the einsum-based partial trace")
+    reshaped = rho.reshape(dims + dims)
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUV"
+    row = list(letters[:n])
+    col = []
+    next_free = n
+    for i in range(n):
+        if i in keep:
+            col.append(letters[next_free])
+            next_free += 1
+        else:
+            col.append(row[i])  # repeated index: summed over
+    out = [row[i] for i in keep] + [col[i] for i in keep]
+    result = np.einsum("".join(row + col) + "->" + "".join(out), reshaped)
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return result.reshape(d_keep, d_keep)
 
 
 class JointEngine:
@@ -170,8 +217,6 @@ def test_config_validation():
         RIConfig(tau=0.0)
     with pytest.raises(ValueError):
         RIConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        RIConfig(tau=0.1, n_cycles=0)
 
 
 def test_cycle_preserves_trace_and_hermiticity():
@@ -256,19 +301,19 @@ def test_cycle_map_approximates_the_generator():
 
 
 def test_fixed_point_matches_steady_state_at_first_order():
-    from spinheat import steady_for, trace_distance
+    from spinheat import steady_for
 
     exact = steady_for(XXZ3, SPIN_PAIR).rho
     dists = []
     for tau in (0.02, 0.01):
-        state, _ = ri_fixed_point(XXZ3, SPIN_PAIR, RIConfig(tau=tau, convergence_tol=1e-13))
+        state, _ = ri_fixed_point(XXZ3, SPIN_PAIR, RIConfig(tau=tau))
         dists.append(trace_distance(state.rho, exact))
     assert dists[0] / dists[1] == pytest.approx(2.0, rel=0.4)
 
 
 def test_rates_recovered_from_the_ledger():
     tau = 0.005
-    state, history = ri_fixed_point(XXZ3, SPIN_PAIR, RIConfig(tau=tau, convergence_tol=1e-13))
+    state, history = ri_fixed_point(XXZ3, SPIN_PAIR, RIConfig(tau=tau))
     rates = ri_rates(history, tau)
     from spinheat import current_report, steady_for
 
@@ -286,9 +331,7 @@ def test_bosonic_collision_rate():
         BathSpec(side="R", kind="bosonic", beta=2.0, omega=1.3, g=0.3),
     ]
     tau = 0.004
-    state, history = ri_fixed_point(
-        spec, baths, RIConfig(tau=tau, convergence_tol=1e-12, n_max=14)
-    )
+    state, history = ri_fixed_point(spec, baths, RIConfig(tau=tau, n_max=14))
     rates = ri_rates(history, tau)
     assert rates["qdot_L"] == pytest.approx(-0.4 ** 2 * 1.0, rel=0.05)
     assert rates["qdot_R"] == pytest.approx(-0.3 ** 2 * 1.3, rel=0.05)
@@ -305,14 +348,7 @@ def test_truncation_guard_fires_for_tiny_cutoff():
     # unit then parks visible weight on the top one
     for n_max in (2, 1):
         with pytest.raises(TruncationError):
-            ri_step(rho, spec, baths, RIConfig(tau=5.0, n_max=n_max))
-
-
-def test_nonconvergence_raises():
-    cfg = RIConfig(tau=0.01, n_cycles=3, convergence_tol=1e-15)
-    rho0 = np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex)
-    with pytest.raises(RuntimeError, match="cycles"):
-        ri_fixed_point(XXZ3, SPIN_PAIR, cfg, rho0=rho0)
+            CollisionEngine(spec, baths, RIConfig(tau=5.0, n_max=n_max)).check_truncation(rho)
 
 
 def test_fixed_point_diagnostics():
@@ -321,6 +357,88 @@ def test_fixed_point_diagnostics():
     assert state.nullspace_dim == 1
     assert abs(np.trace(state.rho).real - 1.0) < 1e-12
     assert state.min_eig > -1e-9
-    # residual measured against the true generator is O(tau)
+    # residual of the map's generator (phi - I) / tau at the solved state
     assert state.residual < 0.05
-    assert history[-1].step_distance <= 1e-12
+    rho, _ = CollisionEngine(XXZ3, SPIN_PAIR, RIConfig(tau=0.01)).step(state.rho)
+    assert trace_distance(rho, state.rho) <= 1e-12
+
+
+def iterate(engine, tol=1e-13, consecutive=3, max_cycles=200_000):
+    """Reference fixed point: cycle the map from ``I / d`` until it settles.
+
+    Stops once ``consecutive`` cycles in a row each move the state by at most
+    ``tol`` in trace distance; returns the hermitized, trace-normalized state
+    and the ledger of the last cycle.
+    """
+    d = engine.d_sys
+    rho = np.eye(d, dtype=complex) / d
+    streak = 0
+    for _ in range(max_cycles):
+        new, log = engine.step(rho)
+        streak = streak + 1 if trace_distance(new, rho) <= tol else 0
+        rho = new
+        if streak >= consecutive:
+            rho = (rho + rho.conj().T) / 2
+            return rho / np.trace(rho).real, log
+    raise AssertionError(f"the cycle map did not settle within {max_cycles} cycles")
+
+
+def _grid(draw, lo, hi):
+    """A magnitude on a 0.05 grid in [lo, hi] with a random sign."""
+    steps = draw(st.integers(round(lo / 0.05), round(hi / 0.05)))
+    return draw(st.sampled_from([-1, 1])) * steps * 0.05
+
+
+@st.composite
+def fixed_point_cases(draw):
+    family = draw(st.sampled_from(["xxz", "ising", "ising_boson"]))
+    if family == "ising_boson":
+        spec = ChainSpec(kind="ising", n=2, Delta=draw(st.floats(0.3, 1.0)),
+                         h=draw(st.floats(-1.0, 1.0)))
+        # beta * omega >= 3 keeps the top of at most 7 Fock levels empty
+        baths = [BathSpec(side=side, kind="bosonic", beta=draw(st.floats(2.0, 3.0)),
+                          omega=draw(st.floats(1.5, 2.0)), g=draw(st.floats(0.2, 0.6)))
+                 for side in "LR"]
+        n_max = draw(st.integers(5, 6))
+    else:
+        n = draw(st.integers(2, 3))
+        if family == "xxz":
+            spec = ChainSpec(kind="xxz", n=n, alpha=draw(st.floats(0.6, 1.5)),
+                             Delta=draw(st.floats(-1.5, 1.5)), h=draw(st.floats(-1.0, 1.0)))
+        else:
+            # fields and bonds on a grid away from zero keep the middle spin's
+            # coherences from nearly joining the fixed space
+            spec = ChainSpec(kind="ising", n=n, Delta=_grid(draw, 0.3, 1.5),
+                             h=_grid(draw, 0.3, 1.0))
+        baths = [BathSpec(side=side, beta=draw(st.floats(0.5, 2.0)), h=_grid(draw, 0.3, 1.5),
+                          gamma=draw(st.floats(0.4, 1.5))) for side in "LR"]
+        n_max = None
+    return spec, baths, RIConfig(tau=draw(st.floats(2.5e-3, 2e-2)), n_max=n_max)
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=fixed_point_cases())
+def test_direct_fixed_point_matches_iterated_map(case):
+    spec, baths, cfg = case
+    state, history = ri_fixed_point(spec, baths, cfg)
+    engine = CollisionEngine(spec, baths, cfg)
+    rho, log = iterate(engine)
+    assert np.max(np.abs(state.rho - rho)) <= 1e-8
+    direct, iterated = ri_rates(history, cfg.tau), ri_rates([log], cfg.tau)
+    for key, value in iterated.items():
+        assert abs(direct[key] - value) <= 1e-7
+    # the fixed space of the map: eigenvalues of phi at 1
+    unit = np.abs(np.linalg.eigvals(engine._phi) - 1.0) <= 1e-9
+    assert state.nullspace_dim == int(np.count_nonzero(unit))
+
+
+def test_fixed_space_of_ising_spin_n3_is_degenerate():
+    # the middle spin is never flipped, so each of its two polarizations
+    # carries its own fixed point
+    cfg = load_config("ising_spin_n3", None)
+    spec, baths = build_chain(cfg), [build_bath(cfg, side) for side in "LR"]
+    state, _ = ri_fixed_point(spec, baths, RIConfig(tau=5e-3))
+    assert state.nullspace_dim == 2
+    assert state.solver == "collision"
+    assert state.min_eig > -1e-9
+

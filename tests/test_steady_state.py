@@ -1,4 +1,4 @@
-"""Steady-state extraction: unique kernels, degenerate kernels, ansatz solver."""
+"""Steady-state extraction: unique kernels, degenerate kernels, block solves."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from spinheat import (
     Liouvillian,
     build_liouvillian,
     lindblad_action,
-    solve_diagonal_ansatz,
     solve_steady,
     steady_for,
     unvec,
@@ -249,26 +248,6 @@ def test_block_solve_matches_full_svd(chain):
     rho, k = svd_reference(liou)
     assert state.nullspace_dim == k
     assert np.max(np.abs(state.rho - rho)) < 1e-12
-
-
-def test_diagonal_ansatz_matches_full_solver():
-    spec = ChainSpec(kind="ising", n=3, field=(0.4, 0.3, 0.7), bond_Delta=(0.9, 1.1))
-    full = steady_for(spec, SPIN_PAIR)
-    fast = solve_diagonal_ansatz(spec, SPIN_PAIR)
-    assert np.max(np.abs(full.rho - fast.rho)) < 1e-9
-    assert fast.nullspace_dim == full.nullspace_dim == 2
-    assert fast.solver == "diagonal_ansatz"
-
-
-def test_diagonal_ansatz_bosonic():
-    spec = ChainSpec(kind="ising", n=2, field=(0.6, 0.9), Delta=0.8)
-    fast = solve_diagonal_ansatz(spec, BOSON_PAIR)
-    assert np.max(np.abs(fast.rho - np.eye(4) / 4)) < 1e-10
-
-
-def test_diagonal_ansatz_rejects_xxz():
-    with pytest.raises(ValueError):
-        solve_diagonal_ansatz(ChainSpec(kind="xxz", n=2, alpha=1.0), SPIN_PAIR)
 
 
 def test_xxz_interior_driving_is_unique_for_small_f():
