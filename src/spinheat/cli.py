@@ -59,8 +59,10 @@ COLUMNS = (
 _MODEL_KEYS = {"kind", "n", "alpha", "Delta", "delta", "h", "field", "bond_Delta", "Delta13"}
 _BATH_KEYS = {"kind", "beta", "h", "gamma", "f", "omega", "g"}
 _SWEEP_KEYS = {"parameter", "from", "to", "points"}
-# accepted with a note but ignored: the collision fixed point is solved, not iterated
-_RI_RETIRED = ("n_cycles", "convergence_tol", "consecutive")
+# checked as before, then ignored with a note: the collision fixed point is
+# solved, not iterated, so a well-formed old config still runs and a malformed
+# one is still refused
+_RI_RETIRED = {"n_cycles": "int", "convergence_tol": "float", "consecutive": "int"}
 _RI_KEYS = {"taus", "n_max", *_RI_RETIRED}
 _INVERSION_KEYS = {"kind", "kappa_L", "kappa_R", "beta_L", "h_L", "beta_R", "h_R"}
 _SECTION_KEYS = {
@@ -574,8 +576,11 @@ def cmd_ri_converge(args) -> int:
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     require_decomposable(baths)
     ri_sec = {"taus": "1e-2,5e-3,2.5e-3", **cfg.get("ri", {})}
-    for key in _RI_RETIRED:
+    for key, kind in _RI_RETIRED.items():
         if key in ri_sec:
+            value = (_get_int if kind == "int" else _get_float)(ri_sec, key, "ri")
+            if key == "n_cycles" and value < 1:
+                raise ConfigError("invalid [ri]: n_cycles must be at least 1")
             print(f"note: [ri] {key} is retired and has no effect", file=sys.stderr)
     taus = _float_tuple(ri_sec["taus"], "taus", "ri")
     if len(taus) < 3:

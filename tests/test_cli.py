@@ -327,9 +327,13 @@ RI_CHAIN = (
 
 @pytest.mark.parametrize("line, key", [
     ("taus = 1e-2, x", "taus"),
+    ("convergence_tol = tiny", "convergence_tol"),
+    ("n_cycles = 1.5", "n_cycles"),
+    ("n_cycles = 0", "n_cycles"),
     ("n_max = many", "n_max"),
     ("n_max = -1", "n_max"),
     ("n_max = 0", "n_max"),
+    ("consecutive = three", "consecutive"),
     ("tau = 1e-3", "tau"),
 ])
 def test_ri_converge_rejects_bad_numbers(tmp_path, capsys, line, key):
@@ -341,10 +345,10 @@ def test_ri_converge_rejects_bad_numbers(tmp_path, capsys, line, key):
 
 
 def test_ri_converge_notes_retired_keys(tmp_path, capsys):
-    # the knobs of the old cycle loop are still read, but only to say so
+    # the knobs of the old cycle loop are still checked, but only to say so
     cfg = tmp_path / "ri.ini"
     cfg.write_text(RI_CHAIN + "[ri]\ntaus = 2e-2, 1e-2, 5e-3\n"
-                   "n_cycles = 0\nconvergence_tol = tiny\nconsecutive = three\n")
+                   "n_cycles = 1\nconvergence_tol = 1e-3\nconsecutive = 1\n")
     code, out, err = run_cli(["ri-converge", "--config", str(cfg)], capsys)
     assert code == 0
     assert len(parse_csv(out)) == 3
