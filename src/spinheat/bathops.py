@@ -29,6 +29,7 @@ import numpy as np
 
 from .linalg import check_dense_dim
 from .models import BathSpec, bath_f
+from .operators import pauli
 
 # Default tail targets. RI_TAIL keeps collision-engine spaces small; the
 # current formulas use CURRENT_TAIL so that truncation noise stays well
@@ -88,13 +89,11 @@ def bath_copy(
                 "requires the bath's own level splitting and temperature (beta, h)"
             )
         f = bath_f(b)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
         return BathCopy(
             dim=2,
             energies=np.array([b.h / 2.0, -b.h / 2.0]),
             populations=np.array([(1.0 + f) / 2.0, (1.0 - f) / 2.0]),
-            couplings=((sx, "x"), (sy, "y")),
+            couplings=((pauli("x"), "x"), (pauli("y"), "y")),
             prefactor=math.sqrt(b.gamma),
         )
 

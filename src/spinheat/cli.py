@@ -62,7 +62,7 @@ _SWEEP_KEYS = {"parameter", "from", "to", "points"}
 # checked as before, then ignored with a note: the collision fixed point is
 # solved, not iterated, so a well-formed old config still runs and a malformed
 # one is still refused
-_RI_RETIRED = {"n_cycles": "int", "convergence_tol": "float", "consecutive": "int"}
+_RI_RETIRED = {"n_cycles": int, "convergence_tol": float, "consecutive": int}
 _RI_KEYS = {"taus", "n_max", *_RI_RETIRED}
 _INVERSION_KEYS = {"kind", "kappa_L", "kappa_R", "beta_L", "h_L", "beta_R", "h_R"}
 _SECTION_KEYS = {
@@ -220,22 +220,15 @@ def load_config(preset: str | None, config_path: str | None) -> dict[str, dict[s
     return merged
 
 
-def _get_float(section: dict[str, str], key: str, where: str) -> float:
+def _get_number(section: dict[str, str], key: str, where: str, cast=float):
+    """``cast(section[key])``: a float, or an integer with ``cast=int``."""
     try:
-        return float(section[key])
+        return cast(section[key])
     except KeyError:
         raise ConfigError(f"missing key '{key}' in section [{where}]") from None
     except ValueError:
-        raise ConfigError(f"key '{key}' in [{where}] is not a number: {section[key]!r}") from None
-
-
-def _get_int(section: dict[str, str], key: str, where: str) -> int:
-    try:
-        return int(section[key])
-    except KeyError:
-        raise ConfigError(f"missing key '{key}' in section [{where}]") from None
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{where}] is not an integer: {section[key]!r}") from None
+        noun = "an integer" if cast is int else "a number"
+        raise ConfigError(f"key '{key}' in [{where}] is not {noun}: {section[key]!r}") from None
 
 
 def _float_tuple(raw: str, key: str, where: str) -> tuple[float, ...]:
@@ -252,10 +245,10 @@ def build_chain(cfg: dict[str, dict[str, str]]) -> ChainSpec:
     kind = sec.get("kind")
     if kind not in ("xxz", "ising"):
         raise ConfigError(f"[model] kind must be 'xxz' or 'ising', got {kind!r}")
-    kwargs = {"kind": kind, "n": _get_int(sec, "n", "model")}
+    kwargs = {"kind": kind, "n": _get_number(sec, "n", "model", int)}
     for key in ("alpha", "Delta", "delta", "h", "Delta13"):
         if key in sec:
-            kwargs[key] = _get_float(sec, key, "model")
+            kwargs[key] = _get_number(sec, key, "model")
     if "field" in sec:
         kwargs["field"] = _float_tuple(sec["field"], "field", "model")
     if "bond_Delta" in sec:
@@ -275,7 +268,7 @@ def build_bath(cfg: dict[str, dict[str, str]], side: str) -> BathSpec:
     kwargs = {"side": side, "kind": kind}
     for key in ("beta", "h", "gamma", "f", "omega", "g"):
         if key in sec:
-            kwargs[key] = _get_float(sec, key, name)
+            kwargs[key] = _get_number(sec, key, name)
     try:
         return BathSpec(**kwargs)
     except ValueError as exc:
@@ -297,9 +290,9 @@ def sweep_grid(cfg: dict[str, dict[str, str]]) -> tuple[str, np.ndarray]:
         raise ConfigError(
             f"sweep parameter must be one of {', '.join(SWEEPABLE)}; got {parameter!r}"
         )
-    lo = _get_float(sec, "from", "sweep")
-    hi = _get_float(sec, "to", "sweep")
-    points = _get_int(sec, "points", "sweep")
+    lo = _get_number(sec, "from", "sweep")
+    hi = _get_number(sec, "to", "sweep")
+    points = _get_number(sec, "points", "sweep", int)
     if points < 2:
         raise ConfigError("sweep needs points >= 2")
     target = SWEEPABLE[parameter]
@@ -453,8 +446,8 @@ def inverted_baths(baths: list[BathSpec], inv: dict[str, str]) -> list[BathSpec]
     if kind == "kappa_swap":
         if not all(b.decomposable for b in baths):
             raise ConfigError("kappa_swap needs baths given by (beta, h)")
-        kappa_L = _get_float(inv, "kappa_L", "inversion")
-        kappa_R = _get_float(inv, "kappa_R", "inversion")
+        kappa_L = _get_number(inv, "kappa_L", "inversion")
+        kappa_R = _get_number(inv, "kappa_R", "inversion")
         if kappa_L <= 0 or kappa_R <= 0:
             raise ConfigError("kappa_L and kappa_R must be positive")
         bl, br = by_side["L"], by_side["R"]
@@ -467,7 +460,7 @@ def inverted_baths(baths: list[BathSpec], inv: dict[str, str]) -> list[BathSpec]
             raise ConfigError("custom inversion needs baths given by (beta, h)")
         bl, br = by_side["L"], by_side["R"]
         def pick(key: str, default: float) -> float:
-            return _get_float(inv, key, "inversion") if key in inv else default
+            return _get_number(inv, key, "inversion") if key in inv else default
 
         new_l = replace(bl, beta=pick("beta_L", bl.beta), h=pick("h_L", bl.h))
         new_r = replace(br, beta=pick("beta_R", br.beta), h=pick("h_R", br.h))
@@ -485,13 +478,20 @@ DEVIATION_COLUMNS = (
 )
 
 
+def _kernel_tol(args) -> float:
+    """The ``--tol`` kernel tolerance, ``KERNEL_TOL`` when absent; finite and > 0."""
+    tol = args.tol if args.tol is not None else KERNEL_TOL
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"--tol must be a finite number > 0, got {tol!r}")
+    return tol
+
+
 def cmd_steady(args) -> int:
     cfg = load_config(args.preset, args.config)
     spec = build_chain(cfg)
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     require_decomposable(baths)
-    tol = args.tol if args.tol is not None else KERNEL_TOL
-    row = evaluate_point(spec, baths, None, tol)
+    row = evaluate_point(spec, baths, None, _kernel_tol(args))
     write_rows([row], COLUMNS, args.format, args.out)
     return 3 if row["error"] else 0
 
@@ -499,11 +499,10 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.preset, args.config)
     parameter, grid = sweep_grid(cfg)
-    probe_spec, probe_baths = point_config(cfg, parameter, grid[0])
-    require_decomposable(probe_baths)
-    del probe_spec
-    tol = args.tol if args.tol is not None else KERNEL_TOL
-    rows = _run_grid(cfg, parameter, grid, tol, args.jobs)
+    require_decomposable(point_config(cfg, parameter, grid[0])[1])
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    rows = _run_grid(cfg, parameter, grid, _kernel_tol(args), args.jobs)
     write_rows(rows, COLUMNS, args.format, args.out)
     return 3 if all(r["error"] for r in rows) else 0
 
@@ -521,6 +520,8 @@ def cmd_check_one_way(args) -> int:
     else:
         parameter, grid = "Delta", None
     tol = args.tol if args.tol is not None else 1e-10
+    if not 0 <= tol < np.inf:
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
 
     rows = []
     values = grid if grid is not None else [None]
@@ -576,9 +577,9 @@ def cmd_ri_converge(args) -> int:
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     require_decomposable(baths)
     ri_sec = {"taus": "1e-2,5e-3,2.5e-3", **cfg.get("ri", {})}
-    for key, kind in _RI_RETIRED.items():
+    for key, cast in _RI_RETIRED.items():
         if key in ri_sec:
-            value = (_get_int if kind == "int" else _get_float)(ri_sec, key, "ri")
+            value = _get_number(ri_sec, key, "ri", cast)
             if key == "n_cycles" and value < 1:
                 raise ConfigError("invalid [ri]: n_cycles must be at least 1")
             print(f"note: [ri] {key} is retired and has no effect", file=sys.stderr)
@@ -587,8 +588,8 @@ def cmd_ri_converge(args) -> int:
         raise ConfigError("ri-converge needs at least 3 tau values ([ri] taus)")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("[ri] taus must be strictly decreasing")
-    tol = args.tol if args.tol is not None else KERNEL_TOL
-    n_max = _get_int(ri_sec, "n_max", "ri") if "n_max" in ri_sec else None
+    tol = _kernel_tol(args)
+    n_max = _get_number(ri_sec, "n_max", "ri", int) if "n_max" in ri_sec else None
     try:
         ri_cfgs = [RIConfig(tau=tau, n_max=n_max) for tau in taus]
     except ValueError as exc:

@@ -92,15 +92,17 @@ def _nested(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x @ (y @ z - z @ y) - (x @ z - z @ x) @ y
 
 
-def _rate_operators(spec: ChainSpec, bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+def _rate_operators(
+    spec: ChainSpec, bath: BathSpec, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """One bath's heat and work rate operators ``(O_q, O_w)`` on the chain space.
 
-    See the module docstring for the formulas and the moments ``c_kl``, ``t_kl``.
+    ``h`` is the chain Hamiltonian of ``spec``.  See the module docstring for
+    the formulas and the moments ``c_kl``, ``t_kl``.
     """
     copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
     if bath.kind == "bosonic":
         check_gibbs_tail(copy, 10.0 * CURRENT_TAIL)
-    h = build_hamiltonian(spec)
     site = bath.boundary_site(spec.n)
     pairs = [(b_op, site_op(kind, site, spec.n)) for b_op, kind in copy.couplings]
     o_q = np.zeros_like(h)
@@ -126,13 +128,13 @@ def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
 
 def heat_rate_general(spec: ChainSpec, bath: BathSpec, state) -> float:
     """Heat absorbed from one bath per unit time, ``Tr(O_q rho)``."""
-    o_q, _ = _rate_operators(spec, bath)
+    o_q, _ = _rate_operators(spec, bath, build_hamiltonian(spec))
     return _expectation(o_q, _density(state))
 
 
 def work_rate_general(spec: ChainSpec, bath: BathSpec, state) -> float:
     """Work injected by one bath's coupling switches per unit time, ``Tr(O_w rho)``."""
-    _, o_w = _rate_operators(spec, bath)
+    _, o_w = _rate_operators(spec, bath, build_hamiltonian(spec))
     return _expectation(o_w, _density(state))
 
 
@@ -141,10 +143,8 @@ def energy_inflow(spec: ChainSpec, bath: BathSpec, state) -> float:
 
     Needs only the reduced dynamics, so it works for f-only baths too.
     """
-    rho = _density(state)
-    h = build_hamiltonian(spec)
-    d = dissipator_action(jump_ops(bath, spec.n), rho)
-    return float(np.einsum("ij,ji->", h, d).real)
+    d = dissipator_action(jump_ops(bath, spec.n), _density(state))
+    return _expectation(build_hamiltonian(spec), d)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +157,12 @@ def _boundary_expectations(spec: ChainSpec, bath: BathSpec, rho: np.ndarray):
         edge, inner, bond = 1, 2, 0
     else:
         edge, inner, bond = n, n - 1, n - 2
-    z_edge = float(np.einsum("ij,ji->", site_op("z", edge, n), rho).real)
-    z_inner = float(np.einsum("ij,ji->", site_op("z", inner, n), rho).real)
-    zz = float(np.einsum("ij,ji->", two_site_op("z", edge, "z", inner, n), rho).real)
-    hop_op = (
-        two_site_op("x", edge, "x", inner, n) + two_site_op("y", edge, "y", inner, n)
+    z_edge = _expectation(site_op("z", edge, n), rho)
+    z_inner = _expectation(site_op("z", inner, n), rho)
+    zz = _expectation(two_site_op("z", edge, "z", inner, n), rho)
+    hop = _expectation(
+        two_site_op("x", edge, "x", inner, n) + two_site_op("y", edge, "y", inner, n), rho
     )
-    hop = float(np.einsum("ij,ji->", hop_op, rho).real)
     return z_edge, z_inner, zz, hop, spec.bond_couplings[bond]
 
 
@@ -173,10 +172,7 @@ def heat_rate_xxz_closed(spec: ChainSpec, bath: BathSpec, state) -> float:
         raise ValueError("closed form applies to xxz chains with spin baths")
     if not bath.decomposable:
         raise ValueError("heat rate needs the bath's (beta, h)")
-    rho = _density(state)
-    z_edge = float(
-        np.einsum("ij,ji->", site_op("z", bath.boundary_site(spec.n), spec.n), rho).real
-    )
+    z_edge = _expectation(site_op("z", bath.boundary_site(spec.n), spec.n), _density(state))
     return 2.0 * bath.gamma * bath.h * (bath_f(bath) - z_edge)
 
 
@@ -394,12 +390,11 @@ def spin_current(spec: ChainSpec, state, bond: int = 1) -> float:
         raise ValueError("the magnetization current is defined for xxz chains")
     if not 1 <= bond <= spec.n - 1:
         raise ValueError(f"bond {bond} outside 1..{spec.n - 1}")
-    rho = _density(state)
     op = 2.0 * spec.alpha * (
         two_site_op("x", bond, "y", bond + 1, spec.n)
         - two_site_op("y", bond, "x", bond + 1, spec.n)
     )
-    return float(np.einsum("ij,ji->", op, rho).real)
+    return _expectation(op, _density(state))
 
 
 def classify_regime(
@@ -450,8 +445,9 @@ def current_report(
     if set(by_side) != {"L", "R"}:
         raise ValueError("a current report needs exactly one bath per side")
     rho = _density(state)
-    q_l, w_l = (_expectation(op, rho) for op in _rate_operators(spec, by_side["L"]))
-    q_r, w_r = (_expectation(op, rho) for op in _rate_operators(spec, by_side["R"]))
+    h = build_hamiltonian(spec)
+    q_l, w_l = (_expectation(op, rho) for op in _rate_operators(spec, by_side["L"], h))
+    q_r, w_r = (_expectation(op, rho) for op in _rate_operators(spec, by_side["R"], h))
     total = q_l + q_r + w_l + w_r
     scale = max(abs(q_l), abs(q_r), abs(w_l), abs(w_r))
     if abs(total) > max(first_law_tol * scale, 1e-12):

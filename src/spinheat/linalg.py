@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
-from the handful of primitives in this module: Kronecker products,
-Hermitian matrix exponentials, SVD-based null spaces and the connected
+from the handful of primitives in this module: the one Kronecker product
+``kron_all``, which checks the dense cap before it allocates, Hermitian
+matrix exponentials, SVD-based null spaces and the connected
 components of a sparsity pattern.  The steady-state solver splits its
 generator into those components and uses ``svd_kernel`` block by block, only
 as the fallback behind its bordered LU solve, for degenerate or
@@ -13,6 +14,7 @@ larger than ``MAX_DENSE_DIM`` is rejected up front.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,27 +75,20 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the dense-dimension guard.
-
-    Index convention for square factors: row index of the product is
-    ``i = i_a * d_b + i_b``, i.e. the left factor is the slow index, so
-    ``kron(a, b)[i, j] = a[i_a, j_a] * b[i_b, j_b]``.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    check_dense_dim(a.shape[0] * b.shape[0])
-    return np.kron(a, b)
-
-
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of matrices."""
-    factors = list(factors)
+    """Left-to-right Kronecker product of square matrices; the left factor is the slow index.
+
+    ``kron_all([a, b])[i_a * d_b + i_b, j_a * d_b + j_b] = a[i_a, j_a] * b[i_b, j_b]``.
+    The dense cap is checked on the product dimension before anything is
+    allocated, and each step is one broadcast multiply.
+    """
+    factors = [np.asarray(f, dtype=complex) for f in factors]
     if not factors:
         raise ValueError("kron_all needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
+    check_dense_dim(math.prod(f.shape[0] for f in factors))
+    out = factors[0]
     for f in factors[1:]:
-        out = kron(out, f)
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(out.shape[0] * f.shape[0], -1)
     return out
 
 

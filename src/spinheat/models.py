@@ -194,25 +194,26 @@ def with_f(b: BathSpec, f: float) -> BathSpec:
     return replace(b, f=f)
 
 
+def _bond_term(spec: ChainSpec, i: int, j: int, coupling: float) -> np.ndarray:
+    """Bond ``(i, j)`` at coupling D: ``alpha (xx + yy) + D zz`` (xxz), ``(D/2) zz`` (ising)."""
+    n = spec.n
+    zz = two_site_op("z", i, "z", j, n)
+    if spec.kind == "ising":
+        return (coupling / 2.0) * zz
+    hop = two_site_op("x", i, "x", j, n) + two_site_op("y", i, "y", j, n)
+    return spec.alpha * hop + coupling * zz
+
+
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense chain Hamiltonian on 2^n dimensions, Hermitian by construction."""
-    n = spec.n
-    dim = spec.dim
-    h_mat = np.zeros((dim, dim), dtype=complex)
-    couplings = spec.bond_couplings
-    for i in range(1, n):
-        if spec.kind == "xxz":
-            h_mat += spec.alpha * (
-                two_site_op("x", i, "x", i + 1, n) + two_site_op("y", i, "y", i + 1, n)
-            )
-            h_mat += couplings[i - 1] * two_site_op("z", i, "z", i + 1, n)
-        else:
-            h_mat += (couplings[i - 1] / 2.0) * two_site_op("z", i, "z", i + 1, n)
-    if spec.kind == "ising" and spec.Delta13 != 0.0:
-        h_mat += (spec.Delta13 / 2.0) * two_site_op("z", 1, "z", 3, n)
+    h_mat = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for i, coupling in enumerate(spec.bond_couplings, start=1):
+        h_mat += _bond_term(spec, i, i + 1, coupling)
+    if spec.Delta13 != 0.0:
+        h_mat += _bond_term(spec, 1, 3, spec.Delta13)
     for i, hi in enumerate(spec.site_fields, start=1):
         if hi != 0.0:
-            h_mat += (hi / 2.0) * site_op("z", i, n)
+            h_mat += (hi / 2.0) * site_op("z", i, spec.n)
     return h_mat
 
 
@@ -231,11 +232,7 @@ def bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
     if not 1 <= bond <= n - 1:
         raise ValueError(f"bond {bond} outside 1..{n - 1}")
     i = bond
-    coupling = spec.bond_couplings[i - 1]
-    eps = spec.alpha * (
-        two_site_op("x", i, "x", i + 1, n) + two_site_op("y", i, "y", i + 1, n)
-    )
-    eps = eps + coupling * two_site_op("z", i, "z", i + 1, n)
+    eps = _bond_term(spec, i, i + 1, spec.bond_couplings[i - 1])
     fields = spec.site_fields
     w_left = 1.0 if i == 1 else 0.5
     w_right = 1.0 if i + 1 == n else 0.5

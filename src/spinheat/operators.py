@@ -1,5 +1,8 @@
 """Pauli matrices and their embedding into tensor-product spaces.
 
+Every embedded operator is one ``kron_all`` product over the tensor
+factors; a two-site Pauli string is one product, not two embeddings multiplied.
+
 Layout convention used across the package: tensor factors are ordered
 ``[left bath] (x) [site 1] (x) ... (x) [site N] (x) [right bath]``, with
 bath factors present only on spaces that include them.  Site indices are
@@ -46,15 +49,23 @@ def op_at(op: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
     return kron_all(factors)
 
 
+def _pauli_string(terms: Sequence[tuple[str, int]], n: int) -> np.ndarray:
+    """One Kronecker product of Paulis ``(kind, 1-based site)`` on an ``n``-site chain."""
+    factors = [_PAULI["i"]] * n
+    for kind, site in terms:
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} outside the chain 1..{n}")
+        factors[site - 1] = pauli(kind)
+    return kron_all(factors)
+
+
 def site_op(kind: str, site: int, n: int) -> np.ndarray:
     """Pauli ``kind`` at 1-based ``site`` of an ``n``-site chain (dim 2^n)."""
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside the chain 1..{n}")
-    return op_at(pauli(kind), site - 1, [2] * n)
+    return _pauli_string([(kind, site)], n)
 
 
 def two_site_op(kind_a: str, site_a: int, kind_b: str, site_b: int, n: int) -> np.ndarray:
     """Product of two single-site Paulis on distinct sites of an ``n``-site chain."""
     if site_a == site_b:
         raise ValueError("two_site_op expects distinct sites")
-    return site_op(kind_a, site_a, n) @ site_op(kind_b, site_b, n)
+    return _pauli_string([(kind_a, site_a), (kind_b, site_b)], n)

@@ -379,6 +379,58 @@ def test_ri_converge_tol_is_the_kernel_tolerance(tmp_path, capsys, monkeypatch):
     assert seen == [("steady", 1e-9)] + [("collision", 1e-9)] * 3
 
 
+BAD_TOL = ["0", "-1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOL)
+@pytest.mark.parametrize("command", ["steady", "sweep", "ri-converge"])
+def test_kernel_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(
+        RI_CHAIN + "[sweep]\nparameter = Delta\nfrom = 0\nto = 1\npoints = 2\n"
+        "[ri]\ntaus = 2e-2, 1e-2, 5e-3\n"
+    )
+    code, out, err = run_cli([command, "--config", str(cfg), "--tol", tol], capsys)
+    assert code == 2
+    assert "config error:" in err and "--tol" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", BAD_TOL[1:])
+def test_check_one_way_tol_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
+    # the broken-symmetry config exits 4 at the default tolerance
+    cfg = tmp_path / "broken.ini"
+    cfg.write_text(
+        "[model]\nh = 0.8\n[bath_L]\nbeta = 1\n"
+        "[inversion]\nkind = flip_f\n[sweep]\npoints = 5\n"
+    )
+    code, _, err = run_cli(
+        ["check-one-way", "--preset", "fig1", "--config", str(cfg), "--tol", tol], capsys
+    )
+    assert code == 2
+    assert "config error:" in err and "--tol" in err
+
+
+def test_check_one_way_accepts_zero_tol(tmp_path, capsys):
+    cfg = tmp_path / "id.ini"
+    cfg.write_text("[inversion]\nkind = identity\n[sweep]\npoints = 2\n")
+    code, _, err = run_cli(
+        ["check-one-way", "--preset", "eq16", "--config", str(cfg), "--tol", "0"], capsys
+    )
+    assert code == 0
+    assert "invariant within 0" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_must_be_at_least_one(tmp_path, capsys, jobs):
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(RI_CHAIN + "[sweep]\nparameter = Delta\nfrom = 0\nto = 1\npoints = 2\n")
+    code, out, err = run_cli(["sweep", "--config", str(cfg), "--jobs", jobs], capsys)
+    assert code == 2
+    assert "config error:" in err and "--jobs" in err
+    assert out == ""
+
+
 def test_command_required():
     with pytest.raises(SystemExit):
         main([])

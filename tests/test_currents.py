@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,35 @@ def test_rate_operators_match_joint_space(
     q_ref, w_ref = joint_rates(spec, bath, rho)
     assert abs(heat_rate_general(spec, bath, rho) - q_ref) <= 1e-12
     assert abs(work_rate_general(spec, bath, rho) - w_ref) <= 1e-12
+
+
+@st.composite
+def field_free_xxz_drives(draw):
+    """A field-free xxz chain with random bonds between two random spin baths."""
+    n = draw(st.integers(2, 5))
+    spec = ChainSpec(
+        kind="xxz", n=n, alpha=draw(st.floats(0.3, 2.0)),
+        bond_Delta=tuple(draw(st.floats(-1.5, 1.5)) for _ in range(n - 1)),
+    )
+    baths = [
+        BathSpec(side=side, beta=draw(st.floats(0.3, 3.0)), h=draw(st.floats(-2.0, 2.0)),
+                 gamma=draw(st.floats(0.3, 2.0)))
+        for side in ("L", "R")
+    ]
+    return spec, baths
+
+
+@settings(max_examples=30, deadline=None)
+@given(drive=field_free_xxz_drives())
+def test_one_way_street_flip_f_leaves_every_rate(drive):
+    # flipping both bath fields inverts both drivings f -> -f; without a chain
+    # field a global spin flip maps the flipped problem back onto the original
+    spec, baths = drive
+    flipped = [replace(b, h=-b.h) for b in baths]
+    base = current_report(spec, baths, steady_for(spec, baths))
+    flip = current_report(spec, flipped, steady_for(spec, flipped))
+    for name in ("f_energy", "qdot_L", "qdot_R", "wdot_L", "wdot_R"):
+        assert abs(getattr(base, name) - getattr(flip, name)) <= 1e-10, name
 
 
 def test_hot_bosonic_baths_beyond_the_joint_space_cap():

@@ -1,6 +1,9 @@
-"""Dense linear algebra helpers: kron, partial trace, expm, kernels."""
+"""Dense linear algebra helpers: kron_all, partial trace, expm, kernels."""
 
 from __future__ import annotations
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from spinheat.linalg import (
     check_dense_dim,
     components,
     hermitize,
-    kron,
     require_hermitian,
     sparsity,
     svd_kernel,
@@ -29,14 +31,14 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def test_kron_identity_blocks():
     a = np.arange(4, dtype=complex).reshape(2, 2)
-    out = kron(np.eye(2), a)
+    out = kron_all([np.eye(2), a])
     assert np.array_equal(out[:2, :2], a)
     assert np.array_equal(out[2:, 2:], a)
     assert np.all(out[:2, 2:] == 0)
 
 
 def test_kron_zz():
-    assert np.array_equal(kron(SZ, SZ), np.diag([1, -1, -1, 1]).astype(complex))
+    assert np.array_equal(kron_all([SZ, SZ]), np.diag([1, -1, -1, 1]).astype(complex))
 
 
 def test_kron_factorizes_on_product_vectors():
@@ -45,16 +47,31 @@ def test_kron_factorizes_on_product_vectors():
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     x = rng.normal(size=3) + 1j * rng.normal(size=3)
     y = rng.normal(size=2) + 1j * rng.normal(size=2)
-    lhs = kron(a, b) @ np.kron(x, y)
+    lhs = kron_all([a, b]) @ np.kron(x, y)
     rhs = np.kron(a @ x, b @ y)
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_kron_all_matches_chained():
     rng = np.random.default_rng(4)
-    mats = [rng.normal(size=(2, 2)) for _ in range(4)]
-    expected = np.kron(np.kron(np.kron(mats[0], mats[1]), mats[2]), mats[3])
-    assert np.allclose(kron_all(mats), expected)
+    for count in range(1, 5):
+        for dims in itertools.product(range(1, 5), repeat=count):
+            mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+            expected = mats[0]
+            for m in mats[1:]:
+                expected = np.kron(expected, m)
+            assert np.array_equal(kron_all(mats), expected), dims
+
+
+def test_kron_all_checks_the_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimitError):
+            kron_all([np.eye(2)] * 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_kron_all_needs_a_factor():

@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from spinheat import op_at, pauli, site_op, two_site_op
+from spinheat import (
+    BathSpec,
+    ChainSpec,
+    CollisionEngine,
+    RIConfig,
+    bond_energy,
+    current_report,
+    op_at,
+    pauli,
+    site_op,
+    steady_for,
+    two_site_op,
+)
 
 
 def test_pauli_matrices():
@@ -72,15 +86,13 @@ def test_two_site_op_product_structure():
 
 
 def test_two_site_op_equals_product_of_site_ops():
-    n = 4
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        a, b = rng.choice(list("xyz"), size=2)
-        assert np.allclose(
-            two_site_op(a, int(i), b, int(j), n),
-            site_op(a, int(i), n) @ site_op(b, int(j), n),
-        )
+    kinds = ("i", "x", "y", "z", "plus", "minus")
+    for n in range(2, 6):
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            for a, b in itertools.product(kinds, repeat=2):
+                assert np.array_equal(
+                    two_site_op(a, i, b, j, n), site_op(a, i, n) @ site_op(b, j, n)
+                ), (a, i, b, j, n)
 
 
 def test_disjoint_support_commutes():
@@ -92,3 +104,35 @@ def test_disjoint_support_commutes():
 def test_two_site_op_same_site_rejected():
     with pytest.raises(ValueError):
         two_site_op("x", 2, "y", 2, 3)
+
+
+def _no_np_kron(*args, **kwargs):
+    raise AssertionError("numpy.kron called; operators must go through kron_all")
+
+
+XXZ3 = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.7, delta=0.3, h=0.4)
+SPIN_BATHS = [
+    BathSpec(side="L", kind="spin", beta=1.0, h=0.8, gamma=1.0),
+    BathSpec(side="R", kind="spin", beta=2.0, h=-0.5, gamma=0.7),
+]
+ISING2 = ChainSpec(kind="ising", n=2, field=(0.6, 0.9), Delta=0.8)
+BOSE_BATHS = [
+    BathSpec(side="L", kind="bosonic", beta=1.0, omega=1.0, g=0.4),
+    BathSpec(side="R", kind="bosonic", beta=2.0, omega=1.3, g=0.3),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, baths", [(XXZ3, SPIN_BATHS), (ISING2, BOSE_BATHS)], ids=["xxz_n3", "ising_boson_n2"]
+)
+def test_rates_never_call_np_kron(monkeypatch, spec, baths):
+    monkeypatch.setattr(np, "kron", _no_np_kron)
+    report = current_report(spec, baths, steady_for(spec, baths))
+    assert np.isfinite(report.f_energy)
+
+
+def test_bond_energy_and_collision_engine_never_call_np_kron(monkeypatch):
+    monkeypatch.setattr(np, "kron", _no_np_kron)
+    assert bond_energy(XXZ3, 2).shape == (8, 8)
+    engine = CollisionEngine(ISING2, BOSE_BATHS, RIConfig(tau=0.05, n_max=3))
+    assert engine.d_sys == 4
