@@ -221,21 +221,21 @@ def load_config(preset: str | None, config_path: str | None) -> dict[str, dict[s
 
 
 def _get_number(section: dict[str, str], key: str, where: str, cast=float):
-    """``cast(section[key])``: a float, or an integer with ``cast=int``."""
+    """``cast(section[key])``: a finite float, or an integer with ``cast=int``."""
     try:
-        return cast(section[key])
+        value = cast(section[key])
     except KeyError:
         raise ConfigError(f"missing key '{key}' in section [{where}]") from None
     except ValueError:
         noun = "an integer" if cast is int else "a number"
         raise ConfigError(f"key '{key}' in [{where}] is not {noun}: {section[key]!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"key '{key}' in [{where}] is not a finite number: {section[key]!r}")
+    return value
 
 
 def _float_tuple(raw: str, key: str, where: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{where}] is not a comma list of numbers: {raw!r}") from None
+    return tuple(_get_number({key: part}, key, where) for part in raw.split(","))
 
 
 def build_chain(cfg: dict[str, dict[str, str]]) -> ChainSpec:

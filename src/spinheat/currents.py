@@ -32,12 +32,11 @@ from typing import Sequence
 import numpy as np
 
 from .bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy, check_gibbs_tail
+from .linalg import expectation
 from .lindblad import dissipator_action, jump_ops
 from .models import BathSpec, ChainSpec, bath_f, build_hamiltonian
 from .operators import site_op, two_site_op
 from .steady_state import SteadyState
-
-REGIMES = ("Refrigerator", "Heater", "Engine", "Other")
 
 FIRST_LAW_TOL = 1e-9
 REGIME_TOL = 1e-12
@@ -122,20 +121,16 @@ def _rate_operators(
     return o_q, -o_q - scale * o_h
 
 
-def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", op, rho).real)
-
-
 def heat_rate_general(spec: ChainSpec, bath: BathSpec, state) -> float:
     """Heat absorbed from one bath per unit time, ``Tr(O_q rho)``."""
     o_q, _ = _rate_operators(spec, bath, build_hamiltonian(spec))
-    return _expectation(o_q, _density(state))
+    return expectation(o_q, _density(state))
 
 
 def work_rate_general(spec: ChainSpec, bath: BathSpec, state) -> float:
     """Work injected by one bath's coupling switches per unit time, ``Tr(O_w rho)``."""
     _, o_w = _rate_operators(spec, bath, build_hamiltonian(spec))
-    return _expectation(o_w, _density(state))
+    return expectation(o_w, _density(state))
 
 
 def energy_inflow(spec: ChainSpec, bath: BathSpec, state) -> float:
@@ -144,7 +139,7 @@ def energy_inflow(spec: ChainSpec, bath: BathSpec, state) -> float:
     Needs only the reduced dynamics, so it works for f-only baths too.
     """
     d = dissipator_action(jump_ops(bath, spec.n), _density(state))
-    return _expectation(build_hamiltonian(spec), d)
+    return expectation(build_hamiltonian(spec), d)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +152,10 @@ def _boundary_expectations(spec: ChainSpec, bath: BathSpec, rho: np.ndarray):
         edge, inner, bond = 1, 2, 0
     else:
         edge, inner, bond = n, n - 1, n - 2
-    z_edge = _expectation(site_op("z", edge, n), rho)
-    z_inner = _expectation(site_op("z", inner, n), rho)
-    zz = _expectation(two_site_op("z", edge, "z", inner, n), rho)
-    hop = _expectation(
+    z_edge = expectation(site_op("z", edge, n), rho)
+    z_inner = expectation(site_op("z", inner, n), rho)
+    zz = expectation(two_site_op("z", edge, "z", inner, n), rho)
+    hop = expectation(
         two_site_op("x", edge, "x", inner, n) + two_site_op("y", edge, "y", inner, n), rho
     )
     return z_edge, z_inner, zz, hop, spec.bond_couplings[bond]
@@ -172,7 +167,7 @@ def heat_rate_xxz_closed(spec: ChainSpec, bath: BathSpec, state) -> float:
         raise ValueError("closed form applies to xxz chains with spin baths")
     if not bath.decomposable:
         raise ValueError("heat rate needs the bath's (beta, h)")
-    z_edge = _expectation(site_op("z", bath.boundary_site(spec.n), spec.n), _density(state))
+    z_edge = expectation(site_op("z", bath.boundary_site(spec.n), spec.n), _density(state))
     return 2.0 * bath.gamma * bath.h * (bath_f(bath) - z_edge)
 
 
@@ -394,16 +389,14 @@ def spin_current(spec: ChainSpec, state, bond: int = 1) -> float:
         two_site_op("x", bond, "y", bond + 1, spec.n)
         - two_site_op("y", bond, "x", bond + 1, spec.n)
     )
-    return _expectation(op, _density(state))
+    return expectation(op, _density(state))
 
 
-def classify_regime(
-    report: CurrentReport, baths: Sequence[BathSpec], regime_tol: float = REGIME_TOL
-) -> str:
+def classify_regime(report: CurrentReport, baths: Sequence[BathSpec]) -> str:
     """Operating regime from the signs of the heat rates and the total work.
 
     The cold bath is the one with the larger beta.  Rates within
-    ``regime_tol`` of zero are treated as zero, and any such marginal case,
+    ``REGIME_TOL`` of zero are treated as zero, and any such marginal case,
     equal temperatures included, lands in "Other".
     """
     by_side = {b.side: b for b in baths}
@@ -417,7 +410,7 @@ def classify_regime(
     else:
         q_cold, q_hot = report.qdot_R, report.qdot_L
     w = report.wdot_total
-    if min(abs(q_cold), abs(q_hot), abs(w)) <= regime_tol:
+    if min(abs(q_cold), abs(q_hot), abs(w)) <= REGIME_TOL:
         return "Other"
     if q_cold > 0 and q_hot < 0 and w > 0:
         return "Refrigerator"
@@ -428,16 +421,10 @@ def classify_regime(
     return "Other"
 
 
-def current_report(
-    spec: ChainSpec,
-    baths: Sequence[BathSpec],
-    state,
-    first_law_tol: float = FIRST_LAW_TOL,
-    regime_tol: float = REGIME_TOL,
-) -> CurrentReport:
+def current_report(spec: ChainSpec, baths: Sequence[BathSpec], state) -> CurrentReport:
     """Assemble all steady-state rates and validate the energy balance.
 
-    Raises when the four rates do not sum to zero within ``first_law_tol``
+    Raises when the four rates do not sum to zero within ``FIRST_LAW_TOL``
     (relative to the largest rate), which would mean the state passed in is
     not stationary or the bath description is inconsistent.
     """
@@ -446,11 +433,11 @@ def current_report(
         raise ValueError("a current report needs exactly one bath per side")
     rho = _density(state)
     h = build_hamiltonian(spec)
-    q_l, w_l = (_expectation(op, rho) for op in _rate_operators(spec, by_side["L"], h))
-    q_r, w_r = (_expectation(op, rho) for op in _rate_operators(spec, by_side["R"], h))
+    q_l, w_l = (expectation(op, rho) for op in _rate_operators(spec, by_side["L"], h))
+    q_r, w_r = (expectation(op, rho) for op in _rate_operators(spec, by_side["R"], h))
     total = q_l + q_r + w_l + w_r
     scale = max(abs(q_l), abs(q_r), abs(w_l), abs(w_r))
-    if abs(total) > max(first_law_tol * scale, 1e-12):
+    if abs(total) > max(FIRST_LAW_TOL * scale, 1e-12):
         raise ValueError(
             f"first law violated: boundary rates sum to {total:.3e} against scale {scale:.3e}"
         )
@@ -467,4 +454,4 @@ def current_report(
         j_spin=j,
         regime="Other",
     )
-    return replace(report, regime=classify_regime(report, baths, regime_tol))
+    return replace(report, regime=classify_regime(report, baths))

@@ -80,13 +80,13 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
     ``kron_all([a, b])[i_a * d_b + i_b, j_a * d_b + j_b] = a[i_a, j_a] * b[i_b, j_b]``.
     The dense cap is checked on the product dimension before anything is
-    allocated, and each step is one broadcast multiply.
+    allocated, and each step is one broadcast multiply.  The result is a fresh array.
     """
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if not factors:
         raise ValueError("kron_all needs at least one factor")
     check_dense_dim(math.prod(f.shape[0] for f in factors))
-    out = factors[0]
+    out = factors[0].copy()
     for f in factors[1:]:
         out = (out[:, None, :, None] * f[None, :, None, :]).reshape(out.shape[0] * f.shape[0], -1)
     return out
@@ -186,6 +186,11 @@ def svd_kernel(
         basis[idx[block], cols[:, None]] = vh[block, row].conj()
         filled += block.size
     return basis, s
+
+
+def expectation(op: np.ndarray, rho: np.ndarray) -> float:
+    """Real part of ``Tr(op rho)``, without forming the product."""
+    return float(np.einsum("ij,ji->", op, rho).real)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

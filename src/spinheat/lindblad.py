@@ -2,9 +2,9 @@
 
 Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``A``, so ``vec([[a, b], [c, d]]) = (a, c, b, d)`` and
-``vec(A X B) = (B^T kron A) vec(X)``.  The dense generator is written
-straight into its ``d^2 x d^2`` buffer, with no other ``d^4`` array (see
-``liouvillian_matrix``).
+``vec(A X B) = (B^T kron A) vec(X)``.  ``liouvillian_matrix`` is the one
+superoperator builder: it writes this generator, and the collision map's of
+``ri``, straight into a ``d^2 x d^2`` buffer, with no other ``d^4`` array.
 
 Both bath families reduce to jump-operator form:
 
@@ -100,16 +100,17 @@ class Liouvillian:
     dim: int  # Hilbert-space dimension; matrix is dim^2 x dim^2
 
 
-def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
+def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Dense superoperator of ``-i[h, .] + sum_k D_k`` under column stacking.
 
-    The matrix is written in place into one ``d^2 x d^2`` buffer through its
-    ``(d, d, d, d)`` view with axes ``[j, i, l, k]``, for row ``i + d j`` and
-    column ``k + d l``; no other ``d^4`` array is formed.  The jump term
-    ``sum_k conj(L_k) kron L_k`` is one einsum.  The commutator and the
-    anticommutators fold into ``h_eff = h - (i/2) sum_k L_k^dag L_k``, so the
-    rest is ``-i (I kron h_eff) + i (conj(h_eff) kron I)``, added on the two
-    diagonal index views.
+    ``jumps`` is a list of ``d x d`` matrices or an ``(A, d, d)`` stack.  The
+    matrix is written into one ``d^2 x d^2`` buffer through its ``(d, d, d, d)``
+    view with axes ``[j, i, l, k]``, for row ``i + d j`` and column ``k + d l``.
+    The jump term ``sum_k conj(L_k) kron L_k`` goes in one row slab ``[j]`` at
+    a time, by a matmul into the slab, so no other ``d^4`` array is formed.
+    The commutator and anticommutators fold into ``h_eff = h - (i/2) sum_k
+    L_k^dag L_k``; the rest, ``-i (I kron h_eff) + i (conj(h_eff) kron I)``,
+    goes on the two diagonal index views.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
@@ -118,7 +119,10 @@ def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray
     h_eff = h - 0.5j * np.einsum("aki,akj->ij", stack.conj(), stack)
     m = np.empty((d * d, d * d), dtype=complex)
     view = m.reshape(d, d, d, d)
-    np.einsum("ajl,aik->jilk", stack.conj(), stack, out=view)
+    right = stack.transpose(1, 0, 2)  # [i, a, k] = L_a[i, k]
+    for j in range(d):
+        # view[j, i, l, k] = sum_a conj(L_a[j, l]) L_a[i, k]
+        np.matmul(stack[:, j, :].conj().T, right, out=view[j])
     for r in range(d):
         view[r, :, r, :] -= 1j * h_eff
         view[:, r, :, r] += 1j * h_eff.conj()

@@ -38,6 +38,13 @@ BATH_KINDS = ("spin", "bosonic")
 SIDES = ("L", "R")
 
 
+def _check_finite(**values) -> None:
+    """Raise ValueError naming a nan or infinite parameter; None values are skipped."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Parameters of the system chain.
@@ -72,6 +79,8 @@ class ChainSpec:
             object.__setattr__(self, "bond_Delta", tuple(float(x) for x in self.bond_Delta))
             if len(self.bond_Delta) != self.n - 1:
                 raise ValueError(f"bond_Delta must list one value per bond ({self.n - 1})")
+        _check_finite(alpha=self.alpha, Delta=self.Delta, delta=self.delta, h=self.h,
+                      field=self.field, bond_Delta=self.bond_Delta, Delta13=self.Delta13)
         if self.kind == "ising" and self.alpha != 0.0:
             raise ValueError("ising chains have no transverse hopping; alpha must be 0")
         if self.Delta13 != 0.0 and not (self.kind == "ising" and self.n == 3):
@@ -108,6 +117,7 @@ class BathSpec:
 
     Spin baths: give ``(beta, h)``, or ``f`` alone when only the driving
     polarization matters.  Bosonic baths: give ``beta``, ``omega``, ``g``.
+    Numbers must be finite: a zero-temperature bath is a large finite ``beta``.
     """
 
     side: str
@@ -124,6 +134,8 @@ class BathSpec:
             raise ValueError(f"bath side must be 'L' or 'R', got {self.side!r}")
         if self.kind not in BATH_KINDS:
             raise ValueError(f"bath kind must be one of {BATH_KINDS}, got {self.kind!r}")
+        _check_finite(beta=self.beta, h=self.h, gamma=self.gamma, omega=self.omega,
+                      g=self.g, f=self.f)
         if self.kind == "spin":
             # beta may be negative: a two-level bath supports population
             # inversion, and some driving polarizations f are reachable from a

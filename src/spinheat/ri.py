@@ -20,13 +20,14 @@ diagonal in their energy basis, with populations ``p_b``.  The cycle map is
 then the Kraus sum ``rho -> sum_ab K_ab rho K_ab^dagger`` with
 ``K_ab = sqrt(p_b) <a|U|b>``, where ``a`` and ``b`` run over the unit levels
 and ``U`` is the joint propagator (Ciccarello et al., Phys. Rep. 954, 1
-(2022)).  The engine forms the Kraus tensor once.  The superoperator is its
-Gram product, and each ledger row (a unit's energy after the cycle, the
-interaction energy before and after it, a bosonic unit's top-level weight)
-is a chain-space operator ``X`` with the row equal to ``Tr(X rho)``.  No
-joint density matrix is ever formed.  The stationary state of the cycle map
-is the kernel of the generator ``(phi - I) / tau``, found by the same
-``solve_steady`` as the master equation's.
+(2022)).  Since ``sum K_ab^dagger K_ab = I``, the map's generator
+``G = (phi - I) / tau`` is a Lindblad generator with jumps ``K_ab / sqrt(tau)``
+and no Hamiltonian: ``liouvillian_matrix`` builds it from the Kraus tensor,
+a cycle is ``rho + tau G(rho)``, and the fixed point is the kernel of ``G``,
+found by ``solve_steady``.  Each ledger row (a unit's energy after the cycle,
+the interaction energy before and after it, a bosonic unit's top-level
+weight) is a chain-space operator ``X`` with the row ``Tr(X rho)``; no joint
+density matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from .bathops import RI_MARGIN, RI_TAIL, BathCopy, TruncationError, bath_copy
-from .linalg import KERNEL_TOL, check_dense_dim, herm_expm, kron_all
-from .lindblad import Liouvillian, unvec, vec
+from .linalg import KERNEL_TOL, check_dense_dim, expectation, herm_expm, kron_all
+from .lindblad import Liouvillian, liouvillian_matrix, unvec, vec
 from .models import BathSpec, ChainSpec, build_hamiltonian
 from .operators import site_op
 from .steady_state import SteadyState, solve_steady
+
+TOP_LEVEL_TOL = 1e-6  # largest weight a cycle may leave on a bosonic unit's top level
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class RIConfig:
     n_max: int | None = None  # bosonic Fock cutoff override
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("cycle duration tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("cycle duration tau must be finite and positive")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
@@ -70,32 +73,18 @@ class CycleLog:
     dw_interaction: float
 
 
-def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", op, rho).real)
-
-
-def _system_of(spec_or_h) -> tuple[np.ndarray, int]:
-    if isinstance(spec_or_h, ChainSpec):
-        return build_hamiltonian(spec_or_h), spec_or_h.n
-    h = np.asarray(spec_or_h, dtype=complex)
-    n = int(round(math.log2(h.shape[0])))
-    if 2 ** n != h.shape[0]:
-        raise ValueError("system Hamiltonian dimension is not a power of two")
-    return h, n
-
-
 class CollisionEngine:
     """Precomputed one-cycle map for a fixed chain, bath set, and tau.
 
-    After construction it holds the chain-space superoperator and d x d
-    ledger operators only.
+    After construction it holds the map's generator ``generator``
+    (``phi = I + tau generator``) and d x d ledger operators only.
     """
 
-    def __init__(self, spec_or_h, baths: Sequence[BathSpec], cfg: RIConfig):
-        h_sys, n = _system_of(spec_or_h)
+    def __init__(self, spec: ChainSpec, baths: Sequence[BathSpec], cfg: RIConfig):
+        h_sys = build_hamiltonian(spec)
         self.cfg = cfg
-        self.n_sites = n
-        self.d_sys = d = h_sys.shape[0]
+        n = spec.n
+        self.d_sys = d = spec.dim
         by_side = {b.side: b for b in baths}
         if len(by_side) != len(baths):
             raise ValueError("at most one bath per side")
@@ -142,9 +131,10 @@ class CollisionEngine:
         k = (u * weights).reshape(d, d, d_l, d_r, d_l * d_r)
         del u
 
-        m = k.reshape(d * d, -1)
-        gram = (m @ m.conj().T).reshape(d, d, d, d)
-        self._phi = gram.transpose(2, 0, 3, 1).reshape(d * d, d * d)  # column stacking
+        # jumps K_ab and no Hamiltonian give phi - I; the 1 / tau goes in place
+        generator = liouvillian_matrix(np.zeros((d, d)), np.moveaxis(k.reshape(d, d, -1), -1, 0))
+        generator /= tau
+        self.generator = Liouvillian(generator, d)
 
         k_conj = k.conj()
 
@@ -173,26 +163,26 @@ class CollisionEngine:
             for side, b in by_side.items() if b.kind == "bosonic"
         }
 
-    def check_truncation(self, rho_sys: np.ndarray, threshold: float = 1e-6) -> None:
-        """Bosonic guard: a cycle from ``rho_sys`` must not pile weight on a unit's top level."""
+    def check_truncation(self, rho_sys: np.ndarray) -> None:
+        """Bosonic guard: a cycle from ``rho_sys`` leaves <= ``TOP_LEVEL_TOL`` on a top level."""
         for side, op in self._top.items():
-            top = _expectation(op, rho_sys)
-            if top > threshold:
+            top = expectation(op, rho_sys)
+            if top > TOP_LEVEL_TOL:
                 raise TruncationError(
                     f"collision unit on side {side} reached the top Fock level "
                     f"(weight {top:.3e}); raise n_max or shorten tau"
                 )
 
     def step(self, rho_sys: np.ndarray) -> tuple[np.ndarray, CycleLog]:
-        """Advance one cycle and return the new state with its energy ledger."""
+        """Advance one cycle, ``rho + tau G(rho)``; returns the new state and its energy ledger."""
         rho_sys = np.asarray(rho_sys, dtype=complex)
         r = vec(rho_sys)
-        rho_new = unvec(self._phi @ r, self.d_sys)
+        change = self.cfg.tau * unvec(self.generator.matrix @ r, self.d_sys)
         after_l, after_r, dw_int = map(float, (self._ledger @ r).real)
         dq_l = self._energy_before[0] - after_l
         dq_r = self._energy_before[1] - after_r
-        de = _expectation(self._h_sys, rho_new - rho_sys)
-        return rho_new, CycleLog(
+        de = expectation(self._h_sys, change)
+        return rho_sys + change, CycleLog(
             dq_L=dq_l,
             dq_R=dq_r,
             dw=de - dq_l - dq_r,
@@ -202,24 +192,22 @@ class CollisionEngine:
 
 
 def ri_fixed_point(
-    spec_or_h,
+    spec: ChainSpec,
     baths: Sequence[BathSpec],
     cfg: RIConfig,
     tol: float = KERNEL_TOL,
 ) -> tuple[SteadyState, list[CycleLog]]:
     """Stationary state of the cycle map and the ledger of one cycle from it.
 
-    The fixed points of the map ``phi`` span the kernel of the generator
+    The fixed points of the map ``phi`` span the kernel of its generator
     ``(phi - I) / tau``, which ``solve_steady`` finds at kernel tolerance
     ``tol``; its ``residual``, ``nullspace_dim``, ``min_eig`` and
     ``largest_block`` are reported with ``solver = "collision"``.  The state's
     distance from the Lindblad steady state is O(tau).  The returned history
     holds the ledger of one cycle from that state, for ``ri_rates``.
     """
-    engine = CollisionEngine(spec_or_h, baths, cfg)
-    d = engine.d_sys
-    generator = (engine._phi - np.eye(d * d)) / cfg.tau
-    state = solve_steady(Liouvillian(matrix=generator, dim=d), tol)
+    engine = CollisionEngine(spec, baths, cfg)
+    state = solve_steady(engine.generator, tol)
     engine.check_truncation(state.rho)
     _, log = engine.step(state.rho)
     return replace(state, solver="collision"), [log]

@@ -122,7 +122,8 @@ def _bordered(
             x[idx] = np.linalg.solve(b, rhs[idx])
         except np.linalg.LinAlgError:  # exactly singular LU
             return None
-    growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused below
+        growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
     cond = norm1 * float(np.max(growth))
     if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
         return None

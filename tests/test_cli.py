@@ -379,6 +379,30 @@ def test_ri_converge_tol_is_the_kernel_tolerance(tmp_path, capsys, monkeypatch):
     assert seen == [("steady", 1e-9)] + [("collision", 1e-9)] * 3
 
 
+@pytest.mark.parametrize("command, preset, overlay, key", [
+    ("steady", "ising_spin_n2", "[bath_L]\ngamma = nan\n", "gamma"),
+    ("steady", "ising_spin_n2", "[bath_L]\nbeta = nan\n", "beta"),
+    ("steady", "ising_spin_n2", "[bath_R]\nh = inf\n", "h"),
+    ("steady", "ising_boson_n2", "[bath_R]\nbeta = inf\n", "beta"),
+    ("steady", "ising_spin_n2", "[bath_L]\nbeta = inf\n", "beta"),
+    ("sweep", "eq16", "[sweep]\nfrom = nan\npoints = 3\n", "from"),
+    ("check-one-way", "eq16",
+     "[inversion]\nkind = kappa_swap\nkappa_L = nan\nkappa_R = 2\n[sweep]\npoints = 3\n",
+     "kappa_L"),
+    ("ri-converge", None, RI_CHAIN + "[ri]\ntaus = nan, 1e-3, 5e-4\n", "taus"),
+    ("steady", None, RI_CHAIN.replace("alpha = 1", "alpha = nan"), "alpha"),
+], ids=["gamma-nan", "beta-nan", "h-inf", "bosonic-beta-inf", "spin-beta-inf", "from-nan",
+        "kappa_L-nan", "taus-nan", "alpha-nan"])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, preset, overlay, key):
+    cfg = tmp_path / "nonfinite.ini"
+    cfg.write_text(overlay)
+    args = [command, "--config", str(cfg)] + (["--preset", preset] if preset else [])
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "config error:" in err and key in err and "finite" in err
+    assert out == ""
+
+
 BAD_TOL = ["0", "-1", "nan", "inf"]
 
 

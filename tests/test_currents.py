@@ -311,6 +311,41 @@ def test_one_way_street_flip_f_leaves_every_rate(drive):
         assert abs(getattr(base, name) - getattr(flip, name)) <= 1e-10, name
 
 
+@st.composite
+def ising_bosonic_chains(draw):
+    """An ising chain of 2 to 5 sites between two random bosonic baths.
+
+    Fields and bonds lie in [-1.5, 1.5] and are often exactly 0, which makes
+    degenerate kernels of dimension up to 256.
+    """
+    n = draw(st.integers(2, 5))
+    value = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+    spec = ChainSpec(
+        kind="ising", n=n, field=tuple(draw(value) for _ in range(n)),
+        bond_Delta=tuple(draw(value) for _ in range(n - 1)),
+        Delta13=draw(value) if n == 3 else 0.0,
+    )
+    baths = [
+        BathSpec(side=side, kind="bosonic", beta=draw(st.floats(0.5, 3.0)),
+                 omega=draw(st.floats(0.5, 2.0)), g=draw(st.floats(0.1, 1.0)))
+        for side in ("L", "R")
+    ]
+    return spec, baths
+
+
+@settings(max_examples=40, deadline=None)
+@given(drive=ising_bosonic_chains())
+def test_ising_bosonic_heat_is_minus_work_on_random_chains(drive):
+    # the paper's dead wire: no net energy flow, yet each bosonic bath takes
+    # g^2 omega of work in and gives it back as heat
+    spec, baths = drive
+    rep = current_report(spec, baths, steady_for(spec, baths))
+    assert abs(rep.f_energy) <= 1e-10
+    for bath, q, w in zip(baths, (rep.qdot_L, rep.qdot_R), (rep.wdot_L, rep.wdot_R)):
+        assert abs(q + bath.g ** 2 * bath.omega) <= 1e-10
+        assert abs(w - bath.g ** 2 * bath.omega) <= 1e-10
+
+
 def test_hot_bosonic_baths_beyond_the_joint_space_cap():
     # beta omega = 0.06 keeps 542 Fock levels: a joint space of 4336 > 4096,
     # yet each rate is an expectation on the 8-dimensional chain space

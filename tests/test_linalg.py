@@ -13,6 +13,7 @@ from spinheat import (
     HermiticityError,
     herm_expm,
     kron_all,
+    op_at,
     trace_distance,
 )
 from spinheat.linalg import (
@@ -77,6 +78,15 @@ def test_kron_all_checks_the_cap_before_allocating():
 def test_kron_all_needs_a_factor():
     with pytest.raises(ValueError):
         kron_all([])
+
+
+def test_single_factor_products_are_fresh_arrays():
+    # an in-place update of the result must not write into the caller's factor
+    a = np.arange(9, dtype=complex).reshape(3, 3)
+    for out in (kron_all([a]), op_at(a, 0, [3])):
+        assert out is not a
+        out += 1.0
+        assert np.array_equal(a, np.arange(9, dtype=complex).reshape(3, 3))
 
 
 def test_partial_trace_separable():

@@ -180,6 +180,42 @@ def kron_reference(h, jumps):
     return m
 
 
+def einsum_reference(h, jumps):
+    """The generator with its jump term ``sum_k conj(L_k) kron L_k`` as one einsum.
+
+    The einsum writes the ``[j, i, l, k]`` view of the buffer in one call;
+    the rest is as in ``liouvillian_matrix``.
+    """
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
+    h_eff = h - 0.5j * np.einsum("aki,akj->ij", stack.conj(), stack)
+    m = np.empty((d * d, d * d), dtype=complex)
+    view = m.reshape(d, d, d, d)
+    np.einsum("ajl,aik->jilk", stack.conj(), stack, out=view)
+    for r in range(d):
+        view[r, :, r, :] -= 1j * h_eff
+        view[:, r, :, r] += 1j * h_eff.conj()
+    return m
+
+
+@pytest.mark.parametrize("count", [0, 1, 4, 64])
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_matrix_matches_einsum_reference_exactly(count, d):
+    # Gaussian-integer entries make every sum exact, so any summation order
+    # gives the same bits and the comparison pins the index layout alone
+    rng = np.random.default_rng(26)
+
+    def integers(*shape):
+        return rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape)
+
+    h = integers(d, d)
+    h = h + h.conj().T
+    stack = integers(count, d, d)
+    assert np.array_equal(liouvillian_matrix(h, stack), einsum_reference(h, stack))
+    assert np.array_equal(liouvillian_matrix(h, list(stack)), einsum_reference(h, stack))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["xxz", "ising"])
 @pytest.mark.parametrize("bath_kind", ["spin", "bosonic"])

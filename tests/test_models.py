@@ -134,6 +134,32 @@ def test_delta_with_explicit_bonds_allowed_on_any_length():
     assert spec.bond_couplings == (1.0, 2.0, 3.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ChainSpec(kind="xxz", n=3, alpha=NAN),
+    lambda: ChainSpec(kind="xxz", n=3, Delta=INF),
+    lambda: ChainSpec(kind="xxz", n=3, delta=-INF),
+    lambda: ChainSpec(kind="xxz", n=3, h=NAN),
+    lambda: ChainSpec(kind="xxz", n=3, field=(0.1, NAN, 0.2)),
+    lambda: ChainSpec(kind="xxz", n=3, bond_Delta=(INF, 1.0)),
+    lambda: ChainSpec(kind="ising", n=3, Delta13=NAN),
+    lambda: BathSpec(side="L", beta=NAN, h=1.0),
+    lambda: BathSpec(side="L", beta=INF, h=1.0),
+    lambda: BathSpec(side="R", beta=1.0, h=INF),
+    lambda: BathSpec(side="L", beta=1.0, h=1.0, gamma=NAN),
+    lambda: BathSpec(side="L", f=NAN),
+    lambda: BathSpec(side="L", kind="bosonic", beta=INF, omega=1.0, g=0.5),
+    lambda: BathSpec(side="L", kind="bosonic", beta=1.0, omega=INF, g=0.5),
+    lambda: BathSpec(side="L", kind="bosonic", beta=1.0, omega=1.0, g=NAN),
+])
+def test_specs_reject_non_finite_numbers(make):
+    # a zero-temperature bath is a large finite beta, never inf
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_bath_validation():
     with pytest.raises(ValueError):
         BathSpec(side="M", beta=1.0, h=1.0)

@@ -78,6 +78,19 @@ def test_ising_bosonic_two_sites_maximally_mixed():
     check_state(spec, BOSON_PAIR, state)
 
 
+def test_near_singular_bordered_solve_is_refused_quietly():
+    # couplings of 5e-247 leave an LU pivot that small: the probe solution
+    # overflows the norm, which must refuse the bordered path without a
+    # warning; the SVD then sees I, x_1, x_2 and x_1 x_2 all stationary
+    tiny = 5.136413182632978e-247
+    spec = ChainSpec(kind="ising", n=2, field=(0.0, tiny), bond_Delta=(tiny,))
+    baths = [BathSpec(side="L", kind="bosonic", beta=1.0, omega=2.0, g=1.0),
+             BathSpec(side="R", kind="bosonic", beta=1.0, omega=1.0, g=1.0)]
+    state = steady_for(spec, baths)
+    assert (state.solver, state.nullspace_dim) == ("svd", 4)
+    assert np.max(np.abs(state.rho - np.eye(4) / 4)) < 1e-10
+
+
 def test_ising_bosonic_three_sites_degenerate_kernel():
     # the middle spin is never flipped, so its polarization is conserved
     spec = ChainSpec(
