@@ -387,10 +387,8 @@ def _grid(draw, lo, hi):
 def fixed_point_cases(draw):
     family = draw(st.sampled_from(["xxz", "ising", "ising_boson"]))
     if family == "ising_boson":
-        # a field near zero leaves x_1 x_2 almost conserved, with a map
-        # eigenvalue within 1e-9 of 1 that the kernel tolerance rightly excludes
         spec = ChainSpec(kind="ising", n=2, Delta=draw(st.floats(0.3, 1.0)),
-                         h=_grid(draw, 0.3, 1.0))
+                         h=draw(st.floats(-1.0, 1.0)))
         # beta * omega >= 3 keeps the top of at most 7 Fock levels empty
         baths = [BathSpec(side=side, kind="bosonic", beta=draw(st.floats(2.0, 3.0)),
                           omega=draw(st.floats(1.5, 2.0)), g=draw(st.floats(0.2, 0.6)))
