@@ -42,7 +42,6 @@ from .lindblad import (
     dissipator_action,
     jump_ops,
     lindblad_action,
-    liouvillian_matrix,
     unvec,
     vec,
 )
@@ -71,7 +70,7 @@ __all__ = [
     "dissipator_action", "energy_current_closed_form_3site", "energy_inflow",
     "entropy_production", "entropy_production_rate", "heat_rate_general",
     "heat_rate_xxz_closed", "herm_expm", "jump_ops", "kron_all",
-    "lindblad_action", "liouvillian_matrix", "op_at", "pauli",
+    "lindblad_action", "op_at", "pauli",
     "ri_fixed_point", "ri_rates", "site_op", "solve_steady", "spin_current",
     "steady_for", "trace_distance", "two_site_op", "unvec", "vec",
     "von_neumann_entropy", "with_f", "work_rate_general", "work_rate_xxz_closed",

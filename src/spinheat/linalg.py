@@ -3,13 +3,13 @@
 Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
 from the handful of primitives in this module: the one Kronecker product
 ``kron_all``, which checks the dense cap before it allocates, Hermitian
-matrix exponentials, SVD-based null spaces and the connected
-components of a sparsity pattern.  The steady-state solver splits its
-generator into those components and uses ``svd_kernel`` block by block, only
-as the fallback behind its bordered LU solve, for degenerate or
-ill-conditioned kernels.  All matrices are plain complex numpy arrays; no
-sparse backend is provided, and any request that would materialise a matrix
-larger than ``MAX_DENSE_DIM`` is rejected up front.
+matrix exponentials, SVD-based null spaces of block-diagonal matrices and
+the connected components of a list of nonzero entries.  The steady-state
+solver splits its generator into those components and uses ``svd_kernel`` on
+the stacked blocks, only as the fallback behind its bordered LU solve, for
+degenerate or ill-conditioned kernels.  All matrices are plain complex numpy
+arrays; no sparse backend is provided, and any request whose linear
+dimension exceeds ``MAX_DENSE_DIM`` is rejected up front.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarr
     return (v * phases) @ v.conj().T
 
 
-def sparsity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the nonzero entries of a complex matrix."""
-    nz = np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
-    return np.nonzero(nz[:, 0::2] | nz[:, 1::2])  # real or imaginary part
-
-
 def components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
     """Connected components of the graph on ``range(size)`` with edges ``rows[k]--cols[k]``.
 
@@ -143,31 +137,24 @@ def components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray
     return groups
 
 
-def blocks_of(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Stack of the diagonal blocks ``m[c][:, c]`` for the rows ``c`` of ``idx``."""
-    return m[idx[:, :, None], idx[:, None, :]]
-
-
 def svd_kernel(
-    m: np.ndarray, tol: float = KERNEL_TOL, blocks: Sequence[np.ndarray] | None = None
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]], tol: float = KERNEL_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SVD kernel split: returns (kernel basis as columns, all singular values).
+    """SVD kernel split of a block-diagonal matrix: (kernel basis as columns, all singular values).
 
-    ``blocks`` are index arrays as returned by ``components``, over which
-    ``m`` must be block diagonal; each block is decomposed on its own, and
-    blocks of one size go through one stacked SVD.  Without ``blocks`` this is
-    a full SVD of ``m``.  The singular values of all blocks are pooled in
-    descending order, so ``s_max`` and the threshold are those of ``m``:
-    singular values at or below ``tol * s_max`` count as kernel.  The basis
-    columns are orthonormal right singular vectors, zero outside their
-    block.  Raises KernelError when nothing falls below the threshold.
+    ``blocks`` are ``(idx, stack)`` pairs: ``idx`` holds index rows as
+    returned by ``components``, which together cover the matrix's indices,
+    and ``stack`` the diagonal blocks ``m[c][:, c]`` for the rows ``c`` of
+    ``idx``, one stacked SVD per pair.  The singular values of all blocks are
+    pooled in descending order, so ``s_max`` and the threshold are those of
+    the whole matrix: singular values at or below ``tol * s_max`` count as
+    kernel.  The basis columns are orthonormal right singular vectors, zero
+    outside their block.  Raises KernelError when nothing falls below the
+    threshold.
     """
-    m = as_matrix(m)
-    if blocks is None:
-        blocks = [np.arange(m.shape[0])[None, :]]
     parts = []
-    for idx in blocks:
-        _, s, vh = np.linalg.svd(blocks_of(m, idx))
+    for idx, stack in blocks:
+        _, s, vh = np.linalg.svd(stack)
         parts.append((idx, s, vh))
     s = np.sort(np.concatenate([p[1].ravel() for p in parts]))[::-1]
     smax = float(s[0]) if s.size else 0.0
@@ -178,7 +165,7 @@ def svd_kernel(
             f"no null space at relative tolerance {tol:.1e}: smallest singular value "
             f"{s[-1]:.3e} against largest {smax:.3e}"
         )
-    basis = np.zeros((m.shape[0], k), dtype=complex)
+    basis = np.zeros((s.size, k), dtype=complex)
     filled = 0
     for idx, sv, vh in parts:
         block, row = np.nonzero(sv <= cut)

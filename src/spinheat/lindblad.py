@@ -2,9 +2,13 @@
 
 Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``A``, so ``vec([[a, b], [c, d]]) = (a, c, b, d)`` and
-``vec(A X B) = (B^T kron A) vec(X)``.  ``liouvillian_matrix`` is the one
-superoperator builder: it writes this generator, and the collision map's of
-``ri``, straight into a ``d^2 x d^2`` buffer, with no other ``d^4`` array.
+``vec(A X B) = (B^T kron A) vec(X)``.  ``Liouvillian.from_jumps`` is the one
+superoperator builder: it builds this generator, and the collision map's of
+``ri``, from the nonzero patterns of the d x d Hamiltonian and jumps, and
+keeps only the generator's nonzero entries, row by row.  Conserved
+quantities leave most of the ``d^4`` entries zero (6144 of 1048576 for an
+xxz chain of 5 sites with spin baths), so the ``d^2 x d^2`` matrix is formed
+only for full patterns, such as a collision map's with round-off fill.
 
 Both bath families reduce to jump-operator form:
 
@@ -94,47 +98,99 @@ def lindblad_action(spec: ChainSpec, baths: Sequence[BathSpec], rho: np.ndarray)
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Column-stacked generator matrix: ``vec(rho_dot) = matrix @ vec(rho)``."""
+    """Nonzero entries of the column-stacked generator, ``vec(rho_dot) = L vec(rho)``.
 
-    matrix: np.ndarray
-    dim: int  # Hilbert-space dimension; matrix is dim^2 x dim^2
-
-
-def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Dense superoperator of ``-i[h, .] + sum_k D_k`` under column stacking.
-
-    ``jumps`` is a list of ``d x d`` matrices or an ``(A, d, d)`` stack.  The
-    matrix is written into one ``d^2 x d^2`` buffer through its ``(d, d, d, d)``
-    view with axes ``[j, i, l, k]``, for row ``i + d j`` and column ``k + d l``.
-    The jump term ``sum_k conj(L_k) kron L_k`` goes in one row slab ``[j]`` at
-    a time, by a matmul into the slab, so no other ``d^4`` array is formed.
-    The commutator and anticommutators fold into ``h_eff = h - (i/2) sum_k
-    L_k^dag L_k``; the rest, ``-i (I kron h_eff) + i (conj(h_eff) kron I)``,
-    goes on the two diagonal index views.
+    The entries are stored row by row (compressed sparse rows): row ``r`` of
+    ``L`` holds ``values[indptr[r]:indptr[r + 1]]`` in the columns
+    ``cols[indptr[r]:indptr[r + 1]]``, ascending.  Every other entry of the
+    ``dim^2 x dim^2`` matrix is zero.
     """
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    check_dense_dim(d * d)
-    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
-    h_eff = h - 0.5j * np.einsum("aki,akj->ij", stack.conj(), stack)
-    m = np.empty((d * d, d * d), dtype=complex)
-    view = m.reshape(d, d, d, d)
-    right = stack.transpose(1, 0, 2)  # [i, a, k] = L_a[i, k]
-    for j in range(d):
-        # view[j, i, l, k] = sum_a conj(L_a[j, l]) L_a[i, k]
-        np.matmul(stack[:, j, :].conj().T, right, out=view[j])
-    for r in range(d):
-        view[r, :, r, :] -= 1j * h_eff
-        view[:, r, :, r] += 1j * h_eff.conj()
-    return m
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int  # Hilbert-space dimension; L acts on vectors of length dim^2
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row of each entry."""
+        return np.repeat(np.arange(self.dim * self.dim), np.diff(self.indptr))
+
+    @classmethod
+    def from_jumps(cls, h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> Liouvillian:
+        """Generator of ``-i[h, .] + sum_a D_a``, built from the d x d nonzero patterns.
+
+        ``jumps`` is a list of ``d x d`` matrices or an ``(A, d, d)`` stack.
+        Entry ``(i + d j, k + d l)`` is
+        ``G[(i, k), (j, l)] - i h_eff[i, k] [j = l] + i conj(h_eff[j, l]) [i = k]``
+        with the jump Gram ``G[(i, k), (j, l)] = sum_a L_a[i, k] conj(L_a[j, l])``
+        and ``h_eff = h - (i/2) sum_a L_a^dag L_a``.  Pairs of positions
+        ``((i, k), (j, l))`` and matrix entries correspond one to one, so the
+        generator is zero off the pairs of positions where some jump, ``h_eff``
+        or the identity is nonzero.  ``G`` is one matrix product over those
+        positions, ``sum_a L_a^dag L_a`` is read off its diagonal blocks, and
+        the two ``h_eff`` terms are added after it, as in the dense
+        ``conj(L) kron L`` layout.  A ``d^2 x d^2`` array is formed only when
+        the patterns are full.
+        """
+        h = np.asarray(h, dtype=complex)
+        d = h.shape[0]
+        n = d * d
+        check_dense_dim(n)
+        stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
+        jumped = np.any(stack != 0, axis=0)
+        # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
+        used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
+        pos = np.flatnonzero(used)  # positions i d + k, ascending
+        row, col = np.divmod(pos, d)
+        flat = stack.reshape(len(stack), n)
+        if pos.size < n:
+            flat = flat[:, pos]
+        m = flat.T @ flat.conj()
+        # (sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)], from the block of
+        # G on the positions of pattern row k
+        ldl = np.zeros((d, d), dtype=complex)
+        bounds = np.searchsorted(row, np.arange(d + 1))
+        for k in range(d):
+            block = slice(bounds[k], bounds[k + 1])
+            ldl[np.ix_(col[block], col[block])] += m[block, block].T
+        h_eff = (h - 0.5j * ldl)[row, col]
+        diagonal = row == col
+        m[:, diagonal] -= 1j * h_eff[:, None]
+        m[diagonal, :] += 1j * h_eff.conj()
+        if pos.size == n:  # full patterns: m[(i, k), (j, l)] is the [j, i, l, k] view of L
+            m = m.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(n, n)
+            nonzero = m != 0
+            counts = np.count_nonzero(nonzero, axis=1)
+            if nonzero.all():
+                cols, values = np.tile(np.arange(n), n), m.reshape(-1)
+            else:
+                cols, values = np.nonzero(nonzero)[1], m[nonzero]
+        else:
+            nonzero = m != 0
+            rows = (row[:, None] + d * row[None, :])[nonzero]
+            cols = (col[:, None] + d * col[None, :])[nonzero]
+            order = np.argsort(rows * n + cols)
+            counts = np.bincount(rows, minlength=n)
+            cols, values = cols[order], m[nonzero][order]
+        return cls(np.concatenate(([0], np.cumsum(counts))), cols, values, d)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``L v`` for a vector ``v`` of length ``dim^2``, summed row by row."""
+        terms = self.values * np.asarray(v, dtype=complex)[self.cols]
+        out = np.zeros(self.dim * self.dim, dtype=complex)
+        filled = np.flatnonzero(np.diff(self.indptr))
+        if filled.size:
+            out[filled] = np.add.reduceat(terms, self.indptr[filled])
+        return out
 
 
 def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian:
-    """Assemble the dense Liouvillian of a boundary-driven chain."""
+    """Assemble the Liouvillian of a boundary-driven chain."""
     _check_sides(baths)
     h = build_hamiltonian(spec)
     jumps = [L for b in baths for L in jump_ops(b, spec.n)]
-    return Liouvillian(matrix=liouvillian_matrix(h, jumps), dim=spec.dim)
+    return Liouvillian.from_jumps(h, jumps)
 
 
 def _check_sides(baths: Sequence[BathSpec]) -> None:

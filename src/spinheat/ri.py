@@ -22,12 +22,12 @@ then the Kraus sum ``rho -> sum_ab K_ab rho K_ab^dagger`` with
 and ``U`` is the joint propagator (Ciccarello et al., Phys. Rep. 954, 1
 (2022)).  Since ``sum K_ab^dagger K_ab = I``, the map's generator
 ``G = (phi - I) / tau`` is a Lindblad generator with jumps ``K_ab / sqrt(tau)``
-and no Hamiltonian: ``liouvillian_matrix`` builds it from the Kraus tensor,
-a cycle is ``rho + tau G(rho)``, and the fixed point is the kernel of ``G``,
-found by ``solve_steady``.  Each ledger row (a unit's energy after the cycle,
-the interaction energy before and after it, a bosonic unit's top-level
-weight) is a chain-space operator ``X`` with the row ``Tr(X rho)``; no joint
-density matrix is ever formed.
+and no Hamiltonian: ``Liouvillian.from_jumps`` builds its entries from the
+Kraus tensor, a cycle is ``rho + tau G(rho)`` applied entry by entry, and the
+fixed point is the kernel of ``G``, found by ``solve_steady``.  Each ledger
+row (a unit's energy after the cycle, the interaction energy before and
+after it, a bosonic unit's top-level weight) is a chain-space operator ``X``
+with the row ``Tr(X rho)``; no joint density matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .bathops import RI_MARGIN, RI_TAIL, BathCopy, TruncationError, bath_copy
 from .linalg import KERNEL_TOL, check_dense_dim, expectation, herm_expm, kron_all
-from .lindblad import Liouvillian, liouvillian_matrix, unvec, vec
+from .lindblad import Liouvillian, unvec, vec
 from .models import BathSpec, ChainSpec, build_hamiltonian
 from .operators import site_op
 from .steady_state import SteadyState, solve_steady
@@ -132,9 +132,9 @@ class CollisionEngine:
         del u
 
         # jumps K_ab and no Hamiltonian give phi - I; the 1 / tau goes in place
-        generator = liouvillian_matrix(np.zeros((d, d)), np.moveaxis(k.reshape(d, d, -1), -1, 0))
-        generator /= tau
-        self.generator = Liouvillian(generator, d)
+        self.generator = Liouvillian.from_jumps(np.zeros((d, d)),
+                                                np.moveaxis(k.reshape(d, d, -1), -1, 0))
+        self.generator.values[:] /= tau
 
         k_conj = k.conj()
 
@@ -177,7 +177,7 @@ class CollisionEngine:
         """Advance one cycle, ``rho + tau G(rho)``; returns the new state and its energy ledger."""
         rho_sys = np.asarray(rho_sys, dtype=complex)
         r = vec(rho_sys)
-        change = self.cfg.tau * unvec(self.generator.matrix @ r, self.d_sys)
+        change = self.cfg.tau * unvec(self.generator.apply(r), self.d_sys)
         after_l, after_r, dw_int = map(float, (self._ledger @ r).real)
         dq_l = self._energy_before[0] - after_l
         dq_r = self._energy_before[1] - after_r

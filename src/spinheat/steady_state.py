@@ -4,8 +4,10 @@ The steady manifold is the numerical null space of the vectorized
 generator.  Conserved quantities (the magnetization of xxz chains, the
 never-flipped middle spins of ising chains) make the generator block
 diagonal in the basis ``|i><j|``, so every factorization here runs on the
-connected components of its sparsity pattern, one block at a time; blocks
-of one size go through one stacked LAPACK call.
+connected components of its nonzero entries, one block at a time; blocks of
+one size are gathered from the entries into one stack and go through one
+stacked LAPACK call.  The norms, the finiteness check and the residual are
+taken from the same entries, so no ``d^2 x d^2`` matrix is formed here.
 
 When the kernel is one-dimensional the state is unique, and it is found by
 a trace-constrained ("bordered") linear solve: one row of the generator is
@@ -33,15 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    KERNEL_TOL,
-    KernelError,
-    blocks_of,
-    components,
-    hermitize,
-    sparsity,
-    svd_kernel,
-)
+from .linalg import KERNEL_TOL, KernelError, components, hermitize, svd_kernel
 from .lindblad import Liouvillian, build_liouvillian, unvec, vec
 from .models import BathSpec, ChainSpec, bath_f
 
@@ -89,12 +83,33 @@ def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
     return rho / tr
 
 
+def _blocks(liou: Liouvillian, idx: np.ndarray, bordered: bool = False) -> np.ndarray:
+    """Stack of the diagonal blocks ``L[c][:, c]`` for the rows ``c`` of ``idx``.
+
+    Every entry of ``L`` must join two indices of one row of ``idx``, or none;
+    with ``bordered``, the entries of row 0 are left out instead, as ``B``
+    replaces that row.
+    """
+    count, size = idx.shape
+    first = 1 if bordered else 0
+    where = np.full(liou.dim * liou.dim, -1)
+    where[idx.ravel()] = np.arange(idx.size)  # row of idx times size, plus place in it
+    at = np.repeat(where[first:], np.diff(liou.indptr[first:]))  # per entry, by its row
+    at *= size
+    at += where[liou.cols[liou.indptr[first]:]] % size
+    spare = count * size * size  # one slot past the stack takes the entries outside idx
+    at[at < 0] = spare
+    stack = np.zeros(spare + 1, dtype=complex)
+    stack[at] = liou.values[liou.indptr[first]:]
+    return stack[:-1].reshape(count, size, size)
+
+
 def _bordered(
-    m: np.ndarray, dim: int, tol: float, blocks: list[np.ndarray], scale: float, norm1: float
+    liou: Liouvillian, tol: float, blocks: list[np.ndarray], scale: float, norm1: float
 ) -> SteadyState | None:
     """Unique steady state from a bordered LU solve, or None when not trusted.
 
-    ``B`` is the generator ``m`` with row 0 replaced by ``vec(I)^T``, so
+    ``B`` is the generator ``L`` with row 0 replaced by ``vec(I)^T``, so
     ``B vec(rho) = e_0`` fixes ``Tr rho = 1`` in place of one redundant
     stationarity equation.  ``blocks`` are the components of the pattern of
     ``B`` (see ``components``); each block is solved on its own, with its
@@ -108,14 +123,15 @@ def _bordered(
     on its spectral norm, so this test is never looser than the SVD kernel
     threshold.
     """
-    n = m.shape[0]
+    dim = liou.dim
+    n = dim * dim
     rng = np.random.default_rng(PROBE_SEED)
     rhs = np.zeros((n, 1 + PROBES), dtype=complex)
     rhs[0, 0] = 1.0
     rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
     x = np.empty_like(rhs)
     for idx in blocks:
-        b = blocks_of(m, idx)
+        b = _blocks(liou, idx, bordered=True)
         if idx[0, 0] == 0:  # the block holding row 0 leads its group
             b[0, 0, :] = vec(np.eye(dim))[idx[0]]
         try:
@@ -129,7 +145,7 @@ def _bordered(
         return None
     rho = hermitize(unvec(x[:, 0], dim))
     rho = rho / float(np.trace(rho).real)
-    residual = float(np.linalg.norm(m @ vec(rho)))
+    residual = float(np.linalg.norm(liou.apply(vec(rho))))
     if not residual <= tol * scale * float(np.linalg.norm(rho)):
         return None
     min_eig = float(np.linalg.eigvalsh(rho)[0])
@@ -151,29 +167,33 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     any of its checks fails, each block of the generator goes through an SVD
     instead (``solver = "svd"``), which also handles degenerate kernels.
     ``largest_block`` is the size of the largest block either path factored.
+    The blocks, norms and residual all come from the generator's nonzero
+    entries; a non-finite entry raises ValueError.
 
     The SVD path raises KernelError when the kernel is empty at ``tol``, when
     the split between kernel and non-kernel singular values is not clean
     (factor ``GAP_FACTOR``), or when the resulting state violates positivity
     or stationarity beyond solver-noise bounds.
     """
-    m = np.asarray(liou.matrix, dtype=complex)
-    size = m.shape[0]
-    rows, cols = sparsity(m)
-    magnitude = np.abs(m[rows, cols])
+    cols = liou.cols
+    if not (np.all(np.isfinite(liou.values.real)) and np.all(np.isfinite(liou.values.imag))):
+        raise ValueError("generator contains non-finite entries")
+    size = liou.dim * liou.dim
+    magnitude = np.abs(liou.values)
     scale = float(np.sqrt(np.max(np.bincount(cols, magnitude ** 2, size))))
     # B: row 0 of L gives way to vec(I)^T, which ties every diagonal entry together
     diagonal = np.arange(liou.dim) * (liou.dim + 1)
-    kept = rows != 0
+    kept = slice(liou.indptr[1], None)  # the entries past row 0
     column_sums = np.bincount(cols[kept], magnitude[kept], size)
+    del magnitude
     column_sums[diagonal] += 1.0
-    bordered = components(np.concatenate((rows[kept], np.zeros_like(diagonal))),
+    bordered = components(np.concatenate((liou.rows[kept], np.zeros_like(diagonal))),
                           np.concatenate((cols[kept], diagonal)), size)
-    state = _bordered(m, liou.dim, tol, bordered, scale, float(np.max(column_sums)))
+    state = _bordered(liou, tol, bordered, scale, float(np.max(column_sums)))
     if state is not None:
         return state
-    blocks = components(rows, cols, size)
-    basis, s = svd_kernel(m, tol, blocks)
+    blocks = components(liou.rows, cols, size)
+    basis, s = svd_kernel([(idx, _blocks(liou, idx)) for idx in blocks], tol)
     k = basis.shape[1]
     if k < s.size:
         s_kernel = float(s[-k])  # singular values are sorted descending
@@ -184,7 +204,7 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
                 f"are separated by less than a factor {GAP_FACTOR:g}"
             )
     rho = _representative(basis, liou.dim)
-    residual = float(np.linalg.norm(m @ vec(rho)))
+    residual = float(np.linalg.norm(liou.apply(vec(rho))))
     smax = float(s[0]) if s.size else 0.0
     if residual > RESIDUAL_FACTOR * max(smax, 1.0):
         raise KernelError(f"steady-state residual {residual:.3e} is too large")

@@ -1,0 +1,76 @@
+"""Dense references for the entry-wise Liouvillian: the d^2 x d^2 builder and its helpers.
+
+``liouvillian_matrix`` writes the whole generator into one ``d^2 x d^2``
+buffer, the way the package did before it kept only the nonzero entries.  The
+tests hold the entry-wise builder and the block solve against it, through
+``dense``, ``from_dense``, ``sparsity`` and ``blocks_of``.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from spinheat import Liouvillian
+
+
+def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Dense superoperator of ``-i[h, .] + sum_k D_k`` under column stacking.
+
+    ``jumps`` is a list of ``d x d`` matrices or an ``(A, d, d)`` stack.  The
+    matrix is written into one ``d^2 x d^2`` buffer through its ``(d, d, d, d)``
+    view with axes ``[j, i, l, k]``, for row ``i + d j`` and column ``k + d l``.
+    The jump term ``sum_k conj(L_k) kron L_k`` goes in one row slab ``[j]`` at
+    a time, by a matmul into the slab.  The commutator and anticommutators
+    fold into ``h_eff = h - (i/2) sum_k L_k^dag L_k``; the rest,
+    ``-i (I kron h_eff) + i (conj(h_eff) kron I)``, goes on the two diagonal
+    index views.
+    """
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
+    h_eff = h - 0.5j * np.einsum("aki,akj->ij", stack.conj(), stack)
+    m = np.empty((d * d, d * d), dtype=complex)
+    view = m.reshape(d, d, d, d)
+    right = stack.transpose(1, 0, 2)  # [i, a, k] = L_a[i, k]
+    for j in range(d):
+        # view[j, i, l, k] = sum_a conj(L_a[j, l]) L_a[i, k]
+        np.matmul(stack[:, j, :].conj().T, right, out=view[j])
+    for r in range(d):
+        view[r, :, r, :] -= 1j * h_eff
+        view[:, r, :, r] += 1j * h_eff.conj()
+    return m
+
+
+def dense(liou: Liouvillian) -> np.ndarray:
+    """The ``dim^2 x dim^2`` matrix of a Liouvillian's entries."""
+    size = liou.dim * liou.dim
+    m = np.zeros((size, size), dtype=complex)
+    m[liou.rows, liou.cols] = liou.values
+    return m
+
+
+def sparsity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries of a complex matrix, row by row."""
+    nz = np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
+    return np.nonzero(nz[:, 0::2] | nz[:, 1::2])  # real or imaginary part
+
+
+def from_dense(m: np.ndarray, dim: int) -> Liouvillian:
+    """The Liouvillian holding the nonzero entries of a dense generator."""
+    m = np.asarray(m, dtype=complex)
+    rows, cols = sparsity(m)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m.shape[0]))))
+    return Liouvillian(indptr, cols, m[rows, cols], dim)
+
+
+def blocks_of(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Stack of the diagonal blocks ``m[c][:, c]`` for the rows ``c`` of ``idx``."""
+    return m[idx[:, :, None], idx[:, None, :]]
+
+
+def whole(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A square matrix as the one block of ``svd_kernel``'s ``(idx, stack)`` pairs."""
+    m = np.asarray(m)
+    return np.arange(m.shape[0])[None, :], m[None]

@@ -312,13 +312,13 @@ def test_one_way_street_flip_f_leaves_every_rate(drive):
 
 
 @st.composite
-def ising_bosonic_chains(draw):
-    """An ising chain of 2 to 5 sites between two random bosonic baths.
+def ising_bosonic_chains(draw, max_sites=5):
+    """An ising chain of 2 to ``max_sites`` sites between two random bosonic baths.
 
     Fields and bonds lie in [-1.5, 1.5] and are often exactly 0, which makes
     degenerate kernels of dimension up to 256.
     """
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_sites))
     value = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
     spec = ChainSpec(
         kind="ising", n=n, field=tuple(draw(value) for _ in range(n)),
@@ -340,6 +340,38 @@ def test_ising_bosonic_heat_is_minus_work_on_random_chains(drive):
     # g^2 omega of work in and gives it back as heat
     spec, baths = drive
     rep = current_report(spec, baths, steady_for(spec, baths))
+    assert abs(rep.f_energy) <= 1e-10
+    for bath, q, w in zip(baths, (rep.qdot_L, rep.qdot_R), (rep.wdot_L, rep.wdot_R)):
+        assert abs(q + bath.g ** 2 * bath.omega) <= 1e-10
+        assert abs(w - bath.g ** 2 * bath.omega) <= 1e-10
+
+
+@st.composite
+def ising_kernel_mixtures(draw):
+    """An ising chain of 2 to 4 sites, bosonic baths, and one weight per middle-spin configuration."""
+    spec, baths = draw(ising_bosonic_chains(max_sites=4))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** (spec.n - 2),
+                            max_size=2 ** (spec.n - 2)).filter(lambda w: sum(w) > 0.1))
+    return spec, baths, weights
+
+
+@settings(max_examples=25, deadline=None)
+@given(drive=ising_kernel_mixtures())
+def test_ising_bosonic_rates_do_not_depend_on_the_kernel_mixture(drive):
+    # the middle spins are never flipped, so the steady state restricted to one
+    # middle configuration is stationary on its own, and any convex mixture of
+    # those is too; each must give F = 0 and the same g^2 omega split
+    spec, baths, weights = drive
+    rho = steady_for(spec, baths).rho
+    middle = (np.arange(spec.dim) >> 1) % 2 ** (spec.n - 2)  # sites 1..n-2 of each basis state
+    mixture = np.zeros_like(rho)
+    for config, weight in enumerate(weights):
+        inside = middle == config
+        sector = np.where(inside[:, None] & inside[None, :], rho, 0.0)
+        mixture += weight * sector / np.trace(sector).real
+    mixture /= sum(weights)
+    assert np.max(np.abs(lindblad_action(spec, baths, mixture))) <= 1e-10
+    rep = current_report(spec, baths, mixture)
     assert abs(rep.f_energy) <= 1e-10
     for bath, q, w in zip(baths, (rep.qdot_L, rep.qdot_R), (rep.wdot_L, rep.wdot_R)):
         assert abs(q + bath.g ** 2 * bath.omega) <= 1e-10

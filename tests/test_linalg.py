@@ -21,9 +21,9 @@ from spinheat.linalg import (
     components,
     hermitize,
     require_hermitian,
-    sparsity,
     svd_kernel,
 )
+from dense_reference import blocks_of, sparsity, whole
 from test_ri import partial_trace  # test-side reference, kept next to JointEngine
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -161,13 +161,13 @@ def test_herm_expm_rejects_nonhermitian():
 
 
 def test_svd_kernel_zero_matrix():
-    basis, _ = svd_kernel(np.zeros((3, 3)))
+    basis, _ = svd_kernel([whole(np.zeros((3, 3)))])
     assert basis.shape == (3, 3)
     assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-13)
 
 
 def test_svd_kernel_rank_deficient_diagonal():
-    basis, singulars = svd_kernel(np.diag([1.0, 1.0, 1.0, 0.0]))
+    basis, singulars = svd_kernel([whole(np.diag([1.0, 1.0, 1.0, 0.0]))])
     assert basis.shape == (4, 1)
     assert singulars.shape == (4,)
     v = basis[:, 0]
@@ -179,7 +179,7 @@ def test_svd_kernel_of_dependent_columns():
     rng = np.random.default_rng(10)
     m = rng.normal(size=(5, 5))
     m[:, 2] = m[:, 0] + m[:, 1]  # columns dependent, so m^T has a kernel
-    basis, _ = svd_kernel(m.T)
+    basis, _ = svd_kernel([whole(m.T)])
     assert basis.shape == (5, 1)
     assert np.max(np.abs(m.T @ basis)) < 1e-10
 
@@ -188,7 +188,7 @@ def test_svd_kernel_raises_on_full_rank():
     from spinheat import KernelError
 
     with pytest.raises(KernelError):
-        svd_kernel(np.eye(3))
+        svd_kernel([whole(np.eye(3))])
 
 
 def test_components_of_a_one_way_pattern():
@@ -205,8 +205,8 @@ def test_svd_kernel_pools_block_singular_values():
     # whole matrix, though not against its own
     m = np.array([[1.0, 0.0, 1.0], [0.0, 1e-12, 0.0], [1.0, 0.0, 1.0]])
     groups = components(*sparsity(m), 3)
-    basis, singulars = svd_kernel(m, blocks=groups)
-    full, full_singulars = svd_kernel(m)
+    basis, singulars = svd_kernel([(idx, blocks_of(m, idx)) for idx in groups])
+    full, full_singulars = svd_kernel([whole(m)])
     assert basis.shape == full.shape == (3, 2)
     assert np.allclose(singulars, full_singulars, atol=1e-15)
     assert np.allclose(basis @ basis.conj().T, full @ full.conj().T, atol=1e-13)

@@ -12,14 +12,15 @@ from spinheat import (
     ChainSpec,
     bosonic_rates,
     build_hamiltonian,
+    Liouvillian,
     build_liouvillian,
     dissipator_action,
     jump_ops,
     lindblad_action,
-    liouvillian_matrix,
     unvec,
     vec,
 )
+from dense_reference import dense, liouvillian_matrix
 
 
 def random_hermitian(rng, d):
@@ -161,10 +162,10 @@ def test_matrix_matches_action():
     ]
     for spec, baths in cases:
         liou = build_liouvillian(spec, baths)
-        scale = np.linalg.norm(liou.matrix)
+        scale = np.linalg.norm(liou.values)
         for _ in range(3):
             rho = random_state(rng, spec.dim)
-            lhs = liou.matrix @ vec(rho)
+            lhs = liou.apply(vec(rho))
             rhs = vec(lindblad_action(spec, baths, rho))
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
@@ -214,6 +215,9 @@ def test_matrix_matches_einsum_reference_exactly(count, d):
     stack = integers(count, d, d)
     assert np.array_equal(liouvillian_matrix(h, stack), einsum_reference(h, stack))
     assert np.array_equal(liouvillian_matrix(h, list(stack)), einsum_reference(h, stack))
+    assert np.array_equal(dense(Liouvillian.from_jumps(h, stack)), einsum_reference(h, stack))
+    assert np.array_equal(dense(Liouvillian.from_jumps(h, list(stack))),
+                          einsum_reference(h, stack))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -234,7 +238,7 @@ def test_matrix_matches_kron_reference(n, kind, bath_kind):
                  BathSpec(side="R", kind="bosonic", beta=2.0, omega=1.3, g=0.3)]
     h = build_hamiltonian(spec)
     jumps = [L for b in baths for L in jump_ops(b, n)]
-    m = liouvillian_matrix(h, jumps)
+    m = dense(Liouvillian.from_jumps(h, jumps))
     assert np.max(np.abs(m - kron_reference(h, jumps))) <= 1e-14
 
 
@@ -243,7 +247,7 @@ def test_trace_preservation_left_kernel():
     spec = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.7, delta=0.3, h=0.2)
     baths = [BathSpec(side="L", f=0.4, gamma=1.0), BathSpec(side="R", f=-0.2, gamma=0.5)]
     liou = build_liouvillian(spec, baths)
-    left = vec(np.eye(spec.dim)).conj() @ liou.matrix
+    left = vec(np.eye(spec.dim)).conj() @ dense(liou)
     assert np.max(np.abs(left)) < 1e-12
 
 
@@ -252,7 +256,7 @@ def test_liouvillian_dimensions():
     baths = [BathSpec(side="L", f=0.1), BathSpec(side="R", f=0.0)]
     liou = build_liouvillian(spec, baths)
     assert liou.dim == 8
-    assert liou.matrix.shape == (64, 64)
+    assert dense(liou).shape == (64, 64)
 
 
 def test_one_bath_per_side_enforced():
@@ -267,10 +271,19 @@ def test_liouvillian_matrix_standalone():
     # single decaying qubit: analytic generator written out entry by entry
     gamma = 0.6
     L = math.sqrt(gamma) * np.array([[0, 1], [0, 0]], dtype=complex)
-    m = liouvillian_matrix(np.zeros((2, 2), dtype=complex), [L])
+    liou = Liouvillian.from_jumps(np.zeros((2, 2), dtype=complex), [L])
     rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
-    rhs = unvec(m @ vec(rho))
+    rhs = unvec(liou.apply(vec(rho)))
     expected = gamma * np.array(
         [[rho[1, 1], -rho[0, 1] / 2], [-rho[1, 0] / 2, -rho[1, 1]]]
     )
     assert np.allclose(rhs, expected, atol=1e-14)
+
+
+def test_apply_skips_empty_rows():
+    # a bare field leaves the population rows of L empty; only coherences rotate
+    h = np.diag([0.0, 1.0]).astype(complex)
+    liou = Liouvillian.from_jumps(h, [])
+    assert np.diff(liou.indptr).tolist() == [0, 1, 1, 0]
+    rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
+    assert np.allclose(unvec(liou.apply(vec(rho))), -1j * (h @ rho - rho @ h), atol=1e-15)

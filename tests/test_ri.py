@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinheat import (
@@ -28,7 +28,9 @@ from spinheat import (
     trace_distance,
 )
 from spinheat.bathops import RI_MARGIN, RI_TAIL, bath_copy
+from spinheat.linalg import KERNEL_TOL
 from spinheat.cli import build_bath, build_chain, load_config
+from dense_reference import dense
 
 XXZ3 = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.0, delta=1.0)
 SPIN_PAIR = [
@@ -193,7 +195,7 @@ def test_kraus_engine_matches_joint_space_reference(case):
     engine = CollisionEngine(spec, baths, cfg)
     ref = JointEngine(spec, baths, cfg)
     d = engine.d_sys
-    phi = np.eye(d * d) + cfg.tau * engine.generator.matrix
+    phi = np.eye(d * d) + cfg.tau * dense(engine.generator)
     assert np.max(np.abs(phi - ref.superoperator())) <= 1e-13
     rho = random_state(np.random.default_rng(seed), engine.d_sys)
     _, log = engine.step(rho)
@@ -410,8 +412,20 @@ def fixed_point_cases(draw):
     return spec, baths, RIConfig(tau=draw(st.floats(2.5e-3, 2e-2)), n_max=n_max)
 
 
+# h near 0 leaves x_1 x_2 almost conserved: phi has an eigenvalue 1.5e-10 from
+# 1, inside an absolute 1e-9 of it, but its generator's singular value stays
+# above the solver's relative cut, so the fixed space is one-dimensional
+SLOW_MODE_DRAW = (
+    ChainSpec(kind="ising", n=2, Delta=0.8, h=6.1e-5),
+    [BathSpec(side="L", kind="bosonic", beta=2.5, omega=2.0, g=0.6),
+     BathSpec(side="R", kind="bosonic", beta=2.0, omega=1.5, g=0.3)],
+    RIConfig(tau=1 / 64, n_max=5),
+)
+
+
 @settings(max_examples=12, deadline=None)
 @given(case=fixed_point_cases())
+@example(case=SLOW_MODE_DRAW)
 def test_direct_fixed_point_matches_iterated_map(case):
     spec, baths, cfg = case
     state, history = ri_fixed_point(spec, baths, cfg)
@@ -421,11 +435,10 @@ def test_direct_fixed_point_matches_iterated_map(case):
     direct, iterated = ri_rates(history, cfg.tau), ri_rates([log], cfg.tau)
     for key, value in iterated.items():
         assert abs(direct[key] - value) <= 1e-7
-    # the fixed space of the map: eigenvalues of phi at 1
-    d = engine.d_sys
-    phi = np.eye(d * d) + cfg.tau * engine.generator.matrix
-    unit = np.abs(np.linalg.eigvals(phi) - 1.0) <= 1e-9
-    assert state.nullspace_dim == int(np.count_nonzero(unit))
+    # the fixed space of the map: the kernel of its generator, counted on a
+    # full SVD of the dense matrix by the solver's relative criterion
+    singular = np.linalg.svd(dense(engine.generator), compute_uv=False)
+    assert state.nullspace_dim == int(np.count_nonzero(singular <= KERNEL_TOL * singular[0]))
 
 
 def test_fixed_space_of_ising_spin_n3_is_degenerate():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +18,20 @@ from spinheat import (
     ChainSpec,
     KernelError,
     Liouvillian,
+    build_hamiltonian,
     build_liouvillian,
+    jump_ops,
     lindblad_action,
     solve_steady,
     steady_for,
     unvec,
     vec,
 )
-from spinheat.linalg import blocks_of, components, sparsity, svd_kernel
+from spinheat.linalg import components, svd_kernel
+from spinheat.steady_state import _blocks
+from dense_reference import blocks_of, dense, from_dense, liouvillian_matrix, sparsity, whole
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SPIN_PAIR = [
     BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
@@ -35,11 +45,23 @@ BOSON_PAIR = [
 
 def svd_reference(liou):
     """Full-SVD kernel and its projection of the maximally mixed state."""
-    basis, _ = svd_kernel(liou.matrix)
+    basis, _ = svd_kernel([whole(dense(liou))])
     w = basis @ (basis.conj().T @ vec(np.eye(liou.dim) / liou.dim))
     rho = unvec(w, liou.dim)
     rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real, basis.shape[1]
+
+
+def dense_path(spec, baths):
+    """The solve on the nonzero entries of the dense reference generator."""
+    h = build_hamiltonian(spec)
+    jumps = [L for b in baths for L in jump_ops(b, spec.n)]
+    return solve_steady(from_dense(liouvillian_matrix(h, jumps), spec.dim))
+
+
+def same_path(state, ref):
+    assert (state.solver, state.nullspace_dim, state.largest_block) == \
+        (ref.solver, ref.nullspace_dim, ref.largest_block)
 
 
 def check_state(spec, baths, state):
@@ -171,9 +193,9 @@ def test_degenerate_ising_kernel_takes_the_svd_path(n, baths):
 
 
 def split(liou):
-    """Components of the generator, checked to hold every entry of it."""
-    m = liou.matrix
-    groups = components(*sparsity(m), m.shape[0])
+    """Components of the generator's entries, checked to hold every entry of it."""
+    m = dense(liou)
+    groups = components(liou.rows, liou.cols, m.shape[0])
     rebuilt = np.zeros_like(m)
     for idx in groups:
         rebuilt[idx[:, :, None], idx[:, None, :]] = blocks_of(m, idx)
@@ -215,6 +237,7 @@ def test_bordered_matches_svd_projection(n, alpha, Delta, h, f_L, f_R, gamma_L, 
     state = solve_steady(liou)
     assert state.solver == "bordered"
     assert state.nullspace_dim == 1
+    same_path(state, dense_path(spec, baths))
     rho, k = svd_reference(liou)
     assert k == 1
     assert np.max(np.abs(state.rho - rho)) < 1e-12
@@ -258,9 +281,74 @@ def test_block_solve_matches_full_svd(chain):
     spec, baths = chain
     liou = build_liouvillian(spec, baths)
     state = solve_steady(liou)
+    same_path(state, dense_path(spec, baths))
     rho, k = svd_reference(liou)
     assert state.nullspace_dim == k
     assert np.max(np.abs(state.rho - rho)) < 1e-12
+
+
+def assert_blocks_match(liou, ref, tol):
+    """The builder's components and blocks, plain and bordered, against the dense reference's."""
+    groups = components(liou.rows, liou.cols, ref.shape[0])
+    assert [g.tolist() for g in groups] == \
+        [g.tolist() for g in components(*sparsity(ref), ref.shape[0])]
+    bordered = ref.copy()
+    bordered[0] = 0.0  # B's row 0 is not L's: the stacks leave it out
+    for idx in groups:
+        assert np.max(np.abs(_blocks(liou, idx) - blocks_of(ref, idx)), initial=0.0) <= tol
+        assert np.max(np.abs(_blocks(liou, idx, bordered=True) - blocks_of(bordered, idx)),
+                      initial=0.0) <= tol
+
+
+@st.composite
+def integer_generators(draw):
+    """Gaussian-integer h and jumps on random nonzero patterns, whose sums are exact."""
+    d = draw(st.sampled_from([2, 4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def integers(*shape):
+        density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+        mask = rng.random(shape) < density
+        return mask * (rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape))
+
+    h = integers(d, d)
+    return h + h.conj().T, integers(draw(st.integers(0, 6)), d, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator=integer_generators())
+def test_builder_blocks_equal_the_dense_reference_exactly(generator):
+    h, stack = generator
+    assert_blocks_match(Liouvillian.from_jumps(h, stack), liouvillian_matrix(h, stack), 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=driven_chains())
+def test_builder_blocks_match_the_dense_reference_on_chains(chain):
+    spec, baths = chain
+    h = build_hamiltonian(spec)
+    jumps = [L for b in baths for L in jump_ops(b, spec.n)]
+    assert_blocks_match(build_liouvillian(spec, baths), liouvillian_matrix(h, jumps), 1e-15)
+
+
+def test_xxz_six_sites_solves_in_small_memory():
+    # the d^2 x d^2 generator alone would take 256 MiB; its blocks take 43 MiB
+    code = """if True:
+        import resource
+        from spinheat import BathSpec, ChainSpec, steady_for
+        spec = ChainSpec(kind="xxz", n=6, alpha=1.0, Delta=0.5, h=0.1)
+        baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
+                 BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
+        state = steady_for(spec, baths)
+        print(state.solver, state.largest_block, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    solver, largest, peak_kib = proc.stdout.split()
+    assert (solver, largest) == ("bordered", "924")
+    assert int(peak_kib) / 1024 < 200
 
 
 def test_xxz_interior_driving_is_unique_for_small_f():
@@ -275,13 +363,13 @@ def test_solver_rejects_kernel_free_generator():
     # a strictly contracting map shifted away from stationarity: no kernel
     m = np.eye(4) * -1.0
     with pytest.raises(KernelError, match="no null space"):
-        solve_steady(Liouvillian(matrix=m, dim=2))
+        solve_steady(from_dense(m, 2))
 
 
 def test_residual_reported():
     spec = ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.4, h=0.1)
     state = steady_for(spec, SPIN_PAIR)
     liou = build_liouvillian(spec, SPIN_PAIR)
-    direct = float(np.linalg.norm(liou.matrix @ vec(state.rho)))
+    direct = float(np.linalg.norm(dense(liou) @ vec(state.rho)))
     assert state.residual == pytest.approx(direct, rel=1e-10)
-    assert state.residual < 1e-10 * np.linalg.norm(liou.matrix, 2)
+    assert state.residual < 1e-10 * np.linalg.norm(dense(liou), 2)
