@@ -108,8 +108,8 @@ def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarr
 def components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
     """Connected components of the graph on ``range(size)`` with edges ``rows[k]--cols[k]``.
 
-    Edges count in both directions, so the components of the nonzero pattern
-    of a matrix (see ``sparsity``) are the blocks over which it is block
+    Edges count in both directions, so the components of the nonzero entries
+    of a matrix are the blocks over which it is block
     diagonal after a symmetric permutation.  Components come back grouped by
     size: one ``(count, size)`` integer array per size, in ascending size
     order.  Each row holds one component's indices in ascending order, and

@@ -158,14 +158,12 @@ class Liouvillian:
         diagonal = row == col
         m[:, diagonal] -= 1j * h_eff[:, None]
         m[diagonal, :] += 1j * h_eff.conj()
-        if pos.size == n:  # full patterns: m[(i, k), (j, l)] is the [j, i, l, k] view of L
-            m = m.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(n, n)
-            nonzero = m != 0
-            counts = np.count_nonzero(nonzero, axis=1)
-            if nonzero.all():
-                cols, values = np.tile(np.arange(n), n), m.reshape(-1)
-            else:
-                cols, values = np.nonzero(nonzero)[1], m[nonzero]
+        if pos.size == n:  # full patterns: m[(i, k), (j, l)] is L[i + d j, k + d l]
+            view = m.reshape(d, d, d, d).transpose(2, 0, 3, 1)  # [j, i, l, k], row-major in L
+            nonzero = view != 0
+            counts = np.count_nonzero(nonzero, axis=(2, 3)).reshape(n)
+            cols = np.broadcast_to(np.arange(n).reshape(d, d), view.shape)[nonzero]
+            values = view[nonzero]
         else:
             nonzero = m != 0
             rows = (row[:, None] + d * row[None, :])[nonzero]

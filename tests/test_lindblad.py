@@ -256,7 +256,8 @@ def test_liouvillian_dimensions():
     baths = [BathSpec(side="L", f=0.1), BathSpec(side="R", f=0.0)]
     liou = build_liouvillian(spec, baths)
     assert liou.dim == 8
-    assert dense(liou).shape == (64, 64)
+    assert len(liou.indptr) == 65
+    assert liou.cols.max() < 64
 
 
 def test_one_bath_per_side_enforced():
