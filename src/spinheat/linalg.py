@@ -3,10 +3,11 @@
 Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
 from the handful of primitives in this module: the one Kronecker product
 ``kron_all``, which checks the dense cap before it allocates, Hermitian
-matrix exponentials, SVD-based null spaces of block-diagonal matrices and
-the connected components of a list of nonzero entries.  The steady-state
-solver splits its generator into those components and uses ``svd_kernel`` on
-the stacked blocks, only as the fallback behind its bordered LU solve, for
+matrix exponentials per connected component, so that exact zeros keep
+conserved blocks, SVD-based null spaces of block-diagonal matrices and the
+connected components of a list of nonzero entries.  The steady-state solver
+splits its generator into those components and uses ``svd_kernel`` on the
+stacked blocks, only as the fallback behind its bordered LU solve, for
 degenerate or ill-conditioned kernels.  All matrices are plain complex numpy
 arrays; no sparse backend is provided, and any request whose linear
 dimension exceeds ``MAX_DENSE_DIM`` is rejected up front.
@@ -93,16 +94,21 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Unitary ``exp(-i t h)`` of a Hermitian ``h`` via eigendecomposition.
+    """Unitary ``exp(-i t h)`` of a Hermitian ``h``, one connected component at a time.
 
-    Eigendecomposition is preferred over Pade-type scaling-and-squaring
-    here because every propagator in this package comes from a Hermitian
-    generator, and the spectral route gives machine-accurate unitarity.
+    Each of the ``components`` of the nonzero entries goes through one
+    stacked ``eigh`` per block size, for machine-accurate unitarity; entries
+    between components stay exactly zero, where one ``eigh`` of the whole
+    matrix would fill them with round-off and lose the conserved blocks.
     """
     m = require_hermitian(h, tol)
-    w, v = np.linalg.eigh(m)
-    phases = np.exp(-1j * float(t) * w)
-    return (v * phases) @ v.conj().T
+    out = np.zeros_like(m)
+    for idx in components(*np.nonzero(m), m.shape[0]):
+        block = (idx[:, :, None], idx[:, None, :])
+        w, v = np.linalg.eigh(m[block])
+        phases = np.exp(-1j * float(t) * w)
+        out[block] = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return out
 
 
 def components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:

@@ -24,10 +24,12 @@ and ``U`` is the joint propagator (Ciccarello et al., Phys. Rep. 954, 1
 ``G = (phi - I) / tau`` is a Lindblad generator with jumps ``K_ab / sqrt(tau)``
 and no Hamiltonian: ``Liouvillian.from_jumps`` builds its entries from the
 Kraus tensor, a cycle is ``rho + tau G(rho)`` applied entry by entry, and the
-fixed point is the kernel of ``G``, found by ``solve_steady``.  Each ledger
-row (a unit's energy after the cycle, the interaction energy before and
-after it, a bosonic unit's top-level weight) is a chain-space operator ``X``
-with the row ``Tr(X rho)``; no joint density matrix is ever formed.
+fixed point is the kernel of ``G``, found by ``solve_steady``.  ``herm_expm``
+gives ``U`` block by block, so ``U``, every ``K_ab`` and ``G`` keep the
+conserved blocks exactly.  Each ledger row (a unit's energy after the cycle,
+the interaction energy before and after it, a bosonic unit's top-level
+weight) is a chain-space operator ``X`` with the row ``Tr(X rho)``; no joint
+density matrix is ever formed.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Dense references for the entry-wise Liouvillian: the d^2 x d^2 builder and its helpers.
+"""Dense references for the block-wise kernels: the d^2 x d^2 builder and the exponential.
 
 ``liouvillian_matrix`` writes the whole generator into one ``d^2 x d^2``
 buffer, the way the package did before it kept only the nonzero entries.  The
 tests hold the entry-wise builder and the block solve against it, through
-``dense``, ``from_dense``, ``sparsity`` and ``blocks_of``.
+``dense``, ``from_dense``, ``sparsity`` and ``blocks_of``.  ``dense_expm``
+exponentiates a whole Hermitian matrix by one ``eigh``, the reference for the
+component-wise ``herm_expm``.
 """
 
 from __future__ import annotations
@@ -74,3 +76,9 @@ def whole(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A square matrix as the one block of ``svd_kernel``'s ``(idx, stack)`` pairs."""
     m = np.asarray(m)
     return np.arange(m.shape[0])[None, :], m[None]
+
+
+def dense_expm(h: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i t h)`` of a Hermitian ``h`` by one ``eigh`` of the whole matrix, blocks or not."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    return (v * np.exp(-1j * float(t) * w)) @ v.conj().T

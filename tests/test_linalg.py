@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat import (
     DimensionLimitError,
@@ -23,7 +25,7 @@ from spinheat.linalg import (
     require_hermitian,
     svd_kernel,
 )
-from dense_reference import blocks_of, sparsity, whole
+from dense_reference import blocks_of, dense_expm, sparsity, whole
 from test_ri import partial_trace  # test-side reference, kept next to JointEngine
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -158,6 +160,41 @@ def test_herm_expm_unitary_and_group_property():
 def test_herm_expm_rejects_nonhermitian():
     with pytest.raises(HermiticityError):
         herm_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+@st.composite
+def permuted_block_hermitians(draw):
+    """A Hermitian matrix with random blocks (1 x 1 ones too), empty rows, permuted; with labels.
+
+    Entries of two indices with different labels are zero.  A scale of 0
+    gives the zero matrix.
+    """
+    size = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=size - 1))) if size > 1 else []
+    empty = sorted(draw(st.sets(st.integers(0, size - 1), max_size=3)))
+    scale = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = np.zeros((size, size), dtype=complex)
+    labels = np.zeros(size, dtype=int)
+    for label, (lo, hi) in enumerate(zip([0] + cuts, cuts + [size])):
+        a = rng.normal(size=(hi - lo, hi - lo)) + 1j * rng.normal(size=(hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = scale * (a + a.conj().T) / 2
+        labels[lo:hi] = label
+    m[empty, :] = 0
+    m[:, empty] = 0
+    labels[empty] = -1 - np.arange(len(empty))  # each empty row is its own component
+    perm = rng.permutation(size)
+    return m[perm][:, perm], labels[perm], draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=permuted_block_hermitians())
+def test_herm_expm_runs_per_component(case):
+    h, labels, t = case
+    u = herm_expm(h, t)
+    assert np.max(np.abs(u - dense_expm(h, t))) <= 1e-13
+    assert np.all(u[labels[:, None] != labels[None, :]] == 0)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(len(h)))) <= 1e-13
 
 
 def test_svd_kernel_zero_matrix():

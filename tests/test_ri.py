@@ -30,7 +30,8 @@ from spinheat import (
 from spinheat.bathops import RI_MARGIN, RI_TAIL, bath_copy
 from spinheat.linalg import KERNEL_TOL
 from spinheat.cli import build_bath, build_chain, load_config
-from dense_reference import dense
+from dense_reference import dense, dense_expm
+from test_steady_state import run_fresh
 
 XXZ3 = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.0, delta=1.0)
 SPIN_PAIR = [
@@ -94,9 +95,10 @@ class JointEngine:
 
     Kron layout ``[L unit] (x) chain (x) [R unit]``: each cycle conjugates
     ``g_L (x) rho (x) g_R`` by the joint propagator and traces the units out.
-    The joint Hamiltonian is summed in the engine's order, so both share the
-    propagator to the last bit and a comparison measures the contractions;
-    ``V / sqrt(tau)`` amplifies any propagator rounding in the ledger.
+    The propagator comes from one ``eigh`` of the whole joint Hamiltonian
+    (``dense_expm``), not from the engine's component-wise ``herm_expm``, so
+    a comparison also checks the engine's blocks; ``V / sqrt(tau)``
+    amplifies any propagator rounding in the ledger.
     """
 
     def __init__(self, spec, baths, cfg):
@@ -122,7 +124,7 @@ class JointEngine:
                 s_op = op_at(op_at(pauli(kind), site - 1, [2] * n), self.sys, self.dims)
                 v += copy.prefactor * (op_at(b_op, self.slot[side], self.dims) @ s_op)
         self.v = v / math.sqrt(cfg.tau)
-        self.u = herm_expm(h_tot + self.v, cfg.tau)
+        self.u = dense_expm(h_tot + self.v, cfg.tau)
         self.d = h_sys.shape[0]
 
     def joint(self, rho):
@@ -357,6 +359,37 @@ def test_fixed_point_diagnostics():
     assert state.residual < 0.05
     rho, _ = CollisionEngine(XXZ3, SPIN_PAIR, RIConfig(tau=0.01)).step(state.rho)
     assert trace_distance(rho, state.rho) <= 1e-12
+
+
+def test_collision_generator_keeps_the_conserved_blocks():
+    # flip-flop units conserve the joint magnetisation, and the propagator is
+    # exactly zero between its sectors, so every entry of the map's generator
+    # joins |i><j| and |k><l| of one magnetisation difference: 922 entries of
+    # d^4 = 4096, in blocks of at most 20
+    d = XXZ3.dim
+    engine = CollisionEngine(XXZ3, SPIN_PAIR, RIConfig(tau=0.01))
+    ups = np.array([bin(i).count("1") for i in range(d)])
+    difference = (ups[:, None] - ups[None, :]).ravel(order="F")  # of vec index i + d j
+    g = engine.generator
+    assert np.array_equal(difference[g.rows], difference[g.cols])
+    assert g.values.size < d ** 4
+    state, _ = ri_fixed_point(XXZ3, SPIN_PAIR, RIConfig(tau=0.01))
+    assert state.largest_block < d ** 2
+
+
+def test_xxz_five_site_collision_fixed_point_in_small_memory():
+    # one joint eigh of the 128 x 128 propagator fills the map's generator
+    # (d^4 = 1048576 entries, one block of 1024); per block it keeps its sectors
+    fields, peak_mib = run_fresh("""if True:
+        from spinheat import BathSpec, ChainSpec, RIConfig, ri_fixed_point
+        spec = ChainSpec(kind="xxz", n=5, alpha=1.0, Delta=0.5, h=0.1)
+        baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
+                 BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
+        state, _ = ri_fixed_point(spec, baths, RIConfig(tau=1e-2))
+        print(state.largest_block)
+    """)
+    assert fields == ["252"]
+    assert peak_mib < 85
 
 
 def iterate(engine, tol=1e-13, consecutive=3, max_cycles=200_000):
