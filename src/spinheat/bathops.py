@@ -111,13 +111,3 @@ def bath_copy(
         couplings=((position, "x"),),
         prefactor=float(b.g),
     )
-
-
-def check_gibbs_tail(copy: BathCopy, tail: float) -> None:
-    """Raise when the top retained Fock level carries more weight than ``tail``."""
-    top = float(copy.populations[-1])
-    if top > tail:
-        raise TruncationError(
-            f"bosonic truncation insufficient: the top Fock level holds weight "
-            f"{top:.3e}, above the target {tail:.1e}"
-        )

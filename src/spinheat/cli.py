@@ -515,17 +515,13 @@ def cmd_check_one_way(args) -> int:
             "check-one-way needs an [inversion] section "
             "(kind = identity | flip_f | flip_h | kappa_swap | custom)"
         )
-    if "sweep" in cfg:
-        parameter, grid = sweep_grid(cfg)
-    else:
-        parameter, grid = "Delta", None
+    parameter, grid = sweep_grid(cfg) if "sweep" in cfg else (None, [None])
     tol = args.tol if args.tol is not None else 1e-10
     if not 0 <= tol < np.inf:
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
 
     rows = []
-    values = grid if grid is not None else [None]
-    for value in values:
+    for value in grid:
         if value is None:
             spec = build_chain(cfg)
             baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
@@ -535,9 +531,10 @@ def cmd_check_one_way(args) -> int:
         flipped = inverted_baths(baths, inv)
         base = evaluate_point(spec, baths, value, KERNEL_TOL)
         other = evaluate_point(spec, flipped, value, KERNEL_TOL)
+        at = "" if parameter is None else f" at {parameter}={value}"
         for r in (base, other):
             if r["error"]:
-                raise KernelError(f"solver failed at {parameter}={value}: {r['error']}")
+                raise KernelError(f"solver failed{at}: {r['error']}")
         rows.append({
             "value": value,
             "F_base": base["F"],

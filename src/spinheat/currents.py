@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy, check_gibbs_tail
+from .bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
 from .linalg import expectation
 from .lindblad import dissipator_action, jump_ops
 from .models import BathSpec, ChainSpec, bath_f, build_hamiltonian
@@ -100,8 +100,6 @@ def _rate_operators(
     the formulas and the moments ``c_kl``, ``t_kl``.
     """
     copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
-    if bath.kind == "bosonic":
-        check_gibbs_tail(copy, 10.0 * CURRENT_TAIL)
     site = bath.boundary_site(spec.n)
     pairs = [(b_op, site_op(kind, site, spec.n)) for b_op, kind in copy.couplings]
     o_q = np.zeros_like(h)

@@ -7,10 +7,11 @@ matrix exponentials per connected component, so that exact zeros keep
 conserved blocks, SVD-based null spaces of block-diagonal matrices and the
 connected components of a list of nonzero entries.  The steady-state solver
 splits its generator into those components and uses ``svd_kernel`` on the
-stacked blocks, only as the fallback behind its bordered LU solve, for
-degenerate or ill-conditioned kernels.  All matrices are plain complex numpy
-arrays; no sparse backend is provided, and any request whose linear
-dimension exceeds ``MAX_DENSE_DIM`` is rejected up front.
+stacked blocks only where its bordered LU is refused: for a stationary
+coherence, two stationary states in one block, or an ill-conditioned kernel.
+All matrices are plain complex numpy arrays; no sparse backend is provided,
+and any request whose linear dimension exceeds ``MAX_DENSE_DIM`` is rejected
+up front.
 """
 
 from __future__ import annotations
@@ -63,11 +64,13 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     m = as_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
-        raise HermiticityError(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if dev > HERMITICITY_TOL:
+        raise HermiticityError(
+            f"matrix deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})"
+        )
     return m
 
 
@@ -93,7 +96,7 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
-def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary ``exp(-i t h)`` of a Hermitian ``h``, one connected component at a time.
 
     Each of the ``components`` of the nonzero entries goes through one
@@ -101,7 +104,7 @@ def herm_expm(h: np.ndarray, t: float, tol: float = HERMITICITY_TOL) -> np.ndarr
     between components stay exactly zero, where one ``eigh`` of the whole
     matrix would fill them with round-off and lose the conserved blocks.
     """
-    m = require_hermitian(h, tol)
+    m = require_hermitian(h)
     out = np.zeros_like(m)
     for idx in components(*np.nonzero(m), m.shape[0]):
         block = (idx[:, :, None], idx[:, None, :])

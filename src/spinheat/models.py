@@ -70,7 +70,7 @@ class ChainSpec:
             raise ValueError(f"chain kind must be one of {CHAIN_KINDS}, got {self.kind!r}")
         if self.n < 2:
             raise ValueError("the chain needs at least 2 sites")
-        check_dense_dim(4 ** self.n)  # the Liouvillian is the largest dense object
+        check_dense_dim(4 ** self.n)  # 4^n <= MAX_DENSE_DIM: chains of 2 to 6 sites
         if self.field is not None:
             object.__setattr__(self, "field", tuple(float(x) for x in self.field))
             if len(self.field) != self.n:

@@ -9,23 +9,25 @@ one size are gathered from the entries into one stack and go through one
 stacked LAPACK call.  The norms, the finiteness check and the residual are
 taken from the same entries, so no ``d^2 x d^2`` matrix is formed here.
 
-When the kernel is one-dimensional the state is unique, and it is found by
-a trace-constrained ("bordered") linear solve: one row of the generator is
-replaced by ``vec(I)^T`` and the system ``B vec(rho) = e_0`` is solved by an
-LU of each block of ``B``, the direct method of QuTiP's ``steadystate``
-(Johansson, Nation and Nori, CPC 184, 1234 (2013)).  The bordered result is
-accepted only when every LU is regular, a probe estimate of the condition
-number of ``B`` is small, the state is stationary to the kernel tolerance
-and it is positive.
+Every block is solved by a trace-constrained ("bordered") LU, the direct
+method of QuTiP's ``steadystate`` (Johansson, Nation and Nori, CPC 184, 1234
+(2013)) taken block by block: in each block that holds diagonal entries
+``|i><i|``, whose trace the generator preserves, one row gives way to that
+trace.  When each such block holds one stationary state and no other block
+any, the solutions span the kernel, one state per block; there are several
+for ising chains whose middle spins are never flipped (Buča and Prosen, NJP
+14, 073007 (2012)).  The result is accepted only when every LU is regular, a
+probe estimate of the condition number is small, the state is stationary to
+the kernel tolerance and it is positive.
 
-Anything else falls back to an SVD of each block of the generator, with the
-singular values pooled so that the kernel threshold and the gap rule are
-those of the whole matrix.  When the kernel is degenerate (which happens for
-diagonal chains whose middle spins are never flipped) that path returns a
-canonical representative: the projection of the maximally mixed state onto
-the kernel, hermitized and trace-normalized.  That choice is
-basis-independent and reproducible, and for the models here every physical
-current of interest is independent of the kernel mixture.
+Anything else (a stationary coherence, two stationary states in one block,
+an ill-conditioned kernel) falls back to an SVD of each block of the
+generator, with the singular values pooled so that the kernel threshold and
+the gap rule are those of the whole matrix.  Both paths return the same
+canonical representative of a degenerate kernel: the projection of the
+maximally mixed state onto the kernel, hermitized and trace-normalized.
+That choice is basis-independent and reproducible, and for the models here
+every physical current of interest is independent of the kernel mixture.
 """
 
 from __future__ import annotations
@@ -83,66 +85,79 @@ def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
     return rho / tr
 
 
-def _blocks(liou: Liouvillian, idx: np.ndarray, bordered: bool = False) -> np.ndarray:
+def _blocks(liou: Liouvillian, idx: np.ndarray) -> np.ndarray:
     """Stack of the diagonal blocks ``L[c][:, c]`` for the rows ``c`` of ``idx``.
 
-    Every entry of ``L`` must join two indices of one row of ``idx``, or none;
-    with ``bordered``, the entries of row 0 are left out instead, as ``B``
-    replaces that row.
+    Every entry of ``L`` must join two indices of one row of ``idx``, or none.
     """
     count, size = idx.shape
-    first = 1 if bordered else 0
     where = np.full(liou.dim * liou.dim, -1)
     where[idx.ravel()] = np.arange(idx.size)  # row of idx times size, plus place in it
-    at = np.repeat(where[first:], np.diff(liou.indptr[first:]))  # per entry, by its row
+    at = np.repeat(where, np.diff(liou.indptr))  # per entry, by its row
     at *= size
-    at += where[liou.cols[liou.indptr[first]:]] % size
+    at += where[liou.cols] % size
     spare = count * size * size  # one slot past the stack takes the entries outside idx
     at[at < 0] = spare
     stack = np.zeros(spare + 1, dtype=complex)
-    stack[at] = liou.values[liou.indptr[first]:]
+    stack[at] = liou.values
     return stack[:-1].reshape(count, size, size)
 
 
-def _bordered(
-    liou: Liouvillian, tol: float, blocks: list[np.ndarray], scale: float, norm1: float
-) -> SteadyState | None:
-    """Unique steady state from a bordered LU solve, or None when not trusted.
+def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray]) -> SteadyState | None:
+    """Steady state from one bordered LU per block, or None when not trusted.
 
-    ``B`` is the generator ``L`` with row 0 replaced by ``vec(I)^T``, so
-    ``B vec(rho) = e_0`` fixes ``Tr rho = 1`` in place of one redundant
-    stationarity equation.  ``blocks`` are the components of the pattern of
-    ``B`` (see ``components``); each block is solved on its own, with its
-    slice of the right-hand sides.  The same LUs also solve ``PROBES`` random
-    right-hand sides ``r``; ``norm1 max ||B^-1 r|| / ||r||``, with ``norm1 =
-    ||B||_1``, estimates the condition number of ``B`` from below and must
+    In ``B``, each of the ``blocks`` (see ``components``) that holds
+    diagonal entries has the row of its first one replaced by the block's
+    trace, so ``B x = e`` (``e`` is 1 on those rows) fixes each such trace
+    to 1 in place of one redundant stationarity equation.  The same LUs
+    solve ``PROBES`` random right-hand sides ``r``; ``||B||_1 max ||B^-1 r||
+    / ||r||`` estimates the condition number of ``B`` from below and must
     stay under ``1 / (GAP_FACTOR tol)``, the analogue of the SVD path's gap
-    rule.  A degenerate kernel makes ``B`` singular or near-singular, so it is
-    refused here.  The residual ``||L vec rho|| / ||rho||_F`` must be at most
-    ``tol`` times ``scale``, the largest column 2-norm of ``L``, a lower bound
-    on its spectral norm, so this test is never looser than the SVD kernel
-    threshold.
+    rule, so a block with a second stationary state is refused.  The state
+    is the projection of ``vec(I) / d`` onto the solutions ``x_c``,
+    ``sum_c x_c / ||x_c||^2`` scaled to the first, which keeps a unique
+    kernel's ``x_c`` as it is.  The residual ``||L vec rho|| / ||rho||_F``
+    must be at most ``tol`` times the largest column 2-norm of ``L``, a
+    lower bound on its spectral norm, so this test is never looser than the
+    SVD kernel threshold.
     """
     dim = liou.dim
     n = dim * dim
+    traces = np.zeros(n, dtype=bool)
+    traces[::dim + 1] = True  # the diagonal entries |i><i|
     rng = np.random.default_rng(PROBE_SEED)
     rhs = np.zeros((n, 1 + PROBES), dtype=complex)
-    rhs[0, 0] = 1.0
     rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
     x = np.empty_like(rhs)
+    kernel = []  # per group, the index rows of its traced blocks
     for idx in blocks:
-        b = _blocks(liou, idx, bordered=True)
-        if idx[0, 0] == 0:  # the block holding row 0 leads its group
-            b[0, 0, :] = vec(np.eye(dim))[idx[0]]
+        b = _blocks(liou, idx)
+        traced = traces[idx]
+        held = np.flatnonzero(traced.any(axis=1))
+        if held.size:
+            traced = traced[held]
+            first = traced.argmax(axis=1)  # place of each block's first diagonal entry
+            b[held, first] = traced
+            rhs[idx[held, first], 0] = 1.0
+            kernel.append(idx[held])
         try:
             x[idx] = np.linalg.solve(b, rhs[idx])
         except np.linalg.LinAlgError:  # exactly singular LU
             return None
+    magnitude = np.abs(liou.values)
+    scale = float(np.sqrt(np.max(np.bincount(liou.cols, magnitude ** 2, n))))
+    for r in np.flatnonzero(rhs[:, 0]):  # the rows of L that B replaces by traces
+        magnitude[liou.indptr[r]:liou.indptr[r + 1]] = 0.0
+    column_sums = np.bincount(liou.cols, magnitude, n)
+    column_sums[traces] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused below
         growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
-    cond = norm1 * float(np.max(growth))
+    cond = float(np.max(column_sums)) * float(np.max(growth))
     if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
         return None
+    norms = [np.sum(np.abs(x[i, 0]) ** 2, axis=1) for i in kernel]  # ||x_c||^2
+    for i, norm in zip(kernel, norms):
+        x[i, 0] *= (norms[0][0] / norm)[:, None]
     rho = hermitize(unvec(x[:, 0], dim))
     rho = rho / float(np.trace(rho).real)
     residual = float(np.linalg.norm(liou.apply(vec(rho))))
@@ -151,48 +166,33 @@ def _bordered(
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < MIN_EIG_FLOOR:
         return None
-    return SteadyState(rho=rho, residual=residual, nullspace_dim=1, min_eig=min_eig,
-                       solver="bordered", largest_block=_largest(blocks))
-
-
-def _largest(blocks: list[np.ndarray]) -> int:
-    return max(idx.shape[1] for idx in blocks)
+    return SteadyState(rho=rho, residual=residual, nullspace_dim=sum(map(len, norms)),
+                       min_eig=min_eig, solver="bordered", largest_block=blocks[-1].shape[1])
 
 
 def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
-    """Steady state of a Liouvillian: a bordered LU solve, else an SVD, block by block.
+    """Steady state of a Liouvillian: bordered LUs, else SVDs, block by block.
 
-    The bordered solve (see ``_bordered``) handles a unique, well-separated
-    kernel and reports ``nullspace_dim = 1`` and ``solver = "bordered"``.  When
-    any of its checks fails, each block of the generator goes through an SVD
-    instead (``solver = "svd"``), which also handles degenerate kernels.
-    ``largest_block`` is the size of the largest block either path factored.
-    The blocks, norms and residual all come from the generator's nonzero
-    entries; a non-finite entry raises ValueError.
+    The generator's entries are split into their ``components`` once.  The
+    bordered solve (see ``_bordered``) handles every kernel with one
+    well-separated stationary state per traced block and reports
+    ``solver = "bordered"``, with ``nullspace_dim`` the number of those
+    blocks.  When any of its checks fails, each block goes through an SVD
+    instead (``solver = "svd"``).  ``largest_block`` is the size of the
+    largest block.  The blocks, norms and residual all come from the
+    generator's nonzero entries; a non-finite entry raises ValueError.
 
     The SVD path raises KernelError when the kernel is empty at ``tol``, when
     the split between kernel and non-kernel singular values is not clean
     (factor ``GAP_FACTOR``), or when the resulting state violates positivity
     or stationarity beyond solver-noise bounds.
     """
-    cols = liou.cols
     if not (np.all(np.isfinite(liou.values.real)) and np.all(np.isfinite(liou.values.imag))):
         raise ValueError("generator contains non-finite entries")
-    size = liou.dim * liou.dim
-    magnitude = np.abs(liou.values)
-    scale = float(np.sqrt(np.max(np.bincount(cols, magnitude ** 2, size))))
-    # B: row 0 of L gives way to vec(I)^T, which ties every diagonal entry together
-    diagonal = np.arange(liou.dim) * (liou.dim + 1)
-    kept = slice(liou.indptr[1], None)  # the entries past row 0
-    column_sums = np.bincount(cols[kept], magnitude[kept], size)
-    del magnitude
-    column_sums[diagonal] += 1.0
-    bordered = components(np.concatenate((liou.rows[kept], np.zeros_like(diagonal))),
-                          np.concatenate((cols[kept], diagonal)), size)
-    state = _bordered(liou, tol, bordered, scale, float(np.max(column_sums)))
+    blocks = components(liou.rows, liou.cols, liou.dim * liou.dim)
+    state = _bordered(liou, tol, blocks)
     if state is not None:
         return state
-    blocks = components(liou.rows, cols, size)
     basis, s = svd_kernel([(idx, _blocks(liou, idx)) for idx in blocks], tol)
     k = basis.shape[1]
     if k < s.size:
@@ -208,24 +208,24 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     smax = float(s[0]) if s.size else 0.0
     if residual > RESIDUAL_FACTOR * max(smax, 1.0):
         raise KernelError(f"steady-state residual {residual:.3e} is too large")
-    eigs = np.linalg.eigvalsh(rho)
-    min_eig = float(eigs[0])
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < MIN_EIG_FLOOR:
         raise KernelError(f"steady state has a negative eigenvalue {min_eig:.3e}")
     return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig,
-                       solver="svd", largest_block=max(_largest(bordered), _largest(blocks)))
+                       solver="svd", largest_block=blocks[-1].shape[1])
 
 
 def steady_for(spec: ChainSpec, baths: Sequence[BathSpec], tol: float = KERNEL_TOL) -> SteadyState:
     """Build the Liouvillian of a driven chain and solve for its steady state.
 
-    For xxz chains with both couplings on and drivings strictly inside
-    (-1, 1) the steady state is unique; a degenerate kernel there signals
-    a numerical problem and raises instead of silently picking a mixture.
+    For xxz chains with hopping (``alpha != 0``), both couplings on and
+    drivings strictly inside (-1, 1) the steady state is unique; a degenerate
+    kernel there signals a numerical problem and raises instead of silently
+    picking a mixture.  Hopping-free chains conserve their middle spins.
     """
     liou = build_liouvillian(spec, baths)
     state = solve_steady(liou, tol)
-    if spec.kind == "xxz":
+    if spec.kind == "xxz" and spec.alpha != 0:
         expect_unique = all(
             b.gamma > 0 and abs(bath_f(b)) < 1.0 for b in baths if b.kind == "spin"
         ) and len(baths) == 2

@@ -148,6 +148,19 @@ def test_steady_with_hot_bosonic_baths(tmp_path, capsys):
     assert float(row["wdot_L"]) == pytest.approx(0.5 ** 2 * 1.0, rel=1e-10)
 
 
+def test_steady_hopping_free_xxz_chain(tmp_path, capsys):
+    # alpha = 0 leaves the chain diagonal: the middle spin is conserved and
+    # the kernel holds one state per value of it, which is not an error
+    cfg = tmp_path / "diagonal.ini"
+    cfg.write_text("[model]\nkind = xxz\nn = 3\nalpha = 0\nDelta = 0.5\n"
+                   "[bath_L]\nbeta = 1\nh = 0.7\ngamma = 1\n"
+                   "[bath_R]\nbeta = 2\nh = -0.4\ngamma = 0.8\n")
+    code, out, _ = run_cli(["steady", "--config", str(cfg)], capsys)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert (row["error"], row["nullspace_dim"]) == ("", "2")
+
+
 def test_config_without_anything_errors(capsys):
     code, _, err = run_cli(["steady"], capsys)
     assert code == 2
@@ -301,6 +314,22 @@ def test_check_one_way_needs_inversion_section(capsys):
     code, _, err = run_cli(["check-one-way", "--preset", "eq16"], capsys)
     assert code == 2
     assert "inversion" in err
+
+
+def test_check_one_way_failure_without_sweep_names_no_parameter(tmp_path, capsys, monkeypatch):
+    import spinheat.cli as cli_mod
+
+    def failing(spec, baths, tol):
+        raise cli_mod.KernelError("synthetic failure")
+
+    monkeypatch.setattr(cli_mod, "steady_for", failing)
+    cfg = tmp_path / "id.ini"
+    cfg.write_text("[inversion]\nkind = identity\n")
+    code, _, err = run_cli(
+        ["check-one-way", "--preset", "ising_spin_n2", "--config", str(cfg)], capsys
+    )
+    assert code == 3
+    assert "solver failed: KernelError: synthetic failure" in err
 
 
 def test_ri_converge_reports_first_order(tmp_path, capsys):

@@ -397,6 +397,19 @@ def test_hot_bosonic_baths_beyond_the_joint_space_cap():
     assert rep.wdot_R == pytest.approx(+w_r, rel=1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(beta_omega=st.floats(8e-3, 60.0), omega=st.floats(0.1, 3.0))
+def test_fock_cutoff_bounds_the_top_level_weight(beta_omega, omega):
+    # bose_n_max keeps at least ln(1 / tail) / (beta omega) + margin levels
+    # above the ground state, so the top one weighs at most
+    # tail e^{-margin beta omega}; the slack covers the rounding of the
+    # exponentials.  beta omega = 8e-3 is near the least the dense cap admits.
+    bath = BathSpec(side="L", kind="bosonic", beta=beta_omega / omega, omega=omega, g=0.3)
+    copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
+    bound = CURRENT_TAIL * math.exp(-CURRENT_MARGIN * bath.beta * bath.omega)
+    assert copy.populations[-1] <= bound * (1 + 1e-12)
+
+
 def test_ising_spin_all_rates_vanish():
     spec = ChainSpec(kind="ising", n=2, field=(0.6, 0.9), Delta=0.8)
     baths = [

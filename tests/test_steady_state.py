@@ -120,7 +120,7 @@ def test_ising_bosonic_three_sites_degenerate_kernel():
     )
     state = steady_for(spec, BOSON_PAIR)
     assert state.nullspace_dim == 2
-    assert state.solver == "svd"
+    assert state.solver == "bordered"
     check_state(spec, BOSON_PAIR, state)
     # canonical representative: flat within each middle-spin sector
     d = np.diag(state.rho).real
@@ -131,6 +131,18 @@ def test_ising_bosonic_three_sites_degenerate_kernel():
     assert np.max(np.abs(state.rho - np.diag(np.diag(state.rho)))) < 1e-10
     # the mix of the two sectors is the maximally mixed one
     assert np.max(np.abs(state.rho - np.eye(8) / 8)) < 1e-10
+
+
+def test_degenerate_kernel_projects_the_mixed_state_across_unequal_sectors():
+    # the populations of levels 0 and 1 relax to their mean, h dephases their
+    # coherences, and level 2 stays put: the sectors' stationary states have
+    # purities 1/2 and 1, so their solutions must be weighted by
+    # 1 / ||x_c||^2 to project I / 3, which lies in the kernel, onto itself
+    h = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+    state = solve_steady(Liouvillian.from_jumps(h, [flip]))
+    assert (state.solver, state.nullspace_dim) == ("bordered", 2)
+    assert np.max(np.abs(state.rho - np.eye(3) / 3)) < 1e-12
 
 
 def test_ising_spin_two_sites_product_state():
@@ -158,7 +170,7 @@ def test_ising_spin_three_sites_product_with_free_middle():
     )
     state = steady_for(spec, SPIN_PAIR)
     assert state.nullspace_dim == 2
-    assert state.solver == "svd"
+    assert state.solver == "bordered"
     f_l, f_r = bath_f(SPIN_PAIR[0]), bath_f(SPIN_PAIR[1])
     rho_l = np.diag([(1 + f_l) / 2, (1 - f_l) / 2])
     rho_r = np.diag([(1 + f_r) / 2, (1 - f_r) / 2])
@@ -174,16 +186,15 @@ def degenerate_ising(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("baths", [SPIN_PAIR, BOSON_PAIR], ids=["spin", "bosonic"])
-def test_degenerate_ising_kernel_takes_the_svd_path(n, baths):
+def test_degenerate_ising_kernel_takes_one_bordered_lu_per_sector(n, baths):
     # the n - 2 middle spins are never flipped: one stationary state per
     # middle configuration, represented by the projection of I / d
     spec = degenerate_ising(n)
     liou = build_liouvillian(spec, baths)
     state = solve_steady(liou)
-    assert state.solver == "svd"
+    assert state.solver == "bordered"
     assert state.nullspace_dim == 2 ** (n - 2)
-    # the refused bordered LU sees only the 2^n populations, which row 0 ties
-    # together, and the SVD only the generator's small blocks
+    # each middle configuration's populations form a block of their own
     assert state.largest_block <= 2 ** n
     check_state(spec, baths, state)
     if n <= 4:  # the full-SVD reference costs seconds beyond that
@@ -287,17 +298,48 @@ def test_block_solve_matches_full_svd(chain):
     assert np.max(np.abs(state.rho - rho)) < 1e-12
 
 
+@st.composite
+def degenerate_chains(draw):
+    # Ising chains whose n - 2 middle spins no bath flips, on a grid as in
+    # driven_chains.  Fields are odd multiples of 0.05 and bonds nonzero
+    # multiples of 0.1, so no site's field plus its bonds' can cancel: such a
+    # cancellation leaves a coherence stationary as well, and the kernel
+    # larger than one state per middle configuration.
+    n = draw(st.integers(3, 4))
+    field = st.integers(-10, 9).map(lambda k: (2 * k + 1) * 0.05)
+    bond = grid(-1.5, 1.5, 0.1).filter(bool)
+    spec = ChainSpec(kind="ising", n=n, field=tuple(draw(field) for _ in range(n)),
+                     bond_Delta=tuple(draw(bond) for _ in range(n - 1)),
+                     Delta13=draw(grid(-1.5, 1.5)) if n == 3 and draw(st.booleans()) else 0.0)
+    if draw(st.booleans()):
+        baths = [BathSpec(side=side, f=draw(grid(-0.95, 0.95)), gamma=draw(grid(0.2, 2.0)))
+                 for side in "LR"]
+    else:
+        baths = [BathSpec(side=side, kind="bosonic", beta=draw(grid(0.3, 3.0)),
+                          omega=draw(grid(0.5, 2.0)), g=draw(grid(0.2, 0.6)))
+                 for side in "LR"]
+    return spec, baths
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=degenerate_chains())
+def test_degenerate_kernels_take_the_bordered_path(chain):
+    spec, baths = chain
+    liou = build_liouvillian(spec, baths)
+    state = solve_steady(liou)
+    assert (state.solver, state.nullspace_dim) == ("bordered", 2 ** (spec.n - 2))
+    rho, k = svd_reference(liou)
+    assert k == state.nullspace_dim
+    assert np.max(np.abs(state.rho - rho)) < 1e-12
+
+
 def assert_blocks_match(liou, ref, tol):
-    """The builder's components and blocks, plain and bordered, against the dense reference's."""
+    """The builder's components and blocks against the dense reference's."""
     groups = components(liou.rows, liou.cols, ref.shape[0])
     assert [g.tolist() for g in groups] == \
         [g.tolist() for g in components(*sparsity(ref), ref.shape[0])]
-    bordered = ref.copy()
-    bordered[0] = 0.0  # B's row 0 is not L's: the stacks leave it out
     for idx in groups:
         assert np.max(np.abs(_blocks(liou, idx) - blocks_of(ref, idx)), initial=0.0) <= tol
-        assert np.max(np.abs(_blocks(liou, idx, bordered=True) - blocks_of(bordered, idx)),
-                      initial=0.0) <= tol
 
 
 @st.composite
@@ -360,6 +402,15 @@ def test_xxz_six_sites_solves_in_small_memory():
     """)
     assert fields == ["bordered", "924"]
     assert peak_mib < 200
+
+
+def test_hopping_free_xxz_chain_conserves_its_middle_spin():
+    # alpha = 0 makes the xxz chain diagonal, like an ising chain: no
+    # uniqueness is expected, and the kernel holds one state per middle spin
+    spec = ChainSpec(kind="xxz", n=3, alpha=0.0, Delta=0.5)
+    state = steady_for(spec, SPIN_PAIR)
+    assert (state.solver, state.nullspace_dim) == ("bordered", 2)
+    check_state(spec, SPIN_PAIR, state)
 
 
 def test_xxz_interior_driving_is_unique_for_small_f():
