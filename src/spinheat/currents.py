@@ -33,7 +33,7 @@ import numpy as np
 
 from .bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
 from .linalg import expectation
-from .lindblad import dissipator_action, jump_ops
+from .lindblad import _check_sides, dissipator_action, jump_ops
 from .models import BathSpec, ChainSpec, bath_f, build_hamiltonian
 from .operators import site_op, two_site_op
 from .steady_state import SteadyState
@@ -361,7 +361,7 @@ def entropy_production_rate(
     qdot_L: float, qdot_R: float, baths: Sequence[BathSpec]
 ) -> float:
     """Steady-state entropy production ``-(beta_L qdot_L + beta_R qdot_R)``."""
-    by_side = {b.side: b for b in baths}
+    by_side = _check_sides(baths)
     for side in "LR":
         if side not in by_side or by_side[side].beta is None:
             raise ValueError("entropy production needs a temperature for each bath")
@@ -397,7 +397,7 @@ def classify_regime(report: CurrentReport, baths: Sequence[BathSpec]) -> str:
     ``REGIME_TOL`` of zero are treated as zero, and any such marginal case,
     equal temperatures included, lands in "Other".
     """
-    by_side = {b.side: b for b in baths}
+    by_side = _check_sides(baths)
     bl, br = by_side.get("L"), by_side.get("R")
     if bl is None or br is None or bl.beta is None or br.beta is None:
         return "Other"
@@ -426,7 +426,7 @@ def current_report(spec: ChainSpec, baths: Sequence[BathSpec], state) -> Current
     (relative to the largest rate), which would mean the state passed in is
     not stationary or the bath description is inconsistent.
     """
-    by_side = {b.side: b for b in baths}
+    by_side = _check_sides(baths)
     if set(by_side) != {"L", "R"}:
         raise ValueError("a current report needs exactly one bath per side")
     rho = _density(state)

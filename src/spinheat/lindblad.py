@@ -181,7 +181,9 @@ def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian
     return Liouvillian.from_jumps(h, jumps)
 
 
-def _check_sides(baths: Sequence[BathSpec]) -> None:
-    sides = [b.side for b in baths]
-    if len(set(sides)) != len(sides):
+def _check_sides(baths: Sequence[BathSpec]) -> dict[str, BathSpec]:
+    """The baths keyed by side; two baths on one side raise ValueError."""
+    by_side = {b.side: b for b in baths}
+    if len(by_side) != len(baths):
         raise ValueError("at most one bath per side")
+    return by_side

@@ -26,10 +26,13 @@ and no Hamiltonian: ``Liouvillian.from_jumps`` builds its entries from the
 Kraus tensor, a cycle is ``rho + tau G(rho)`` applied entry by entry, and the
 fixed point is the kernel of ``G``, found by ``solve_steady``.  ``herm_expm``
 gives ``U`` block by block, so ``U``, every ``K_ab`` and ``G`` keep the
-conserved blocks exactly.  Each ledger row (a unit's energy after the cycle,
-the interaction energy before and after it, a bosonic unit's top-level
-weight) is a chain-space operator ``X`` with the row ``Tr(X rho)``; no joint
-density matrix is ever formed.
+conserved blocks exactly.  One pass over ``U`` writes the Kraus tensor, and
+the ledger never copies or conjugates it.  Each ledger row (a unit's heat,
+the interaction energy drop, a bosonic unit's top-level weight) is a linear
+functional ``Tr(X rho)`` of the chain state, with the d x d operator ``X``
+read from the Kraus tensor.  A unit's energy before the cycle enters its
+heat row as that energy times the identity, so no row carries an offset,
+and no joint density matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from .bathops import RI_MARGIN, RI_TAIL, BathCopy, TruncationError, bath_copy
-from .linalg import KERNEL_TOL, check_dense_dim, expectation, herm_expm, kron_all
-from .lindblad import Liouvillian, unvec, vec
+from .linalg import KERNEL_TOL, expectation, herm_expm, kron_all
+from .lindblad import Liouvillian, _check_sides, unvec, vec
 from .models import BathSpec, ChainSpec, build_hamiltonian
 from .operators import site_op
 from .steady_state import SteadyState, solve_steady
@@ -87,9 +90,7 @@ class CollisionEngine:
         self.cfg = cfg
         n = spec.n
         self.d_sys = d = spec.dim
-        by_side = {b.side: b for b in baths}
-        if len(by_side) != len(baths):
-            raise ValueError("at most one bath per side")
+        by_side = _check_sides(baths)
         if not by_side:
             raise ValueError("the collision protocol needs at least one bath")
         # joint layout [L unit] (x) chain (x) [R unit]; an absent side is a
@@ -103,8 +104,6 @@ class CollisionEngine:
             for side in ("L", "R")
         }
         d_l, d_r = units["L"].dim, units["R"].dim
-        check_dense_dim(d_l * d * d_r)
-        axis = {"L": 2, "R": 3}  # bath axes of the Kraus tensor below
 
         def joint(side: str, b_op: np.ndarray, s_op: np.ndarray) -> np.ndarray:
             factors = [np.eye(d_l), s_op, np.eye(d_r)]
@@ -113,39 +112,39 @@ class CollisionEngine:
 
         tau = cfg.tau
         h_tot = kron_all([np.eye(d_l), h_sys, np.eye(d_r)])
-        v_tot = np.zeros_like(h_tot)
         terms = []  # (side, coefficient, bath op, site op) of V = sum coef b (x) s
         for side, unit in units.items():
             h_tot += joint(side, np.diag(unit.energies), np.eye(d))
             for b_op, kind in unit.couplings:
                 s_op = site_op(kind, by_side[side].boundary_site(n), n)
-                v_tot += unit.prefactor * joint(side, b_op, s_op)
+                h_tot += joint(side, b_op, unit.prefactor * s_op) / math.sqrt(tau)
                 terms.append((side, unit.prefactor / math.sqrt(tau), b_op, s_op))
-        v_tot /= math.sqrt(tau)
-        h_tot += v_tot
         u = herm_expm(h_tot, tau)
-        del h_tot, v_tot
+        del h_tot
 
         # Kraus tensor k[i, j, a_L, a_R, b] = sqrt(p_b) <a_L i a_R| U |b_L j b_R>
-        # with b = (b_L, b_R) flattened
-        u = u.reshape(d_l, d, d_r, d_l, d, d_r).transpose(1, 4, 0, 2, 3, 5)
+        # with b = (b_L, b_R) flattened, written in one pass over U
         weights = np.sqrt(np.outer(units["L"].populations, units["R"].populations))
-        k = (u * weights).reshape(d, d, d_l, d_r, d_l * d_r)
+        k = np.empty((d, d, d_l * d_r * d_l * d_r), dtype=complex)
+        np.multiply(u.reshape(d_l, d, d_r, d_l, d, d_r).transpose(1, 4, 0, 2, 3, 5), weights,
+                    out=k.reshape(d, d, d_l, d_r, d_l, d_r))
         del u
 
         # jumps K_ab and no Hamiltonian give phi - I; the 1 / tau goes in place
-        self.generator = Liouvillian.from_jumps(np.zeros((d, d)),
-                                                np.moveaxis(k.reshape(d, d, -1), -1, 0))
+        self.generator = Liouvillian.from_jumps(np.zeros((d, d)), np.moveaxis(k, -1, 0))
         self.generator.values[:] /= tau
 
-        k_conj = k.conj()
-
         def after(side: str, b_op: np.ndarray, s_op: np.ndarray | None = None) -> np.ndarray:
-            """X with Tr(X rho) = Tr((b_op on the unit of side, s_op on the chain) rho_after)."""
-            ok = np.moveaxis(np.tensordot(b_op, k, axes=(1, axis[side])), 0, axis[side])
-            if s_op is not None:
-                ok = np.tensordot(s_op, ok, axes=(1, 0))
-            return np.tensordot(k_conj, ok, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+            """X with Tr(X rho) = Tr(O rho_after), O = b_op on the unit of side (x) s_op.
+
+            ``X = sum_ab (O K_ab)^dagger K_ab`` equals ``sum_ab K_ab^dagger O K_ab``
+            only for a Hermitian O, as every ledger operator is; so O K is conjugated, never k.
+            """
+            ok = k if s_op is None else np.tensordot(s_op, k, axes=(1, 0))
+            lead = d * d if side == "L" else d * d * d_l  # size of k's axes before a_side
+            ok = np.matmul(b_op, ok.reshape(lead, len(b_op), -1)).reshape(k.shape)
+            np.conjugate(ok, out=ok)
+            return np.matmul(ok, k.transpose(0, 2, 1)).sum(axis=0)
 
         # interaction energy Tr(V rho_before) - Tr(V rho_after) as one operator
         v_drop = np.zeros((d, d), dtype=complex)
@@ -153,11 +152,12 @@ class CollisionEngine:
             before = units[side].populations @ np.diag(b_op)
             v_drop += coef * (before * s_op - after(side, b_op, s_op))
         self._h_sys = h_sys
-        self._energy_before = [float(unit.populations @ unit.energies) for unit in units.values()]
-        # rows of (L energy after, R energy after, interaction energy drop);
-        # Tr(X rho) = X.ravel() @ vec(rho) in column stacking
+        # rows (L heat, R heat, interaction energy drop), Tr(X rho) = X.ravel() @ vec(rho);
+        # a heat row is the unit's energy before, times the identity, less its energy after
         self._ledger = np.array(
-            [after(side, np.diag(unit.energies)).ravel() for side, unit in units.items()]
+            [(float(unit.populations @ unit.energies) * np.eye(d)
+              - after(side, np.diag(unit.energies))).ravel()
+             for side, unit in units.items()]
             + [v_drop.ravel()]
         )
         self._top = {  # projector on the top Fock level
@@ -180,9 +180,7 @@ class CollisionEngine:
         rho_sys = np.asarray(rho_sys, dtype=complex)
         r = vec(rho_sys)
         change = self.cfg.tau * unvec(self.generator.apply(r), self.d_sys)
-        after_l, after_r, dw_int = map(float, (self._ledger @ r).real)
-        dq_l = self._energy_before[0] - after_l
-        dq_r = self._energy_before[1] - after_r
+        dq_l, dq_r, dw_int = map(float, (self._ledger @ r).real)
         de = expectation(self._h_sys, change)
         return rho_sys + change, CycleLog(
             dq_L=dq_l,

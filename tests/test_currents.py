@@ -227,6 +227,22 @@ def test_report_rejects_nonstationary_state():
         current_report(spec, baths, rho)
 
 
+def test_rates_reject_two_baths_on_one_side():
+    # the second left bath has the first's polarization, so the state stays
+    # stationary and only the side check can refuse the list
+    spec = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5, h=0.2)
+    left, right = BathSpec(side="L", beta=1.0, h=0.7), BathSpec(side="R", beta=2.0, h=-0.4)
+    state = steady_for(spec, [left, right])
+    report = current_report(spec, [left, right], state)
+    baths = [left, BathSpec(side="L", beta=0.5, h=1.4), right]
+    with pytest.raises(ValueError, match="at most one bath per side"):
+        current_report(spec, baths, state)
+    with pytest.raises(ValueError, match="at most one bath per side"):
+        entropy_production_rate(report.qdot_L, report.qdot_R, baths)
+    with pytest.raises(ValueError, match="at most one bath per side"):
+        classify_regime(report, baths)
+
+
 def test_ising_bosonic_exact_rates():
     # each bosonic bath pumps w = g^2 omega of work in and sends the same
     # amount back out as heat, independent of the chain parameters

@@ -232,9 +232,15 @@ def test_cycle_map_is_linear():
     b = random_state(rng, 8)
     mix = 0.3 * a + 0.7 * b
     out_mix, _ = engine.step(mix)
-    out_a, _ = engine.step(a)
-    out_b, _ = engine.step(b)
+    out_a, log_a = engine.step(a)
+    out_b, log_b = engine.step(b)
     assert np.max(np.abs(out_mix - (0.3 * out_a + 0.7 * out_b))) < 1e-12
+    # every ledger row is linear in rho, off the trace-one states too
+    out_comb, log_comb = engine.step(1.7 * a + 0.4 * b)
+    assert np.max(np.abs(out_comb - (1.7 * out_a + 0.4 * out_b))) < 1e-12
+    for name in ("dq_L", "dq_R", "dw", "dw_interaction"):
+        combined = 1.7 * getattr(log_a, name) + 0.4 * getattr(log_b, name)
+        assert abs(getattr(log_comb, name) - combined) < 1e-13
 
 
 def test_zero_coupling_reduces_to_unitary():
@@ -321,6 +327,42 @@ def test_rates_recovered_from_the_ledger():
     assert rates["wdot"] == pytest.approx(rep.wdot_L + rep.wdot_R, rel=0.05)
 
 
+def neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Value at 0 of the polynomial through the points ``(xs[i], ys[i])``."""
+    p = list(ys)
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - level):
+            p[i] = (xs[i + level] * p[i] - xs[i] * p[i + 1]) / (xs[i + level] - xs[i])
+    return p[0]
+
+
+@st.composite
+def small_tau_cases(draw):
+    n = draw(st.integers(2, 4))
+    spec = ChainSpec(kind="xxz", n=n, alpha=draw(st.floats(0.3, 1.5)),
+                     field=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(n)),
+                     bond_Delta=tuple(draw(st.floats(-1.5, 1.5)) for _ in range(n - 1)))
+    return spec, [_ri_bath(draw, side, "spin") for side in "LR"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_tau_cases())
+def test_ledger_rates_extrapolate_to_the_trace_formulas(case):
+    # the ledger rates are smooth in tau; the cubic through four of them is
+    # the tau -> 0 heat/work split of the master equation, to O(tau^4)
+    spec, baths = case
+    taus = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    rates = [ri_rates(ri_fixed_point(spec, baths, RIConfig(tau=tau))[1], tau) for tau in taus]
+    from spinheat import current_report, steady_for
+
+    rep = current_report(spec, baths, steady_for(spec, baths))
+    exact = {"qdot_L": rep.qdot_L, "qdot_R": rep.qdot_R, "wdot": rep.wdot_total}
+    # 1e-11 is the rounding floor of dq / tau at the smallest tau
+    tol = 1e-9 * max(map(abs, exact.values())) + 1e-11
+    for key, value in exact.items():
+        assert abs(neville_at_zero(taus, [r[key] for r in rates]) - value) <= tol
+
+
 def test_bosonic_collision_rate():
     # a bosonic unit pumps heat out at g^2 omega per unit time as tau -> 0
     spec = ChainSpec(kind="ising", n=2, field=(0.6, 0.9), Delta=0.8)
@@ -390,6 +432,21 @@ def test_xxz_five_site_collision_fixed_point_in_small_memory():
     """)
     assert fields == ["252"]
     assert peak_mib < 85
+
+
+def test_ising_boson_n2_collision_fixed_point_in_small_memory():
+    # one copy of U forms the Kraus tensor (joint dimension 968), and the
+    # ledger rows need two transient products of its size
+    fields, peak_mib = run_fresh("""if True:
+        from spinheat import RIConfig, ri_fixed_point
+        from spinheat.cli import build_bath, build_chain, load_config
+        cfg = load_config("ising_boson_n2", None)
+        spec, baths = build_chain(cfg), [build_bath(cfg, side) for side in "LR"]
+        state, _ = ri_fixed_point(spec, baths, RIConfig(tau=5e-3))
+        print(state.nullspace_dim)
+    """)
+    assert fields == ["1"]
+    assert peak_mib < 90
 
 
 def iterate(engine, tol=1e-13, consecutive=3, max_cycles=200_000):
