@@ -130,7 +130,8 @@ class Liouvillian:
         or the identity is nonzero.  ``G`` is one matrix product over those
         positions, ``sum_a L_a^dag L_a`` is read off its diagonal blocks, and
         the two ``h_eff`` terms are added after it, as in the dense
-        ``conj(L) kron L`` layout.
+        ``conj(L) kron L`` layout.  Up to round-off, which ``solve_steady`` checks, it preserves
+        Hermiticity: ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
         """
         h = np.asarray(h, dtype=complex)
         d = h.shape[0]

@@ -4,10 +4,14 @@ The steady manifold is the numerical null space of the vectorized
 generator.  Conserved quantities (the magnetization of xxz chains, the
 never-flipped middle spins of ising chains) make the generator block
 diagonal in the basis ``|i><j|``, so every factorization here runs on the
-connected components of its nonzero entries, one block at a time; blocks of
-one size are gathered from the entries into one stack and go through one
-stacked LAPACK call.  The norms, the finiteness check and the residual are
-taken from the same entries, so no ``d^2 x d^2`` matrix is formed here.
+connected components of its nonzero entries, one block at a time.  A
+Lindblad generator preserves Hermiticity, ``L(rho^dag) = L(rho)^dag``: with
+``flip: |i><j| -> |j><i|`` the components come in adjoint pairs ``c``,
+``flip[c]`` with conjugate blocks, and one LU per pair solves both.  The
+entries are checked for that symmetry first (else ValueError) and placed by
+one pass; the blocks of one size go through one stacked LAPACK call.  The
+norms, the finiteness check and the residual come from the same entries, so
+no ``d^2 x d^2`` matrix is formed here.
 
 Every block is solved by a trace-constrained ("bordered") LU, the direct
 method of QuTiP's ``steadystate`` (Johansson, Nation and Nori, CPC 184, 1234
@@ -57,6 +61,9 @@ RESIDUAL_FACTOR = 1e-8
 PROBE_SEED = 20130
 PROBES = 2
 
+# Largest |L[r, c] - conj L[flip r, flip c]| / max |L| accepted: one LU serves an adjoint pair.
+HERMITICITY_BOUND = 1e-14
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -85,25 +92,39 @@ def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
     return rho / tr
 
 
-def _blocks(liou: Liouvillian, idx: np.ndarray) -> np.ndarray:
-    """Stack of the diagonal blocks ``L[c][:, c]`` for the rows ``c`` of ``idx``.
+def _blocks(liou: Liouvillian, groups: list[np.ndarray], flip: np.ndarray):
+    """Per group of ``components``, the blocks a solve factors: ``(idx, paired, stack)``.
 
-    Every entry of ``L`` must join two indices of one row of ``idx``, or none.
+    ``stack`` holds ``L[c][:, c]`` for the rows ``c`` of ``idx``: those that are
+    their own adjoint, and the first of each adjoint pair (``paired``), whose
+    mirror ``flip[c]`` has the conjugate block.
     """
-    count, size = idx.shape
-    where = np.full(liou.dim * liou.dim, -1)
-    where[idx.ravel()] = np.arange(idx.size)  # row of idx times size, plus place in it
-    at = np.repeat(where, np.diff(liou.indptr))  # per entry, by its row
-    at *= size
-    at += where[liou.cols] % size
-    spare = count * size * size  # one slot past the stack takes the entries outside idx
-    at[at < 0] = spare
-    stack = np.zeros(spare + 1, dtype=complex)
-    stack[at] = liou.values
-    return stack[:-1].reshape(count, size, size)
+    label = np.empty(flip.size, dtype=np.intp)  # smallest index of each index's component
+    start, place = np.zeros((2, flip.size), dtype=np.intp)  # row offset in the stack; place
+    group = np.full(flip.size, len(groups))  # group of a gathered index; past the last if none
+    kept = []
+    for g, idx in enumerate(groups):
+        size, first = idx.shape[1], idx[:, 0]
+        label[idx] = first[:, None]
+        mate = label[flip[first]]  # smallest index of the mirror component, of the same size
+        rows = idx[mate >= first]  # its own adjoint, or first of its pair
+        start[rows] = np.arange(0, rows.size * size, size).reshape(rows.shape)
+        place[idx] = np.arange(size)
+        group[rows] = g
+        kept.append((rows, mate[mate >= first] > rows[:, 0]))
+    counts = np.diff(liou.indptr)
+    order = np.argsort(np.repeat(group, counts))  # the entries, group by group
+    at = (np.repeat(start, counts) + place[liou.cols])[order]
+    values = liou.values[order]
+    ends = np.cumsum(np.bincount(group, counts, len(groups) + 1)).astype(int).tolist()
+    for (rows, paired), lo, hi in zip(kept, [0] + ends, ends):
+        stack = np.zeros((len(rows), rows.shape[1], rows.shape[1]), dtype=complex)  # just in time
+        stack.reshape(-1)[at[lo:hi]] = values[lo:hi]
+        yield rows, paired, stack
 
 
-def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray]) -> SteadyState | None:
+def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
+              flip: np.ndarray) -> SteadyState | None:
     """Steady state from one bordered LU per block, or None when not trusted.
 
     In ``B``, each of the ``blocks`` (see ``components``) that holds
@@ -126,14 +147,16 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray]) -> Steady
     traces = np.zeros(n, dtype=bool)
     traces[::dim + 1] = True  # the diagonal entries |i><i|
     rng = np.random.default_rng(PROBE_SEED)
-    rhs = np.zeros((n, 1 + PROBES), dtype=complex)
-    rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
+    m = 1 + PROBES
+    rhs = np.zeros((n, 2 * m), dtype=complex)  # then the conjugated columns of the mirror index
+    rhs[:, 1:m] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
+    rhs[:, m:] = rhs[flip, :m].conj()  # no traced block is a pair's, so the trace rows can follow
     x = np.empty_like(rhs)
     kernel = []  # per group, the index rows of its traced blocks
-    for idx in blocks:
-        b = _blocks(liou, idx)
+    mates = []  # per group, the index rows whose mirrors are solved with them
+    for idx, paired, b in _blocks(liou, blocks, flip):
         traced = traces[idx]
-        held = np.flatnonzero(traced.any(axis=1))
+        held = traced.any(axis=1).nonzero()[0]
         if held.size:
             traced = traced[held]
             first = traced.argmax(axis=1)  # place of each block's first diagonal entry
@@ -144,18 +167,21 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray]) -> Steady
             x[idx] = np.linalg.solve(b, rhs[idx])
         except np.linalg.LinAlgError:  # exactly singular LU
             return None
+        mates.append(idx[paired])
+    mates = np.concatenate(mates, axis=None)
+    x[flip[mates], :m] = x[mates, m:].conj()  # a mirror's B is conj(b) in the order flip[idx]
     magnitude = np.abs(liou.values)
-    scale = float(np.sqrt(np.max(np.bincount(liou.cols, magnitude ** 2, n))))
-    for r in np.flatnonzero(rhs[:, 0]):  # the rows of L that B replaces by traces
+    scale = float(np.sqrt(np.bincount(liou.cols, magnitude ** 2, n).max()))
+    for r in rhs[:, 0].nonzero()[0]:  # the rows of L that B replaces by traces
         magnitude[liou.indptr[r]:liou.indptr[r + 1]] = 0.0
     column_sums = np.bincount(liou.cols, magnitude, n)
     column_sums[traces] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused below
-        growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
-    cond = float(np.max(column_sums)) * float(np.max(growth))
+        growth = np.linalg.norm(x[:, 1:m], axis=0) / np.linalg.norm(rhs[:, 1:m], axis=0)
+    cond = float(column_sums.max()) * float(growth.max())
     if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
         return None
-    norms = [np.sum(np.abs(x[i, 0]) ** 2, axis=1) for i in kernel]  # ||x_c||^2
+    norms = [(np.abs(x[i, 0]) ** 2).sum(axis=1) for i in kernel]  # ||x_c||^2
     for i, norm in zip(kernel, norms):
         x[i, 0] *= (norms[0][0] / norm)[:, None]
     rho = hermitize(unvec(x[:, 0], dim))
@@ -179,21 +205,34 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     ``solver = "bordered"``, with ``nullspace_dim`` the number of those
     blocks.  When any of its checks fails, each block goes through an SVD
     instead (``solver = "svd"``).  ``largest_block`` is the size of the
-    largest block.  The blocks, norms and residual all come from the
-    generator's nonzero entries; a non-finite entry raises ValueError.
+    largest block.  The blocks, norms and residual all come from the generator's
+    nonzero entries; a non-finite entry, or a broken Hermiticity, raises ValueError.
 
     The SVD path raises KernelError when the kernel is empty at ``tol``, when
     the split between kernel and non-kernel singular values is not clean
     (factor ``GAP_FACTOR``), or when the resulting state violates positivity
     or stationarity beyond solver-noise bounds.
     """
-    if not (np.all(np.isfinite(liou.values.real)) and np.all(np.isfinite(liou.values.imag))):
+    if not np.isfinite(liou.values).all():
         raise ValueError("generator contains non-finite entries")
-    blocks = components(liou.rows, liou.cols, liou.dim * liou.dim)
-    state = _bordered(liou, tol, blocks)
+    n = liou.dim * liou.dim
+    flip = np.arange(n).reshape(liou.dim, -1).ravel(order="F")  # |i><j| -> |j><i|
+    rows, cols = liou.rows, liou.cols
+    key, mirror = rows * n + cols, flip[rows] * n + flip[cols]  # key ascends
+    at = np.searchsorted(key, mirror) % max(key.size, 1)
+    lone = key[at] != mirror  # entries whose mirror is zero
+    defect = np.abs(liou.values - np.where(lone, 0.0, liou.values[at].conj()))
+    if defect.max(initial=0.0) > HERMITICITY_BOUND * np.abs(liou.values).max(initial=0.0):
+        raise ValueError("generator does not preserve Hermiticity")
+    if lone.any():  # their mirrors join the graph, so that flip maps components onto components
+        rows, cols = np.append(rows, flip[rows[lone]]), np.append(cols, flip[cols[lone]])
+    blocks = components(rows, cols, n)
+    del rows, cols, key, mirror, at, lone, defect  # the solves below need the memory
+    state = _bordered(liou, tol, blocks, flip)
     if state is not None:
         return state
-    basis, s = svd_kernel([(idx, _blocks(liou, idx)) for idx in blocks], tol)
+    basis, s = svd_kernel([pair for idx, paired, b in _blocks(liou, blocks, flip)
+                           for pair in ((idx, b), (flip[idx[paired]], b[paired].conj()))], tol)
     k = basis.shape[1]
     if k < s.size:
         s_kernel = float(s[-k])  # singular values are sorted descending

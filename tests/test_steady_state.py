@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from spinheat import (
     BathSpec,
     ChainSpec,
+    CollisionEngine,
     KernelError,
     Liouvillian,
+    RIConfig,
     build_hamiltonian,
     build_liouvillian,
     jump_ops,
@@ -28,7 +30,7 @@ from spinheat import (
     vec,
 )
 from spinheat.linalg import components, svd_kernel
-from spinheat.steady_state import _blocks
+from spinheat.steady_state import HERMITICITY_BOUND, _blocks
 from dense_reference import blocks_of, dense, from_dense, liouvillian_matrix, sparsity, whole
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -334,12 +336,19 @@ def test_degenerate_kernels_take_the_bordered_path(chain):
 
 
 def assert_blocks_match(liou, ref, tol):
-    """The builder's components and blocks against the dense reference's."""
+    """The builder's components and blocks against the dense reference's.
+
+    The gather returns one block of each adjoint pair; the other is its
+    conjugate in the mirrored index order.
+    """
     groups = components(liou.rows, liou.cols, ref.shape[0])
     assert [g.tolist() for g in groups] == \
         [g.tolist() for g in components(*sparsity(ref), ref.shape[0])]
-    for idx in groups:
-        assert np.max(np.abs(_blocks(liou, idx) - blocks_of(ref, idx)), initial=0.0) <= tol
+    flip = np.arange(ref.shape[0]).reshape(liou.dim, -1).ravel(order="F")
+    for idx, paired, stack in _blocks(liou, groups, flip):
+        assert np.max(np.abs(stack - blocks_of(ref, idx)), initial=0.0) <= tol
+        mirrors = blocks_of(ref, flip[idx[paired]])
+        assert np.max(np.abs(stack[paired].conj() - mirrors), initial=0.0) <= tol
 
 
 @st.composite
@@ -371,6 +380,98 @@ def test_builder_blocks_match_the_dense_reference_on_chains(chain):
     h = build_hamiltonian(spec)
     jumps = [L for b in baths for L in jump_ops(b, spec.n)]
     assert_blocks_match(build_liouvillian(spec, baths), liouvillian_matrix(h, jumps), 1e-15)
+
+
+def assert_preserves_hermiticity(liou):
+    """``|L[r, c] - conj L[flip r, flip c]|`` within the solver's bound, on the dense generator."""
+    m = dense(liou)
+    flip = np.arange(m.shape[0]).reshape(liou.dim, -1).ravel(order="F")  # |i><j| -> |j><i|
+    assert np.max(np.abs(m - m[flip][:, flip].conj())) <= HERMITICITY_BOUND * np.max(np.abs(m))
+
+
+@st.composite
+def lindblad_generators(draw):
+    """Random Hermitian h and up to 60 random sparse complex jumps, d = 2..16."""
+    d = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def sparse(*shape):
+        mask = rng.random(shape) < draw(st.sampled_from([0.05, 0.2, 0.6, 1.0]))
+        return mask * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    h = sparse(d, d)
+    return h + h.conj().T, sparse(draw(st.integers(0, 60)), d, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator=lindblad_generators())
+def test_builder_generators_preserve_hermiticity(generator):
+    # every Lindblad generator maps rho^dag to L(rho)^dag, entry by entry up to
+    # round-off; the solve relies on it and refuses a generator that does not
+    liou = Liouvillian.from_jumps(*generator)
+    assert_preserves_hermiticity(liou)
+    try:
+        solve_steady(liou)
+    except KernelError:  # a random generator may have an ill-separated kernel
+        pass
+
+
+def test_collision_generator_preserves_hermiticity():
+    engine = CollisionEngine(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.5), SPIN_PAIR,
+                             RIConfig(tau=0.05))
+    assert_preserves_hermiticity(engine.generator)
+    assert solve_steady(engine.generator).nullspace_dim == 1
+
+
+def test_generator_that_breaks_hermiticity_is_refused():
+    # |0><1| feeds |1><0| but not the other way round: no Lindblad generator
+    # does that, and the two blocks of that adjoint pair are not conjugate
+    m = np.zeros((4, 4))
+    m[1, 1] = m[2, 2] = -1.0
+    m[1, 2] = 0.5
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        solve_steady(from_dense(m, 2))
+
+
+def test_entry_without_mirror_below_the_bound_joins_the_blocks():
+    # a decaying qubit plus |0><0| -> |1><0| at 1e-17, whose mirror entry is
+    # absent: within the bound, it counts as a zero mirror, and its mirror edge
+    # joins the graph, so the components stay closed under |i><j| -> |j><i|
+    decay = np.array([[0, 1], [0, 0]], dtype=complex)
+    m = dense(Liouvillian.from_jumps(np.diag([0.0, 1.0]).astype(complex), [decay]))
+    m[1, 0] = 1e-17
+    state = solve_steady(from_dense(m, 2))
+    assert (state.solver, state.nullspace_dim, state.largest_block) == ("bordered", 1, 4)
+    assert np.max(np.abs(state.rho - np.diag([1.0, 0.0]))) < 1e-12
+
+
+def test_one_lu_per_adjoint_pair(monkeypatch):
+    # the magnetization sectors q and -q of an xxz chain are adjoint: one of
+    # each pair is factored, with the q = 0 sector, which is its own adjoint
+    seen = []
+    solve = np.linalg.solve
+
+    def record(a, b):
+        seen.extend([a.shape[-1]] * len(a))
+        return solve(a, b)
+
+    spec = ChainSpec(kind="xxz", n=5, alpha=1.1, h=0.0, bond_Delta=(0.3, -0.8, 1.1, 0.5))
+    liou = build_liouvillian(spec, SPIN_PAIR)
+    monkeypatch.setattr(np.linalg, "solve", record)
+    state = solve_steady(liou)
+    assert (state.solver, state.nullspace_dim) == ("bordered", 1)
+    assert sorted(seen) == [1, 10, 45, 120, 210, 252]
+
+
+def test_stationary_coherence_pair_is_refused_through_its_representative():
+    # |1><2| and |2><1| are stationary, each a block of its own, and adjoint:
+    # the LU of the one factored is singular, and the SVD sees both
+    h = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    decay = np.zeros((3, 3), dtype=complex)
+    decay[1, 0] = 1.0
+    state = solve_steady(Liouvillian.from_jumps(h, [decay]))
+    assert (state.solver, state.nullspace_dim) == ("svd", 4)
+    assert np.max(np.abs(state.rho - np.diag([0.0, 0.5, 0.5]))) < 1e-12
 
 
 def run_fresh(code: str) -> tuple[list[str], float]:
