@@ -323,22 +323,27 @@ def sweep_grid(cfg: dict[str, dict[str, str]]) -> tuple[str, np.ndarray]:
 
 
 def point_config(
-    cfg: dict[str, dict[str, str]], parameter: str, value: float
+    cfg: dict[str, dict[str, str]], parameter: str | None = None, value: float | None = None
 ) -> tuple[ChainSpec, list[BathSpec]]:
-    """Instantiate the model at one grid point of the swept parameter."""
-    cfg = copy.deepcopy(cfg)
-    target = SWEEPABLE[parameter]
-    if target is not None:
-        section, key = target
-        cfg.setdefault(section, {})[key] = repr(float(value))
-    elif parameter == "gamma":
-        for side in ("L", "R"):
-            cfg.setdefault(f"bath_{side}", {})["gamma"] = repr(float(value))
+    """Instantiate the model, at one grid point of the swept ``parameter`` when one is given.
+
+    Every bath must split heat from work (``require_decomposable``).
+    """
+    if parameter is not None:
+        cfg = copy.deepcopy(cfg)
+        target = SWEEPABLE[parameter]
+        if target is not None:
+            section, key = target
+            cfg.setdefault(section, {})[key] = repr(float(value))
+        elif parameter == "gamma":
+            for side in ("L", "R"):
+                cfg.setdefault(f"bath_{side}", {})["gamma"] = repr(float(value))
     spec = build_chain(cfg)
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     if parameter in ("f_L", "f_R"):
         side = parameter[-1]
         baths = [with_f(b, float(value)) if b.side == side else b for b in baths]
+    require_decomposable(baths)
     return spec, baths
 
 
@@ -386,17 +391,8 @@ def write_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out: str | 
         for row in rows:
             lines.append(",".join(_fmt(row.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
-    else:
-        clean = []
-        for row in rows:
-            item = {}
-            for c in columns:
-                v = row.get(c)
-                if isinstance(v, (np.floating, np.integer)):
-                    v = v.item()
-                item[c] = v
-            clean.append(item)
-        text = json.dumps(clean, indent=2) + "\n"
+    else:  # numpy floats are floats, and every count is an int
+        text = json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -404,48 +400,39 @@ def write_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out: str | 
             fh.write(text)
 
 
-def _run_grid(cfg, parameter, grid, tol, jobs) -> list[dict]:
-    def one(value: float) -> dict:
-        spec, baths = point_config(cfg, parameter, value)
+def _run_grid(points: list[tuple], tol: float, jobs: int) -> list[dict]:
+    """One row per ``(value, spec, baths)`` point, ``jobs`` points at a time, in point order."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+
+    def one(point: tuple) -> dict:
+        value, spec, baths = point
         return evaluate_point(spec, baths, value, tol)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, grid))  # map preserves grid order
-    return [one(v) for v in grid]
+            return list(pool.map(one, points))  # map preserves point order
+    return [one(p) for p in points]
 
 
 # -- inversions ---------------------------------------------------------------
 
 
-def _require_spin_pair(baths: list[BathSpec]) -> None:
-    if any(b.kind != "spin" for b in baths):
-        raise ConfigError("bath inversions are defined for spin baths only")
-
-
 def inverted_baths(baths: list[BathSpec], inv: dict[str, str]) -> list[BathSpec]:
-    """Apply the [inversion] section to a pair of baths."""
+    """Apply the [inversion] section to a pair of baths given by (beta, h)."""
     kind = inv.get("kind")
     if kind is None:
         raise ConfigError("[inversion] needs a 'kind' key")
     if kind == "identity":
         return list(baths)
-    _require_spin_pair(baths)
-    if kind == "flip_f":
-        out = []
-        for b in baths:
-            out.append(replace(b, h=-b.h) if b.decomposable else replace(b, f=-b.f))
-        return out
-    if kind == "flip_h":
-        if not all(b.decomposable for b in baths):
-            raise ConfigError("flip_h needs baths given by (beta, h)")
+    if any(b.kind != "spin" for b in baths):
+        raise ConfigError("bath inversions are defined for spin baths only")
+    if kind in ("flip_f", "flip_h"):  # f = -tanh(beta h / 2) flips with h
         return [replace(b, h=-b.h) for b in baths]
     by_side = {b.side: b for b in baths}
     if kind == "kappa_swap":
-        if not all(b.decomposable for b in baths):
-            raise ConfigError("kappa_swap needs baths given by (beta, h)")
         kappa_L = _get_number(inv, "kappa_L", "inversion")
         kappa_R = _get_number(inv, "kappa_R", "inversion")
         if kappa_L <= 0 or kappa_R <= 0:
@@ -456,8 +443,6 @@ def inverted_baths(baths: list[BathSpec], inv: dict[str, str]) -> list[BathSpec]
             replace(br, beta=kappa_L * bl.beta, h=bl.h / kappa_L),
         ]
     if kind == "custom":
-        if not all(b.decomposable for b in baths):
-            raise ConfigError("custom inversion needs baths given by (beta, h)")
         bl, br = by_side["L"], by_side["R"]
         def pick(key: str, default: float) -> float:
             return _get_number(inv, key, "inversion") if key in inv else default
@@ -488,9 +473,7 @@ def _kernel_tol(args) -> float:
 
 def cmd_steady(args) -> int:
     cfg = load_config(args.preset, args.config)
-    spec = build_chain(cfg)
-    baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
-    require_decomposable(baths)
+    spec, baths = point_config(cfg)
     row = evaluate_point(spec, baths, None, _kernel_tol(args))
     write_rows([row], COLUMNS, args.format, args.out)
     return 3 if row["error"] else 0
@@ -499,10 +482,8 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.preset, args.config)
     parameter, grid = sweep_grid(cfg)
-    require_decomposable(point_config(cfg, parameter, grid[0])[1])
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    rows = _run_grid(cfg, parameter, grid, _kernel_tol(args), args.jobs)
+    tol = _kernel_tol(args)
+    rows = _run_grid([(v, *point_config(cfg, parameter, v)) for v in grid], tol, args.jobs)
     write_rows(rows, COLUMNS, args.format, args.out)
     return 3 if all(r["error"] for r in rows) else 0
 
@@ -515,42 +496,30 @@ def cmd_check_one_way(args) -> int:
             "check-one-way needs an [inversion] section "
             "(kind = identity | flip_f | flip_h | kappa_swap | custom)"
         )
-    parameter, grid = sweep_grid(cfg) if "sweep" in cfg else (None, [None])
     tol = args.tol if args.tol is not None else 1e-10
     if not 0 <= tol < np.inf:
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
+    if "sweep" in cfg:
+        parameter, grid = sweep_grid(cfg)
+        points = [(v, *point_config(cfg, parameter, v)) for v in grid]
+    else:
+        parameter, points = None, [(None, *point_config(cfg))]
+    flipped = [(v, spec, inverted_baths(baths, inv)) for v, spec, baths in points]
+    solved = _run_grid(points + flipped, KERNEL_TOL, args.jobs)
 
     rows = []
-    for value in grid:
-        if value is None:
-            spec = build_chain(cfg)
-            baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
-        else:
-            spec, baths = point_config(cfg, parameter, value)
-        require_decomposable(baths)
-        flipped = inverted_baths(baths, inv)
-        base = evaluate_point(spec, baths, value, KERNEL_TOL)
-        other = evaluate_point(spec, flipped, value, KERNEL_TOL)
-        at = "" if parameter is None else f" at {parameter}={value}"
+    for base, other in zip(solved[:len(points)], solved[len(points):]):
         for r in (base, other):
             if r["error"]:
+                at = "" if parameter is None else f" at {parameter}={r['value']}"
                 raise KernelError(f"solver failed{at}: {r['error']}")
-        rows.append({
-            "value": value,
-            "F_base": base["F"],
-            "F_inverted": other["F"],
-            "dF": abs(base["F"] - other["F"]),
-            "dqdot_L": abs(base["qdot_L"] - other["qdot_L"]),
-            "dqdot_R": abs(base["qdot_R"] - other["qdot_R"]),
-            "dwdot_L": abs(base["wdot_L"] - other["wdot_L"]),
-            "dwdot_R": abs(base["wdot_R"] - other["wdot_R"]),
-            "dwdot_total": abs(base["wdot_total"] - other["wdot_total"]),
-        })
+        rows.append({"value": base["value"], "F_base": base["F"], "F_inverted": other["F"],
+                     **{c: abs(base[c[1:]] - other[c[1:]]) for c in DEVIATION_COLUMNS[3:]}})
 
     max_df = max(r["dF"] for r in rows)
     if args.out is not None or args.format == "json":
         write_rows(rows, DEVIATION_COLUMNS, args.format, args.out)
-    for key in ("dF", "dqdot_L", "dqdot_R", "dwdot_L", "dwdot_R", "dwdot_total"):
+    for key in DEVIATION_COLUMNS[3:]:
         peak = max(r[key] for r in rows)
         print(f"max |{key[1:]} change| = {_fmt(peak)}", file=sys.stderr)
     if max_df > tol:
@@ -570,9 +539,7 @@ RI_COLUMNS = (
 
 def cmd_ri_converge(args) -> int:
     cfg = load_config(args.preset, args.config)
-    spec = build_chain(cfg)
-    baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
-    require_decomposable(baths)
+    spec, baths = point_config(cfg)
     ri_sec = {"taus": "1e-2,5e-3,2.5e-3", **cfg.get("ri", {})}
     for key, cast in _RI_RETIRED.items():
         if key in ri_sec:
@@ -620,8 +587,6 @@ def cmd_ri_converge(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    if args.action != "list":
-        raise ConfigError(f"unknown presets action {args.action!r}")
     width = max(len(name) for name in PRESETS)
     for name, preset in PRESETS.items():
         print(f"{name:<{width}}  {preset['doc']}")
@@ -637,7 +602,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="grid points evaluated concurrently (output stays in grid order)")
+                        help="sweep/check-one-way: points evaluated concurrently (output stays in "
+                             "grid order); steady and ri-converge evaluate one point")
     parser.add_argument("--tol", type=float, default=None, metavar="X",
                         help="steady/sweep/ri-converge: kernel tolerance; check-one-way: "
                              "invariance tolerance (default 1e-10)")

@@ -4,7 +4,8 @@ Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
 from the handful of primitives in this module: the one Kronecker product
 ``kron_all``, which checks the dense cap before it allocates, Hermitian
 matrix exponentials per connected component, so that exact zeros keep
-conserved blocks, SVD-based null spaces of block-diagonal matrices and the
+conserved blocks (each block is checked for finiteness and Hermiticity on
+its own), SVD-based null spaces of block-diagonal matrices and the
 connected components of a list of nonzero entries.  The steady-state solver
 splits its generator into those components and uses ``svd_kernel`` on the
 stacked blocks only where its bordered LU is refused: for a stationary
@@ -52,28 +53,6 @@ def check_dense_dim(dim: int) -> None:
         )
 
 
-def as_matrix(a: np.ndarray) -> np.ndarray:
-    """Return ``a`` as a square complex ndarray, validating shape and finiteness."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # isfinite on real and imaginary parts separately: a .view(float) would
-    # choke on Fortran-ordered inputs such as transposes
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-def require_hermitian(a: np.ndarray) -> np.ndarray:
-    m = as_matrix(a)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > HERMITICITY_TOL:
-        raise HermiticityError(
-            f"matrix deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})"
-        )
-    return m
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part, ``(a + a^dagger) / 2``."""
     return (a + a.conj().T) / 2.0
@@ -97,18 +76,31 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i t h)`` of a Hermitian ``h``, one connected component at a time.
+    """Unitary ``exp(-i t h)`` of a square Hermitian ``h``, one connected component at a time.
 
     Each of the ``components`` of the nonzero entries goes through one
     stacked ``eigh`` per block size, for machine-accurate unitarity; entries
     between components stay exactly zero, where one ``eigh`` of the whole
     matrix would fill them with round-off and lose the conserved blocks.
+    Finiteness and Hermiticity are checked on the gathered blocks only: every
+    nonzero entry, ``nan`` and ``inf`` included, lies in one of them, and no
+    whole-matrix temporary is formed.
     """
-    m = require_hermitian(h)
+    m = np.asarray(h, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     out = np.zeros_like(m)
     for idx in components(*np.nonzero(m), m.shape[0]):
         block = (idx[:, :, None], idx[:, None, :])
-        w, v = np.linalg.eigh(m[block])
+        b = m[block]
+        if not np.isfinite(b).all():
+            raise ValueError("matrix contains non-finite entries")
+        dev = float(np.abs(b - b.conj().transpose(0, 2, 1)).max())
+        if dev > HERMITICITY_TOL:
+            raise HermiticityError(
+                f"matrix deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})"
+            )
+        w, v = np.linalg.eigh(b)
         phases = np.exp(-1j * float(t) * w)
         out[block] = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
     return out

@@ -134,7 +134,10 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
     solve ``PROBES`` random right-hand sides ``r``; ``||B||_1 max ||B^-1 r||
     / ||r||`` estimates the condition number of ``B`` from below and must
     stay under ``1 / (GAP_FACTOR tol)``, the analogue of the SVD path's gap
-    rule, so a block with a second stationary state is refused.  The state
+    rule, so a block with a second stationary state is refused.  The mirror
+    of a paired block is implied and never touched: it holds no diagonal
+    entry, so its part of the state is exactly 0, and its matrix ``conj(b)``
+    is conditioned exactly as ``b``, so its probe rows are zeroed.  The state
     is the projection of ``vec(I) / d`` onto the solutions ``x_c``,
     ``sum_c x_c / ||x_c||^2`` scaled to the first, which keeps a unique
     kernel's ``x_c`` as it is.  The residual ``||L vec rho|| / ||rho||_F``
@@ -147,14 +150,12 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
     traces = np.zeros(n, dtype=bool)
     traces[::dim + 1] = True  # the diagonal entries |i><i|
     rng = np.random.default_rng(PROBE_SEED)
-    m = 1 + PROBES
-    rhs = np.zeros((n, 2 * m), dtype=complex)  # then the conjugated columns of the mirror index
-    rhs[:, 1:m] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
-    rhs[:, m:] = rhs[flip, :m].conj()  # no traced block is a pair's, so the trace rows can follow
-    x = np.empty_like(rhs)
+    rhs = np.zeros((n, 1 + PROBES), dtype=complex)
+    rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
+    x = np.zeros_like(rhs)  # a mirror block is never solved, so its rows stay 0
     kernel = []  # per group, the index rows of its traced blocks
-    mates = []  # per group, the index rows whose mirrors are solved with them
     for idx, paired, b in _blocks(liou, blocks, flip):
+        rhs[flip[idx[paired]], 1:] = 0.0  # no probe of a mirror: conj(b) is conditioned as b
         traced = traces[idx]
         held = traced.any(axis=1).nonzero()[0]
         if held.size:
@@ -167,9 +168,6 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
             x[idx] = np.linalg.solve(b, rhs[idx])
         except np.linalg.LinAlgError:  # exactly singular LU
             return None
-        mates.append(idx[paired])
-    mates = np.concatenate(mates, axis=None)
-    x[flip[mates], :m] = x[mates, m:].conj()  # a mirror's B is conj(b) in the order flip[idx]
     magnitude = np.abs(liou.values)
     scale = float(np.sqrt(np.bincount(liou.cols, magnitude ** 2, n).max()))
     for r in rhs[:, 0].nonzero()[0]:  # the rows of L that B replaces by traces
@@ -177,7 +175,7 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
     column_sums = np.bincount(liou.cols, magnitude, n)
     column_sums[traces] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused below
-        growth = np.linalg.norm(x[:, 1:m], axis=0) / np.linalg.norm(rhs[:, 1:m], axis=0)
+        growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
     cond = float(column_sums.max()) * float(growth.max())
     if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
         return None

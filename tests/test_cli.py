@@ -80,20 +80,21 @@ def test_steady_json_format(capsys):
     assert rows[0]["f_L"] is not None
 
 
-def test_sweep_deterministic_and_parallel_identical(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["sweep", "check-one-way"])
+def test_sweep_deterministic_and_parallel_identical(tmp_path, capsys, command):
     cfg = tmp_path / "small.ini"
-    cfg.write_text("[sweep]\npoints = 7\n")
+    cfg.write_text("[sweep]\npoints = 7\n[inversion]\nkind = flip_f\n")
+    args = [command, "--preset", "eq16", "--config", str(cfg), "--format", "json"]
     outs = []
     for jobs in ("1", "4"):
-        code, out, _ = run_cli(
-            ["sweep", "--preset", "eq16", "--config", str(cfg), "--jobs", jobs], capsys
-        )
+        code, out, err = run_cli(args + ["--jobs", jobs], capsys)
         assert code == 0
-        outs.append(out)
+        outs.append((out, err))
     assert outs[0] == outs[1]
+    assert len(json.loads(outs[0][0])) == 7
     # and a repeat run is bit-identical
-    code, again, _ = run_cli(["sweep", "--preset", "eq16", "--config", str(cfg)], capsys)
-    assert again == outs[0]
+    code, again, err = run_cli(args, capsys)
+    assert (again, err) == outs[0]
 
 
 def test_sweep_writes_file(tmp_path, capsys):
@@ -166,15 +167,19 @@ def test_config_without_anything_errors(capsys):
     assert code == 2
 
 
-def test_f_only_bath_refused_with_explanation(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["steady", "sweep", "check-one-way", "ri-converge"])
+def test_f_only_bath_refused_with_explanation(tmp_path, capsys, command):
     cfg = tmp_path / "fonly.ini"
     cfg.write_text(
         "[model]\nkind = xxz\nn = 2\nalpha = 1\n"
         "[bath_L]\nf = 0.4\n[bath_R]\nbeta = 2\nh = -0.5\n"
+        "[sweep]\nparameter = Delta\nfrom = 0\nto = 1\npoints = 2\n"
+        "[inversion]\nkind = flip_f\n[ri]\ntaus = 2e-2, 1e-2, 5e-3\n"
     )
-    code, _, err = run_cli(["steady", "--config", str(cfg)], capsys)
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
     assert code == 2
     assert "heat" in err and "work" in err and "beta" in err
+    assert out == ""
 
 
 def test_fig1_requires_left_temperature(capsys, tmp_path):
@@ -285,6 +290,19 @@ def test_check_one_way_detects_broken_symmetry(tmp_path, capsys):
         ["check-one-way", "--preset", "fig1", "--config", str(cfg)], capsys
     )
     assert code == 4
+
+
+def test_check_one_way_flip_h_is_flip_f(tmp_path, capsys):
+    # on (beta, h) baths both inversions negate h
+    outs = []
+    for kind in ("flip_f", "flip_h"):
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(f"[bath_L]\nbeta = 1\n[inversion]\nkind = {kind}\n[sweep]\npoints = 3\n")
+        outs.append(run_cli(
+            ["check-one-way", "--preset", "fig1", "--config", str(cfg), "--format", "json"], capsys
+        ))
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0][1])) == 3
 
 
 def test_check_one_way_kappa_swap(tmp_path, capsys):
@@ -474,11 +492,17 @@ def test_check_one_way_accepts_zero_tol(tmp_path, capsys):
     assert "invariant within 0" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_jobs_must_be_at_least_one(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("command, jobs", [
+    pytest.param("sweep", "0", id="0"),
+    pytest.param("sweep", "-3", id="-3"),
+    pytest.param("check-one-way", "0", id="check-one-way-0"),
+    pytest.param("check-one-way", "-3", id="check-one-way--3"),
+])
+def test_sweep_jobs_must_be_at_least_one(tmp_path, capsys, command, jobs):
     cfg = tmp_path / "small.ini"
-    cfg.write_text(RI_CHAIN + "[sweep]\nparameter = Delta\nfrom = 0\nto = 1\npoints = 2\n")
-    code, out, err = run_cli(["sweep", "--config", str(cfg), "--jobs", jobs], capsys)
+    cfg.write_text(RI_CHAIN + "[sweep]\nparameter = Delta\nfrom = 0\nto = 1\npoints = 2\n"
+                   "[inversion]\nkind = flip_f\n")
+    code, out, err = run_cli([command, "--config", str(cfg), "--jobs", jobs], capsys)
     assert code == 2
     assert "config error:" in err and "--jobs" in err
     assert out == ""

@@ -14,6 +14,7 @@ from spinheat import (
     BathSpec,
     BoundaryRates,
     ChainSpec,
+    KernelError,
     bath_f,
     classify_regime,
     closed_form_currents_3site,
@@ -332,14 +333,20 @@ def ising_bosonic_chains(draw, max_sites=5):
     """An ising chain of 2 to ``max_sites`` sites between two random bosonic baths.
 
     Fields and bonds lie in [-1.5, 1.5] and are often exactly 0, which makes
-    degenerate kernels of dimension up to 256.
+    degenerate kernels of dimension up to 256.  The other fields are odd
+    multiples of 0.05 and the other bonds multiples of 0.1, as in
+    ``degenerate_chains``, so every boundary flip frequency is 0 or at least
+    0.05: a frequency near 0 but not 0 splits the kernel only far below the
+    tolerance, and the solver refuses such a chain (see
+    ``test_nearly_degenerate_dead_wire_is_refused_at_the_default_tolerance``).
     """
     n = draw(st.integers(2, max_sites))
-    value = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+    field = st.one_of(st.just(0.0), st.integers(-15, 14).map(lambda k: (2 * k + 1) * 0.05))
+    bond = st.one_of(st.just(0.0), st.integers(-15, 15).map(lambda k: k * 0.1))
     spec = ChainSpec(
-        kind="ising", n=n, field=tuple(draw(value) for _ in range(n)),
-        bond_Delta=tuple(draw(value) for _ in range(n - 1)),
-        Delta13=draw(value) if n == 3 else 0.0,
+        kind="ising", n=n, field=tuple(draw(field) for _ in range(n)),
+        bond_Delta=tuple(draw(bond) for _ in range(n - 1)),
+        Delta13=draw(bond) if n == 3 else 0.0,
     )
     baths = [
         BathSpec(side=side, kind="bosonic", beta=draw(st.floats(0.5, 3.0)),
@@ -360,6 +367,25 @@ def test_ising_bosonic_heat_is_minus_work_on_random_chains(drive):
     for bath, q, w in zip(baths, (rep.qdot_L, rep.qdot_R), (rep.wdot_L, rep.wdot_R)):
         assert abs(q + bath.g ** 2 * bath.omega) <= 1e-10
         assert abs(w - bath.g ** 2 * bath.omega) <= 1e-10
+
+
+def test_nearly_degenerate_dead_wire_is_refused_at_the_default_tolerance():
+    # at zero field the jumps leave a 4-dimensional kernel (I, x1, x2, x1 x2);
+    # fields of 1e-6 split it only at ~1e-11, below the default gap rule
+    spec = ChainSpec(kind="ising", n=2, field=(0.0, 1e-6), bond_Delta=(1e-6,))
+    baths = [BathSpec(side=side, kind="bosonic", beta=1.0, omega=1.0, g=0.125)
+             for side in ("L", "R")]
+    with pytest.raises(KernelError, match="ill-conditioned kernel"):
+        steady_for(spec, baths)
+    g2w = 0.125 ** 2
+    for tol, path in ((1e-13, ("bordered", 1)), (1e-9, ("svd", 4))):
+        state = steady_for(spec, baths, tol=tol)
+        assert (state.solver, state.nullspace_dim) == path
+        rep = current_report(spec, baths, state)
+        assert abs(rep.f_energy) <= 1e-10
+        for q, w in ((rep.qdot_L, rep.wdot_L), (rep.qdot_R, rep.wdot_R)):
+            assert abs(q + g2w) <= 1e-10
+            assert abs(w - g2w) <= 1e-10
 
 
 @st.composite

@@ -22,7 +22,6 @@ from spinheat.linalg import (
     check_dense_dim,
     components,
     hermitize,
-    require_hermitian,
     svd_kernel,
 )
 from dense_reference import blocks_of, dense_expm, sparsity, whole
@@ -162,6 +161,21 @@ def test_herm_expm_rejects_nonhermitian():
         herm_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+def test_herm_expm_rejects_non_finite_entries(bad):
+    # the bad entry sits in its own block, apart from a valid one
+    h = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    h[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        herm_expm(h, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_herm_expm_rejects_non_square_input(shape):
+    with pytest.raises(ValueError, match="square"):
+        herm_expm(np.zeros(shape), 1.0)
+
+
 @st.composite
 def permuted_block_hermitians(draw):
     """A Hermitian matrix with random blocks (1 x 1 ones too), empty rows, permuted; with labels.
@@ -271,9 +285,6 @@ def test_trace_distance_triangle_inequality():
 
 
 def test_hermitian_checks():
-    assert np.array_equal(require_hermitian(SZ), SZ)
-    with pytest.raises(HermiticityError):
-        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     fixed = hermitize(np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert np.array_equal(fixed, fixed.conj().T)
     assert np.isclose(fixed[0, 1], 1.0)
