@@ -5,10 +5,11 @@ Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``vec(A X B) = (B^T kron A) vec(X)``.  ``Liouvillian.from_jumps`` is the one
 superoperator builder: it builds this generator, and the collision map's of
 ``ri``, from the nonzero patterns of the d x d Hamiltonian and jumps, and
-keeps only the generator's nonzero entries, row by row.  Conserved
-quantities leave most of the ``d^4`` entries zero (6144 of 1048576 for an
-xxz chain of 5 sites with spin baths, 922 of 4096 for the collision map of
-one of 3 sites with spin units), and only the nonzero ones are kept.
+keeps only the generator's nonzero entries, as (row, column, value) triples
+sorted by row, then column.  Conserved quantities leave most of the ``d^4``
+entries zero (6144 of 1048576 for an xxz chain of 5 sites with spin baths,
+922 of 4096 for the collision map of one of 3 sites with spin units), and
+only the nonzero ones are kept.
 
 Both bath families reduce to jump-operator form:
 
@@ -100,21 +101,15 @@ def lindblad_action(spec: ChainSpec, baths: Sequence[BathSpec], rho: np.ndarray)
 class Liouvillian:
     """Nonzero entries of the column-stacked generator, ``vec(rho_dot) = L vec(rho)``.
 
-    The entries are stored row by row (compressed sparse rows): row ``r`` of
-    ``L`` holds ``values[indptr[r]:indptr[r + 1]]`` in the columns
-    ``cols[indptr[r]:indptr[r + 1]]``, ascending.  Every other entry of the
-    ``dim^2 x dim^2`` matrix is zero.
+    Entry ``e`` is ``L[rows[e], cols[e]] = values[e]``; the entries are sorted
+    by row, then column, and every other entry of the ``dim^2 x dim^2``
+    matrix is zero.
     """
 
-    indptr: np.ndarray
+    rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     dim: int  # Hilbert-space dimension; L acts on vectors of length dim^2
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Row of each entry."""
-        return np.repeat(np.arange(self.dim * self.dim), np.diff(self.indptr))
 
     @classmethod
     def from_jumps(cls, h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> Liouvillian:
@@ -159,18 +154,19 @@ class Liouvillian:
         m[:, diagonal] -= 1j * h_eff[:, None]
         m[diagonal, :] += 1j * h_eff.conj()
         a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
+        values = m[a, b]
+        del m  # the largest array of a collision build; the indices below need the memory
         rows, cols = row[a] + d * row[b], col[a] + d * col[b]
         order = np.argsort(rows * n + cols)
-        counts = np.bincount(rows, minlength=n)
-        return cls(np.concatenate(([0], np.cumsum(counts))), cols[order], m[a, b][order], d)
+        return cls(rows[order], cols[order], values[order], d)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``L v`` for a vector ``v`` of length ``dim^2``, summed row by row."""
         terms = self.values * np.asarray(v, dtype=complex)[self.cols]
         out = np.zeros(self.dim * self.dim, dtype=complex)
-        filled = np.flatnonzero(np.diff(self.indptr))
-        if filled.size:
-            out[filled] = np.add.reduceat(terms, self.indptr[filled])
+        if self.rows.size:  # one sum from the first entry of each row
+            starts = np.flatnonzero(np.r_[True, self.rows[1:] != self.rows[:-1]])
+            out[self.rows[starts]] = np.add.reduceat(terms, starts)
         return out
 
 

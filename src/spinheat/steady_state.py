@@ -8,8 +8,8 @@ connected components of its nonzero entries, one block at a time.  A
 Lindblad generator preserves Hermiticity, ``L(rho^dag) = L(rho)^dag``: with
 ``flip: |i><j| -> |j><i|`` the components come in adjoint pairs ``c``,
 ``flip[c]`` with conjugate blocks, and one LU per pair solves both.  The
-entries are checked for that symmetry first (else ValueError) and placed by
-one pass; the blocks of one size go through one stacked LAPACK call.  The
+entries are checked for that symmetry first (else ValueError) and gathered
+size by size; the blocks of one size go through one stacked LAPACK call.  The
 norms, the finiteness check and the residual come from the same entries, so
 no ``d^2 x d^2`` matrix is formed here.
 
@@ -99,27 +99,22 @@ def _blocks(liou: Liouvillian, groups: list[np.ndarray], flip: np.ndarray):
     their own adjoint, and the first of each adjoint pair (``paired``), whose
     mirror ``flip[c]`` has the conjugate block.
     """
-    label = np.empty(flip.size, dtype=np.intp)  # smallest index of each index's component
     start, place = np.zeros((2, flip.size), dtype=np.intp)  # row offset in the stack; place
     group = np.full(flip.size, len(groups))  # group of a gathered index; past the last if none
     kept = []
     for g, idx in enumerate(groups):
         size, first = idx.shape[1], idx[:, 0]
-        label[idx] = first[:, None]
-        mate = label[flip[first]]  # smallest index of the mirror component, of the same size
+        mate = flip[idx].min(axis=1)  # smallest index of the mirror component, of the same size
         rows = idx[mate >= first]  # its own adjoint, or first of its pair
         start[rows] = np.arange(0, rows.size * size, size).reshape(rows.shape)
         place[idx] = np.arange(size)
         group[rows] = g
         kept.append((rows, mate[mate >= first] > rows[:, 0]))
-    counts = np.diff(liou.indptr)
-    order = np.argsort(np.repeat(group, counts))  # the entries, group by group
-    at = (np.repeat(start, counts) + place[liou.cols])[order]
-    values = liou.values[order]
-    ends = np.cumsum(np.bincount(group, counts, len(groups) + 1)).astype(int).tolist()
-    for (rows, paired), lo, hi in zip(kept, [0] + ends, ends):
+    entry_group = group[liou.rows]
+    for g, (rows, paired) in enumerate(kept):
+        mask = entry_group == g
         stack = np.zeros((len(rows), rows.shape[1], rows.shape[1]), dtype=complex)  # just in time
-        stack.reshape(-1)[at[lo:hi]] = values[lo:hi]
+        stack.reshape(-1)[start[liou.rows[mask]] + place[liou.cols[mask]]] = liou.values[mask]
         yield rows, paired, stack
 
 
@@ -170,8 +165,8 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
             return None
     magnitude = np.abs(liou.values)
     scale = float(np.sqrt(np.bincount(liou.cols, magnitude ** 2, n).max()))
-    for r in rhs[:, 0].nonzero()[0]:  # the rows of L that B replaces by traces
-        magnitude[liou.indptr[r]:liou.indptr[r + 1]] = 0.0
+    replaced = rhs[:, 0] != 0  # the rows of L that B replaces by traces
+    magnitude[replaced[liou.rows]] = 0.0
     column_sums = np.bincount(liou.cols, magnitude, n)
     column_sums[traces] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused below

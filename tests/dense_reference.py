@@ -63,8 +63,7 @@ def from_dense(m: np.ndarray, dim: int) -> Liouvillian:
     """The Liouvillian holding the nonzero entries of a dense generator."""
     m = np.asarray(m, dtype=complex)
     rows, cols = sparsity(m)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m.shape[0]))))
-    return Liouvillian(indptr, cols, m[rows, cols], dim)
+    return Liouvillian(rows, cols, m[rows, cols], dim)
 
 
 def blocks_of(m: np.ndarray, idx: np.ndarray) -> np.ndarray:

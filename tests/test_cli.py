@@ -19,6 +19,7 @@ from spinheat.cli import (
     build_chain,
     load_config,
     main,
+    point_config,
     sweep_grid,
 )
 
@@ -208,6 +209,56 @@ def test_sweep_validation():
         sweep_grid({"sweep": {"parameter": "mass", "from": "0", "to": "1", "points": "3"}})
     with pytest.raises(ConfigError):
         sweep_grid({"sweep": {"parameter": "Delta", "from": "0", "to": "1", "points": "1"}})
+
+
+XXZ3 = {
+    "model": {"kind": "xxz", "n": "3", "alpha": "1", "Delta": "0.5"},
+    "bath_L": {"beta": "1", "h": "1"},
+    "bath_R": {"beta": "2", "h": "-0.5"},
+}
+
+
+def write_ini(path, cfg):
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+                            for name, sec in cfg.items()))
+    return str(path)
+
+
+def test_gamma_sweep_sets_both_bath_rates():
+    cfg = dict(XXZ3, sweep={"parameter": "gamma", "from": "0.2", "to": "1.4", "points": "3"})
+    parameter, grid = sweep_grid(cfg)
+    for value in grid:
+        _, baths = point_config(cfg, parameter, value)
+        assert [b.gamma for b in baths] == [value, value]
+
+
+def test_f_sweep_writes_the_driving_and_keeps_beta(tmp_path, capsys):
+    cfg = dict(XXZ3, sweep={"parameter": "f_L", "from": "-0.6", "to": "0.8", "points": "4"})
+    parameter, grid = sweep_grid(cfg)
+    for value in grid:
+        _, (left, right) = point_config(cfg, parameter, value)
+        assert left.beta == 1.0 and right.h == -0.5
+    code, out, _ = run_cli(["sweep", "--config", write_ini(tmp_path / "f.ini", cfg)], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert [float(r["value"]) for r in rows] == grid.tolist()
+    for r in rows:
+        assert r["error"] == ""
+        assert abs(float(r["f_L"]) - float(r["value"])) <= 1e-15
+
+
+@pytest.mark.parametrize("parameter, section, pin, reason", [
+    ("gamma", "bath_R", {"gamma": "0.5"}, "also fixed in a bath section"),
+    ("Delta", "model", {"Delta": None, "bond_Delta": "0.5, 0.7"}, "bond_Delta pins"),
+    ("h", "model", {"field": "0.1, 0.2, 0.3"}, "field pins"),
+])
+def test_sweep_refuses_a_parameter_another_key_pins(tmp_path, capsys, parameter, section, pin,
+                                                   reason):
+    cfg = dict(XXZ3, sweep={"parameter": parameter, "from": "0", "to": "1", "points": "2"})
+    cfg[section] = {k: v for k, v in {**cfg[section], **pin}.items() if v is not None}
+    code, out, err = run_cli(["sweep", "--config", write_ini(tmp_path / "pin.ini", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert reason in err
 
 
 def test_build_chain_and_bath_from_strings():

@@ -147,6 +147,18 @@ def test_zero_driving_means_zero_rates():
     assert cf.qdot_L == cf.qdot_R == cf.wdot_L == cf.wdot_R == 0.0
 
 
+@pytest.mark.parametrize("f", [0.3, -0.5, 0.8])
+def test_the_two_closed_forms_agree(f):
+    # at alpha = gamma = delta = 1, Delta = h = 0, the rate closed form at
+    # f_L = f = -f_R is the energy-current closed form at x = -y = -2 atanh f
+    h_L, h_R = 1.0, -0.5
+    left, right = opposite_driving_baths(f, h_L, h_R)
+    cf = closed_form_currents_3site(1.0, 1.0, 1.0, 0.0, f=f, h_L=h_L, h_R=h_R)
+    closed = energy_current_closed_form_3site(left.beta, h_L, right.beta, h_R)
+    assert abs(cf.f_energy - closed) <= 4e-16
+    assert abs(cf.wdot_total + cf.qdot_L + cf.qdot_R) <= 4e-16
+
+
 def test_heat_scales_with_bath_splitting():
     # qdot_L / h_L = -qdot_R / h_R in the closed-form family
     cf = closed_form_currents_3site(1.2, 0.9, 0.7, 0.4, f=0.25, h_L=0.8, h_R=-1.1)

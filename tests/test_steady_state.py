@@ -416,6 +416,34 @@ def test_builder_generators_preserve_hermiticity(generator):
         pass
 
 
+def assert_entry_layout(liou):
+    """Entries sorted by row, then column, none of them zero, and ``apply`` is ``L v``."""
+    n = liou.dim * liou.dim
+    assert np.all(np.diff(liou.rows * n + liou.cols) > 0)
+    assert np.all(liou.values != 0)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = dense(liou)
+    scale = np.abs(m).sum(axis=1).max(initial=0.0) * np.abs(v).max()
+    assert np.max(np.abs(liou.apply(v) - m @ v)) <= 1e-13 * max(scale, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator=lindblad_generators())
+def test_builder_entries_are_sorted_nonzero_and_apply_as_the_matrix(generator):
+    assert_entry_layout(Liouvillian.from_jumps(*generator))
+
+
+def test_entry_layout_with_empty_first_and_last_rows():
+    rng = np.random.default_rng(11)
+    m = (rng.random((9, 9)) < 0.4) * (rng.standard_normal((9, 9)) + 1j)
+    m[[0, -1]] = 0.0
+    liou = from_dense(m, 3)
+    assert (liou.rows.min(), liou.rows.max()) == (1, 7)
+    assert_entry_layout(liou)
+    assert np.array_equal(dense(liou), m)
+
+
 def test_collision_generator_preserves_hermiticity():
     engine = CollisionEngine(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.5), SPIN_PAIR,
                              RIConfig(tau=0.05))
@@ -431,6 +459,15 @@ def test_generator_that_breaks_hermiticity_is_refused():
     m[1, 2] = 0.5
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
         solve_steady(from_dense(m, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_generator_with_a_non_finite_entry_is_refused(bad):
+    liou = build_liouvillian(ChainSpec(kind="xxz", n=2, alpha=1.0), SPIN_PAIR)
+    values = liou.values.copy()
+    values[values.size // 2] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        solve_steady(Liouvillian(liou.rows, liou.cols, values, liou.dim))
 
 
 def test_entry_without_mirror_below_the_bound_joins_the_blocks():
