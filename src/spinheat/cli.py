@@ -14,17 +14,19 @@ Configuration is INI-style with sections [model], [bath_L], [bath_R],
 overlays individual keys on top (an empty value deletes a key).  Keys are
 case sensitive (Delta and delta are different parameters).
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 invariance check failed beyond tolerance.
+Exit codes: 0 success, 2 configuration error (a malformed config file and an
+output file that cannot be written included), 3 solver failure, 4 invariance
+check failed beyond tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import copy
+import functools
 import json
 import sys
-from configparser import ConfigParser
 from dataclasses import replace
 
 import numpy as np
@@ -196,19 +198,23 @@ def load_config(preset: str | None, config_path: str | None) -> dict[str, dict[s
     else:
         merged = {}
     if config_path is not None:
-        parser = ConfigParser()
+        parser = configparser.ConfigParser()
         parser.optionxform = str  # Delta and delta are distinct keys
-        read = parser.read(config_path)
+        try:
+            read = parser.read(config_path)
+            overlay = {section: dict(parser[section]) for section in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file '{config_path}': {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file '{config_path}'")
-        for section in parser.sections():
+        for section, items in overlay.items():
             if section not in _SECTION_KEYS:
                 raise ConfigError(
                     f"unknown config section [{section}]; expected one of "
                     f"{', '.join(sorted(_SECTION_KEYS))}"
                 )
             dst = merged.setdefault(section, {})
-            for key, raw in parser[section].items():
+            for key, raw in items.items():
                 if key not in _SECTION_KEYS[section]:
                     raise ConfigError(f"unknown key '{key}' in section [{section}]")
                 if raw.strip() == "":
@@ -396,8 +402,11 @@ def write_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out: str | 
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output '{out}': {exc.strerror or exc}") from None
 
 
 def _run_grid(points: list[tuple], tol: float, jobs: int) -> list[dict]:
@@ -609,6 +618,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "invariance tolerance (default 1e-10)")
 
 
+@functools.cache  # built on first use, not at import; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinheat",

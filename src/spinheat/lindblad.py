@@ -123,10 +123,13 @@ class Liouvillian:
         ``((i, k), (j, l))`` and matrix entries correspond one to one, so the
         generator is zero off the pairs of positions where some jump, ``h_eff``
         or the identity is nonzero.  ``G`` is one matrix product over those
-        positions, ``sum_a L_a^dag L_a`` is read off its diagonal blocks, and
-        the two ``h_eff`` terms are added after it, as in the dense
-        ``conj(L) kron L`` layout.  Up to round-off, which ``solve_steady`` checks, it preserves
-        Hermiticity: ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
+        positions.  ``sum_a L_a^dag L_a`` is gathered from the diagonal blocks of
+        ``G``, the pairs of positions in one pattern row, by one ``np.add.at``
+        over all such pairs with the rows ascending, so each of its entries
+        sums its terms in row order.  The two ``h_eff`` terms are added after
+        it, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
+        ``solve_steady`` checks, it preserves Hermiticity:
+        ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
         """
         h = np.asarray(h, dtype=complex)
         d = h.shape[0]
@@ -142,13 +145,15 @@ class Liouvillian:
         if pos.size < n:
             flat = flat[:, pos]
         m = flat.T @ flat.conj()
-        # (sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)], from the block of
-        # G on the positions of pattern row k
-        ldl = np.zeros((d, d), dtype=complex)
+        # (sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]: one add over the
+        # pairs (p, q) of positions in one pattern row k, p and then q ascending
         bounds = np.searchsorted(row, np.arange(d + 1))
-        for k in range(d):
-            block = slice(bounds[k], bounds[k + 1])
-            ldl[np.ix_(col[block], col[block])] += m[block, block].T
+        width = np.diff(bounds)[row]  # positions in the pattern row of each position
+        p = np.repeat(np.arange(pos.size), width)
+        q = np.arange(p.size) + np.repeat(bounds[row] - (np.cumsum(width) - width), width)
+        ldl = np.zeros((d, d), dtype=complex)
+        np.add.at(ldl, (col[p], col[q]), m[q, p])
+        del p, q  # d^3 pairs when every pattern row is full; not kept through the entries below
         h_eff = (h - 0.5j * ldl)[row, col]
         diagonal = row == col
         m[:, diagonal] -= 1j * h_eff[:, None]

@@ -5,7 +5,9 @@ buffer, the way the package did before it kept only the nonzero entries.  The
 tests hold the entry-wise builder and the block solve against it, through
 ``dense``, ``from_dense``, ``sparsity`` and ``blocks_of``.  ``dense_expm``
 exponentiates a whole Hermitian matrix by one ``eigh``, the reference for the
-component-wise ``herm_expm``.
+component-wise ``herm_expm``.  ``from_jumps_reference`` is the entry-wise
+builder as it was when it gathered ``sum_a L_a^dag L_a`` one pattern row at a
+time; ``Liouvillian.from_jumps`` must return the same bits.
 """
 
 from __future__ import annotations
@@ -43,6 +45,36 @@ def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) 
         view[r, :, r, :] -= 1j * h_eff
         view[:, r, :, r] += 1j * h_eff.conj()
     return m
+
+
+def from_jumps_reference(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> Liouvillian:
+    """``Liouvillian.from_jumps`` with ``sum_a L_a^dag L_a`` summed by a loop over pattern rows."""
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    n = d * d
+    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
+    jumped = np.any(stack != 0, axis=0)
+    used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
+    pos = np.flatnonzero(used)
+    row, col = np.divmod(pos, d)
+    flat = stack.reshape(len(stack), n)
+    if pos.size < n:
+        flat = flat[:, pos]
+    m = flat.T @ flat.conj()
+    ldl = np.zeros((d, d), dtype=complex)
+    bounds = np.searchsorted(row, np.arange(d + 1))
+    for k in range(d):
+        block = slice(bounds[k], bounds[k + 1])
+        ldl[np.ix_(col[block], col[block])] += m[block, block].T
+    h_eff = (h - 0.5j * ldl)[row, col]
+    diagonal = row == col
+    m[:, diagonal] -= 1j * h_eff[:, None]
+    m[diagonal, :] += 1j * h_eff.conj()
+    a, b = np.nonzero(m)
+    values = m[a, b]
+    rows, cols = row[a] + d * row[b], col[a] + d * col[b]
+    order = np.argsort(rows * n + cols)
+    return Liouvillian(rows[order], cols[order], values[order], d)
 
 
 def dense(liou: Liouvillian) -> np.ndarray:

@@ -1,0 +1,89 @@
+"""Golden CLI outputs: the cases, how one is run, and the command that rewrites them.
+
+``tests/test_golden.py`` runs every case below through ``spinheat.cli.main``
+and compares its standard output, standard error and exit code byte for byte
+with the files in this directory:
+
+* ``<name>.out`` holds the case's standard output;
+* ``outcomes.json`` holds each case's exit code and standard error.
+
+Rewrite the files, from the root of a checkout, with::
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Regenerating changes what the test checks.  CHANGES.md must then name the
+files that changed, the reason, and the largest numeric change per column.
+The bytes depend on the BLAS build and its thread count; a mismatch on another
+machine is a finding to record, not a reason to loosen the comparison.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from spinheat import cli
+
+HERE = Path(__file__).resolve().parent
+OUTCOMES = HERE / "outcomes.json"
+
+# fig1-3 leave beta_L open, and fig4, fig5 and eq16 leave h_L open (it is their
+# sweep parameter), so a single point of each needs both
+BETA_H_L = "[bath_L]\nbeta = 0.8\nh = 0.7\n"
+BETA_L = "[bath_L]\nbeta = 0.8\n"
+FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "eq16")
+ISING = ("ising_boson_n2", "ising_boson_n3", "ising_spin_n2", "ising_spin_n3")
+
+# name -> (arguments, INI overlay passed as --config, or None)
+CASES: dict[str, tuple[list[str], str | None]] = {
+    **{f"steady_{p}": (["steady", "--preset", p], BETA_H_L) for p in FIGURES},
+    **{f"steady_{p}": (["steady", "--preset", p], None) for p in ISING},
+    **{f"sweep_{p}": (["sweep", "--preset", p], BETA_L if p in ("fig1", "fig2", "fig3") else None)
+       for p in FIGURES},
+    "ri_converge_ising_boson_n2": (["ri-converge", "--preset", "ising_boson_n2"], None),
+    "check_one_way_eq16_kappa_swap": (
+        ["check-one-way", "--preset", "eq16"],
+        "[inversion]\nkind = kappa_swap\nkappa_L = 2\nkappa_R = 0.5\n",
+    ),
+    "steady_json_ising_boson_n2": (["steady", "--preset", "ising_boson_n2", "--format", "json"],
+                                   None),
+    "sweep_json_eq16": (["sweep", "--preset", "eq16", "--format", "json"], None),
+    "check_one_way_json_eq16_flip_f": (
+        ["check-one-way", "--preset", "eq16", "--format", "json"], "[inversion]\nkind = flip_f\n",
+    ),
+    "ri_converge_json_eq16": (["ri-converge", "--preset", "eq16", "--format", "json"], BETA_H_L),
+}
+
+
+def run_case(name: str, extra: tuple[str, ...] = ()) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one case run in process, ``extra`` arguments appended."""
+    argv, overlay = CASES[name]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [*argv, *extra]
+        if overlay is not None:
+            config = Path(tmp) / "overlay.ini"
+            config.write_text(overlay)
+            argv += ["--config", str(config)]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def main() -> int:
+    outcomes = {}
+    for name in CASES:
+        code, out, err = run_case(name)
+        (HERE / f"{name}.out").write_text(out, newline="")
+        outcomes[name] = {"exit": code, "stderr": err}
+    OUTCOMES.write_text(json.dumps(outcomes, indent=2) + "\n")
+    print(f"wrote {len(outcomes)} cases to {HERE}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,7 @@ from spinheat.cli import (
     PRESETS,
     build_bath,
     build_chain,
+    build_parser,
     load_config,
     main,
     point_config,
@@ -161,6 +162,59 @@ def test_steady_hopping_free_xxz_chain(tmp_path, capsys):
     assert code == 0
     row = parse_csv(out)[0]
     assert (row["error"], row["nullspace_dim"]) == ("", "2")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[model]\nn = 3\n[model]\nalpha = 1\n", id="duplicate-section"),
+    pytest.param("[model]\nn = 3\nn = 4\n", id="duplicate-option"),
+    pytest.param("n = 3\n[model]\nalpha = 1\n", id="missing-section-header"),
+    pytest.param("[model]\nn = 3\nnot a key value line\n", id="unparsable-line"),
+    pytest.param("[model]\nDelta = 50%\n", id="bad-interpolation"),
+])
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "malformed.ini"
+    cfg.write_text(text)
+    code, out, err = run_cli(["steady", "--preset", "eq16", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("config error: malformed config file") and "Traceback" not in err
+    assert out == ""
+
+
+def test_config_file_that_is_not_text_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "binary.ini"
+    cfg.write_bytes(b"[model]\nn = \xff\xfe\n")
+    code, _, err = run_cli(["steady", "--preset", "eq16", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("config error: malformed config file")
+
+
+@pytest.mark.parametrize("command, preset", [("steady", "ising_spin_n2"), ("sweep", "eq16")])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, preset):
+    out_path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli([command, "--preset", preset, "--out", str(out_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write output '{out_path}'")
+    assert out == "" and not out_path.parent.exists()
+
+
+def test_main_builds_its_parser_once(capsys):
+    build_parser.cache_clear()
+    assert run_cli(["presets", "list"], capsys)[0] == 0
+    assert run_cli(["steady", "--preset", "ising_spin_n2"], capsys)[0] == 0
+    assert build_parser.cache_info().misses == 1
+
+
+def test_a_refused_command_line_leaves_the_next_call_unchanged(capsys):
+    build_parser.cache_clear()
+    alone = run_cli(["steady", "--preset", "ising_spin_n2", "--format", "json"], capsys)
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--preset", "ising_spin_n2", "--format", "xml", "--jobs", "x"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    after = run_cli(["steady", "--preset", "ising_spin_n2", "--format", "json"], capsys)
+    assert after == alone
+    assert build_parser.cache_info().misses == 1
 
 
 def test_config_without_anything_errors(capsys):

@@ -1,0 +1,35 @@
+"""Default CLI output pinned byte for byte: stdout, stderr and exit code of each golden case.
+
+The cases and the command that rewrites the files are in ``golden/regenerate.py``.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from golden.regenerate import CASES, HERE, OUTCOMES, run_case
+
+EXPECTED = json.loads(OUTCOMES.read_text())
+
+
+def assert_golden(name: str, outcome: tuple[int, str, str]) -> None:
+    code, out, err = outcome
+    assert out.encode() == (HERE / f"{name}.out").read_bytes()
+    assert err == EXPECTED[name]["stderr"]
+    assert code == EXPECTED[name]["exit"]
+
+
+def test_every_case_has_its_files():
+    assert set(EXPECTED) == set(CASES)
+    assert {p.stem for p in HERE.glob("*.out")} == set(CASES)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_output_matches_the_golden_file(name):
+    assert_golden(name, run_case(name))
+
+
+def test_two_jobs_match_the_golden_file():
+    assert_golden("sweep_fig4", run_case("sweep_fig4", ("--jobs", "2")))

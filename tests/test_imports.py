@@ -22,6 +22,16 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_builds_no_parser():
+    # the parser is built on the first cli.main call, so importing costs nothing more
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import spinheat.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_exports_resolve_and_cover_the_readme():
     import spinheat
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from spinheat import (
     BathSpec,
     ChainSpec,
+    CollisionEngine,
+    RIConfig,
     bosonic_rates,
     build_hamiltonian,
     Liouvillian,
@@ -20,7 +23,7 @@ from spinheat import (
     unvec,
     vec,
 )
-from dense_reference import dense, liouvillian_matrix
+from dense_reference import dense, from_jumps_reference, liouvillian_matrix
 
 
 def random_hermitian(rng, d):
@@ -240,6 +243,45 @@ def test_matrix_matches_kron_reference(n, kind, bath_kind):
     jumps = [L for b in baths for L in jump_ops(b, n)]
     m = dense(Liouvillian.from_jumps(h, jumps))
     assert np.max(np.abs(m - kron_reference(h, jumps))) <= 1e-14
+
+
+def assert_same_entries(liou, reference):
+    assert liou.dim == reference.dim
+    for name in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(liou, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_builder_sums_the_jump_gram_as_the_row_loop_did(d):
+    # random entries make the sums depend on their order; the jumps fill each
+    # pattern row to its own width, and some rows not at all
+    rng = np.random.default_rng(100 + d)
+    for count in (0, 1, 3):
+        width = rng.integers(0, d + 1, size=d)
+        mask = rng.random((count, d, d)) < (width / d)[:, None]
+        stack = np.where(mask, rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape), 0)
+        sparse = rng.random((d, d)) < 0.3
+        h = random_hermitian(rng, d) * (sparse | sparse.T)
+        assert_same_entries(Liouvillian.from_jumps(h, stack), from_jumps_reference(h, stack))
+
+
+def test_builder_sums_a_kraus_stack_as_the_row_loop_did(monkeypatch):
+    built = []
+    original = Liouvillian.from_jumps.__func__
+
+    def capture(cls, h, jumps):
+        liou = original(cls, h, jumps)  # the engine then divides its values by tau in place
+        built.append((h, np.array(jumps), replace(liou, values=liou.values.copy())))
+        return liou
+
+    monkeypatch.setattr(Liouvillian, "from_jumps", classmethod(capture))
+    spec = ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7, h=0.3)
+    baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
+             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
+    CollisionEngine(spec, baths, RIConfig(tau=1e-2))
+    (h, stack, liou), = built
+    assert stack.shape == (16, 4, 4)  # one Kraus operator per in and out level of two units
+    assert_same_entries(liou, from_jumps_reference(h, stack))
 
 
 def test_trace_preservation_left_kernel():
