@@ -15,8 +15,9 @@ overlays individual keys on top (an empty value deletes a key).  Keys are
 case sensitive (Delta and delta are different parameters).
 
 Exit codes: 0 success, 2 configuration error (a malformed config file and an
-output file that cannot be written included), 3 solver failure, 4 invariance
-check failed beyond tolerance.
+output file that cannot be written included), 3 solver failure (for sweep,
+of every point), 4 invariance check failed beyond tolerance.  On exit 2 and 3
+stderr starts with "config error:" and "solver failure:".
 """
 
 from __future__ import annotations
@@ -485,7 +486,10 @@ def cmd_steady(args) -> int:
     spec, baths = point_config(cfg)
     row = evaluate_point(spec, baths, None, _kernel_tol(args))
     write_rows([row], COLUMNS, args.format, args.out)
-    return 3 if row["error"] else 0
+    if row["error"]:
+        print(f"solver failure: {row['error']}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -494,7 +498,11 @@ def cmd_sweep(args) -> int:
     tol = _kernel_tol(args)
     rows = _run_grid([(v, *point_config(cfg, parameter, v)) for v in grid], tol, args.jobs)
     write_rows(rows, COLUMNS, args.format, args.out)
-    return 3 if all(r["error"] for r in rows) else 0
+    if all(r["error"] for r in rows):
+        print(f"solver failure: every point failed; at {parameter}={_fmt(rows[0]['value'])}: "
+              f"{rows[0]['error']}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_check_one_way(args) -> int:

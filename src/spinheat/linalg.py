@@ -8,8 +8,9 @@ conserved blocks (each block is checked for finiteness and Hermiticity on
 its own), SVD-based null spaces of block-diagonal matrices and the
 connected components of a list of nonzero entries.  The steady-state solver
 splits its generator into those components and uses ``svd_kernel`` on the
-stacked blocks only where its bordered LU is refused: for a stationary
-coherence, two stationary states in one block, or an ill-conditioned kernel.
+factors of the stacked blocks only where its bordered LU is refused: for a
+stationary coherence, two stationary states in one block, or an
+ill-conditioned kernel.
 All matrices are plain complex numpy arrays; no sparse backend is provided,
 and any request whose linear dimension exceeds ``MAX_DENSE_DIM`` is rejected
 up front.
@@ -139,25 +140,23 @@ def components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray
 
 
 def svd_kernel(
-    blocks: Sequence[tuple[np.ndarray, np.ndarray]], tol: float = KERNEL_TOL
+    factors: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], tol: float = KERNEL_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """SVD kernel split of a block-diagonal matrix: (kernel basis as columns, all singular values).
 
-    ``blocks`` are ``(idx, stack)`` pairs: ``idx`` holds index rows as
+    ``factors`` are ``(idx, s, vh)`` triples: ``idx`` holds index rows as
     returned by ``components``, which together cover the matrix's indices,
-    and ``stack`` the diagonal blocks ``m[c][:, c]`` for the rows ``c`` of
-    ``idx``, one stacked SVD per pair.  The singular values of all blocks are
-    pooled in descending order, so ``s_max`` and the threshold are those of
-    the whole matrix: singular values at or below ``tol * s_max`` count as
-    kernel.  The basis columns are orthonormal right singular vectors, zero
-    outside their block.  Raises KernelError when nothing falls below the
-    threshold.
+    and ``s``, ``vh`` are the singular values and right singular vectors
+    (``np.linalg.svd``) of the stacked diagonal blocks ``m[c][:, c]`` for the
+    rows ``c`` of ``idx``; the caller factors, so one SVD can serve two
+    blocks whose factors are conjugate.  The singular values of all blocks
+    are pooled in descending order, so ``s_max`` and the threshold are those
+    of the whole matrix: singular values at or below ``tol * s_max`` count
+    as kernel.  The basis columns are orthonormal right singular vectors,
+    zero outside their block.  Raises KernelError when nothing falls below
+    the threshold.
     """
-    parts = []
-    for idx, stack in blocks:
-        _, s, vh = np.linalg.svd(stack)
-        parts.append((idx, s, vh))
-    s = np.sort(np.concatenate([p[1].ravel() for p in parts]))[::-1]
+    s = np.sort(np.concatenate([sv.ravel() for _, sv, _ in factors]))[::-1]
     smax = float(s[0]) if s.size else 0.0
     cut = tol * smax
     k = int(np.count_nonzero(s <= cut))
@@ -168,7 +167,7 @@ def svd_kernel(
         )
     basis = np.zeros((s.size, k), dtype=complex)
     filled = 0
-    for idx, sv, vh in parts:
+    for idx, sv, vh in factors:
         block, row = np.nonzero(sv <= cut)
         cols = filled + np.arange(block.size)
         basis[idx[block], cols[:, None]] = vh[block, row].conj()

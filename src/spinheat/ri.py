@@ -48,7 +48,7 @@ from .linalg import KERNEL_TOL, expectation, herm_expm, kron_all
 from .lindblad import Liouvillian, _check_sides, unvec, vec
 from .models import BathSpec, ChainSpec, build_hamiltonian
 from .operators import site_op
-from .steady_state import SteadyState, solve_steady
+from .steady_state import SteadyState, _solve_once
 
 TOP_LEVEL_TOL = 1e-6  # largest weight a cycle may leave on a bosonic unit's top level
 
@@ -207,7 +207,7 @@ def ri_fixed_point(
     holds the ledger of one cycle from that state, for ``ri_rates``.
     """
     engine = CollisionEngine(spec, baths, cfg)
-    state = solve_steady(engine.generator, tol)
+    state = _solve_once(engine.generator, tol)
     engine.check_truncation(state.rho)
     _, log = engine.step(state.rho)
     return replace(state, solver="collision"), [log]

@@ -13,6 +13,17 @@ size by size; the blocks of one size go through one stacked LAPACK call.  The
 norms, the finiteness check and the residual come from the same entries, so
 no ``d^2 x d^2`` matrix is formed here.
 
+Everything that depends on the entry pattern alone (each entry's mirror,
+the components, where each entry goes in the stacks, the border rows, the
+probe right-hand sides and the stacks themselves) is a plan, built once per
+pattern: the points of a sweep and the two chains of a one-way check share
+one pattern and only refill the stacks (analyse once, factor many, as in
+sparse direct solvers).  Each thread keeps the plan of its last pattern,
+with its own copy of ``(dim, rows, cols)``; that plan and its stacks of the
+kept blocks are what stays alive, ~2 MiB for an xxz chain of 5 sites and
+~28 MiB for one of 6.  ``ri`` solves its collision generators on a plan
+that is dropped on return, so a collision fixed point keeps nothing.
+
 Every block is solved by a trace-constrained ("bordered") LU, the direct
 method of QuTiP's ``steadystate`` (Johansson, Nation and Nori, CPC 184, 1234
 (2013)) taken block by block: in each block that holds diagonal entries
@@ -26,16 +37,19 @@ the kernel tolerance and it is positive.
 
 Anything else (a stationary coherence, two stationary states in one block,
 an ill-conditioned kernel) falls back to an SVD of each block of the
-generator, with the singular values pooled so that the kernel threshold and
-the gap rule are those of the whole matrix.  Both paths return the same
-canonical representative of a degenerate kernel: the projection of the
-maximally mixed state onto the kernel, hermitized and trace-normalized.
-That choice is basis-independent and reproducible, and for the models here
-every physical current of interest is independent of the kernel mixture.
+generator, one per adjoint pair (the mirror's factors are the conjugates of
+its representative's), with the singular values pooled so that the kernel
+threshold and the gap rule are those of the whole matrix.  Both paths
+return the same canonical representative of a degenerate kernel: the
+projection of the maximally mixed state onto the kernel, hermitized and
+trace-normalized.  That choice is basis-independent and reproducible, and
+for the models here every physical current of interest is independent of
+the kernel mixture.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,13 +70,16 @@ MIN_EIG_FLOOR = -1e-9
 RESIDUAL_FACTOR = 1e-8
 
 # Seed of the random right-hand sides that probe the bordered system's
-# condition number.  A fixed, call-local generator keeps results independent
-# of call order and thread scheduling.
+# condition number.  A fixed seed, drawn once per plan, keeps results
+# independent of call order and thread scheduling.
 PROBE_SEED = 20130
 PROBES = 2
 
 # Largest |L[r, c] - conj L[flip r, flip c]| / max |L| accepted: one LU serves an adjoint pair.
 HERMITICITY_BOUND = 1e-14
+
+# Per thread, the plan of the last pattern solve_steady solved.
+_last = threading.local()
 
 
 @dataclass(frozen=True)
@@ -92,90 +109,148 @@ def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
     return rho / tr
 
 
-def _blocks(liou: Liouvillian, groups: list[np.ndarray], flip: np.ndarray):
-    """Per group of ``components``, the blocks a solve factors: ``(idx, paired, stack)``.
+@dataclass
+class _Group:
+    """One size group of the kept blocks: their entries' gather, border rows and stack.
 
-    ``stack`` holds ``L[c][:, c]`` for the rows ``c`` of ``idx``: those that are
-    their own adjoint, and the first of each adjoint pair (``paired``), whose
-    mirror ``flip[c]`` has the conjugate block.
+    The kept blocks are those that are their own adjoint and the first of
+    each adjoint pair (``paired``), whose mirror ``flip[c]`` has the
+    conjugate block.  ``stack[i]`` holds ``L[c][:, c]`` for the row ``c =
+    idx[i]`` once the entries ``values[sel]`` are scattered to its flat
+    places ``pos``.  Row ``first[j]`` of block ``held[j]`` is the one the
+    trace replaces; ``traced[j]`` marks that block's diagonal entries.
+    ``rhs`` holds ``e`` and the probes on the rows of ``idx``.
     """
-    start, place = np.zeros((2, flip.size), dtype=np.intp)  # row offset in the stack; place
-    group = np.full(flip.size, len(groups))  # group of a gathered index; past the last if none
-    kept = []
-    for g, idx in enumerate(groups):
-        size, first = idx.shape[1], idx[:, 0]
-        mate = flip[idx].min(axis=1)  # smallest index of the mirror component, of the same size
-        rows = idx[mate >= first]  # its own adjoint, or first of its pair
-        start[rows] = np.arange(0, rows.size * size, size).reshape(rows.shape)
-        place[idx] = np.arange(size)
-        group[rows] = g
-        kept.append((rows, mate[mate >= first] > rows[:, 0]))
-    entry_group = group[liou.rows]
-    for g, (rows, paired) in enumerate(kept):
-        mask = entry_group == g
-        stack = np.zeros((len(rows), rows.shape[1], rows.shape[1]), dtype=complex)  # just in time
-        stack.reshape(-1)[start[liou.rows[mask]] + place[liou.cols[mask]]] = liou.values[mask]
-        yield rows, paired, stack
+
+    idx: np.ndarray
+    paired: np.ndarray
+    sel: np.ndarray | None
+    pos: np.ndarray | None
+    held: np.ndarray
+    first: np.ndarray
+    traced: np.ndarray
+    rhs: np.ndarray
+    stack: np.ndarray
 
 
-def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
-              flip: np.ndarray) -> SteadyState | None:
+class _Plan:
+    """Everything a solve takes from the entry pattern ``(dim, rows, cols)`` alone.
+
+    That is each entry's mirror (the entry at ``(flip r, flip c)``, ``at``;
+    ``lone`` where it is zero), the ``components``, and per size group of
+    them a ``_Group``.  A plan is built once per pattern; each solve then
+    only fills its stacks with new values.  The gather writes the same
+    places each time and the bordered solve only the border rows, so every
+    other entry of a stack stays zero.
+    """
+
+    def __init__(self, dim: int, rows: np.ndarray, cols: np.ndarray):
+        n = dim * dim
+        self.dim, self.rows, self.cols = dim, rows, cols
+        rhs = np.zeros((n, 1 + PROBES), dtype=complex)
+        rng = np.random.default_rng(PROBE_SEED)
+        rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
+        self.flip = flip = np.arange(n).reshape(dim, -1).ravel(order="F")  # |i><j| -> |j><i|
+        key, mirror = rows * n + cols, flip[rows] * n + flip[cols]  # key ascends
+        self.at = np.searchsorted(key, mirror) % max(key.size, 1)
+        self.lone = lone = key[self.at] != mirror  # entries whose mirror is zero
+        del key, mirror
+        edges = rows, cols
+        if lone.any():  # their mirrors join the graph, so that flip maps components onto components
+            edges = np.append(rows, flip[rows[lone]]), np.append(cols, flip[cols[lone]])
+        blocks = components(*edges, n)
+        del edges
+        self.largest = blocks[-1].shape[1]
+        start, place = np.zeros((2, n), dtype=np.intp)  # row offset in the stack; place
+        group = np.full(n, len(blocks))  # group of a gathered index; past the last if none
+        kept = []
+        for g, idx in enumerate(blocks):
+            size, first = idx.shape[1], idx[:, 0]
+            mate = flip[idx].min(axis=1)  # smallest index of the mirror component, of the same size
+            own = idx[mate >= first]  # its own adjoint, or first of its pair
+            start[own] = np.arange(0, own.size * size, size).reshape(own.shape)
+            place[idx] = np.arange(size)
+            group[own] = g
+            kept.append((own, mate[mate >= first] > own[:, 0]))
+        entry_group = group[rows]
+        traces = np.zeros(n, dtype=bool)
+        traces[::dim + 1] = True  # the diagonal entries |i><i|
+        self.groups, self.kernel = [], []  # kernel: per group, the index rows of its traced blocks
+        for g, (idx, paired) in enumerate(kept):
+            sel = np.flatnonzero(entry_group == g)
+            rhs[flip[idx[paired]], 1:] = 0.0  # no probe of a mirror: conj(b) is conditioned as b
+            traced = traces[idx]
+            held = traced.any(axis=1).nonzero()[0]
+            traced = traced[held]
+            first = traced.argmax(axis=1)  # place of each block's first diagonal entry
+            rhs[idx[held, first], 0] = 1.0
+            if held.size:
+                self.kernel.append(idx[held])
+            size = idx.shape[1]
+            self.groups.append(_Group(
+                idx=idx, paired=paired, sel=sel, pos=start[rows[sel]] + place[cols[sel]],
+                held=held, first=first, traced=traced, rhs=rhs[idx],
+                stack=np.zeros((len(idx), size, size), dtype=complex)))
+        self.probe_norms = np.linalg.norm(rhs[:, 1:], axis=0)
+        self.replaced = rhs[:, 0] != 0  # the rows of L that B replaces by traces
+
+    def gather(self, values: np.ndarray) -> None:
+        """Scatter the entries' ``values`` into the stacks: they then hold the kept blocks."""
+        for g in self.groups:
+            g.stack.reshape(-1)[g.pos] = values[g.sel]
+
+    def fits(self, liou: Liouvillian) -> bool:
+        """Whether ``liou`` has this plan's entry pattern."""
+        return (liou.dim == self.dim and np.array_equal(liou.rows, self.rows)
+                and np.array_equal(liou.cols, self.cols))
+
+
+def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyState | None:
     """Steady state from one bordered LU per block, or None when not trusted.
 
-    In ``B``, each of the ``blocks`` (see ``components``) that holds
-    diagonal entries has the row of its first one replaced by the block's
-    trace, so ``B x = e`` (``e`` is 1 on those rows) fixes each such trace
-    to 1 in place of one redundant stationarity equation.  The same LUs
-    solve ``PROBES`` random right-hand sides ``r``; ``||B||_1 max ||B^-1 r||
-    / ||r||`` estimates the condition number of ``B`` from below and must
-    stay under ``1 / (GAP_FACTOR tol)``, the analogue of the SVD path's gap
-    rule, so a block with a second stationary state is refused.  The mirror
-    of a paired block is implied and never touched: it holds no diagonal
-    entry, so its part of the state is exactly 0, and its matrix ``conj(b)``
-    is conditioned exactly as ``b``, so its probe rows are zeroed.  The state
-    is the projection of ``vec(I) / d`` onto the solutions ``x_c``,
-    ``sum_c x_c / ||x_c||^2`` scaled to the first, which keeps a unique
-    kernel's ``x_c`` as it is.  The residual ``||L vec rho|| / ||rho||_F``
-    must be at most ``tol`` times the largest column 2-norm of ``L``, a
-    lower bound on its spectral norm, so this test is never looser than the
-    SVD kernel threshold.
+    In ``B``, each of the blocks (see ``components``) that holds diagonal
+    entries has the row of its first one replaced by the block's trace, so
+    ``B x = e`` (``e`` is 1 on those rows) fixes each such trace to 1 in
+    place of one redundant stationarity equation.  The same LUs solve
+    ``PROBES`` random right-hand sides ``r``; ``||B||_1 max ||B^-1 r|| /
+    ||r||`` estimates the condition number of ``B`` from below and must stay
+    under ``1 / (GAP_FACTOR tol)``, the analogue of the SVD path's gap rule,
+    so a block with a second stationary state is refused.  The mirror of a
+    paired block is implied and never touched: it holds no diagonal entry,
+    so its part of the state is exactly 0, and its matrix ``conj(b)`` is
+    conditioned exactly as ``b``, so its probe rows are zeroed.  The state
+    is the projection of ``vec(I) / d`` onto the solutions ``x_c``, ``sum_c
+    x_c / ||x_c||^2`` scaled to the first, which keeps a unique kernel's
+    ``x_c`` as it is.  The residual ``||L vec rho|| / ||rho||_F`` must be at
+    most ``tol`` times the largest column 2-norm of ``L``, a lower bound on
+    its spectral norm, so this test is never looser than the SVD kernel
+    threshold.  Unless the plan is kept, its stacks are freed after the
+    last LU.
     """
     dim = liou.dim
     n = dim * dim
-    traces = np.zeros(n, dtype=bool)
-    traces[::dim + 1] = True  # the diagonal entries |i><i|
-    rng = np.random.default_rng(PROBE_SEED)
-    rhs = np.zeros((n, 1 + PROBES), dtype=complex)
-    rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
-    x = np.zeros_like(rhs)  # a mirror block is never solved, so its rows stay 0
-    kernel = []  # per group, the index rows of its traced blocks
-    for idx, paired, b in _blocks(liou, blocks, flip):
-        rhs[flip[idx[paired]], 1:] = 0.0  # no probe of a mirror: conj(b) is conditioned as b
-        traced = traces[idx]
-        held = traced.any(axis=1).nonzero()[0]
-        if held.size:
-            traced = traced[held]
-            first = traced.argmax(axis=1)  # place of each block's first diagonal entry
-            b[held, first] = traced
-            rhs[idx[held, first], 0] = 1.0
-            kernel.append(idx[held])
+    x = np.zeros((n, 1 + PROBES), dtype=complex)  # a mirror block is never solved: its rows stay 0
+    for g in plan.groups:
+        g.stack[g.held, g.first] = g.traced
         try:
-            x[idx] = np.linalg.solve(b, rhs[idx])
+            x[g.idx] = np.linalg.solve(g.stack, g.rhs)
         except np.linalg.LinAlgError:  # exactly singular LU
             return None
+    if not keep:  # a one-off plan's stacks go before the state is formed
+        for g in plan.groups:
+            g.stack = None
     magnitude = np.abs(liou.values)
     scale = float(np.sqrt(np.bincount(liou.cols, magnitude ** 2, n).max()))
-    replaced = rhs[:, 0] != 0  # the rows of L that B replaces by traces
-    magnitude[replaced[liou.rows]] = 0.0
+    magnitude[plan.replaced[liou.rows]] = 0.0
     column_sums = np.bincount(liou.cols, magnitude, n)
-    column_sums[traces] += 1.0
+    column_sums[::dim + 1] += 1.0  # the traces' columns
     with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused below
-        growth = np.linalg.norm(x[:, 1:], axis=0) / np.linalg.norm(rhs[:, 1:], axis=0)
+        growth = np.linalg.norm(x[:, 1:], axis=0) / plan.probe_norms
     cond = float(column_sums.max()) * float(growth.max())
     if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
         return None
-    norms = [(np.abs(x[i, 0]) ** 2).sum(axis=1) for i in kernel]  # ||x_c||^2
-    for i, norm in zip(kernel, norms):
+    norms = [(np.abs(x[i, 0]) ** 2).sum(axis=1) for i in plan.kernel]  # ||x_c||^2
+    for i, norm in zip(plan.kernel, norms):
         x[i, 0] *= (norms[0][0] / norm)[:, None]
     rho = hermitize(unvec(x[:, 0], dim))
     rho = rho / float(np.trace(rho).real)
@@ -186,46 +261,43 @@ def _bordered(liou: Liouvillian, tol: float, blocks: list[np.ndarray],
     if min_eig < MIN_EIG_FLOOR:
         return None
     return SteadyState(rho=rho, residual=residual, nullspace_dim=sum(map(len, norms)),
-                       min_eig=min_eig, solver="bordered", largest_block=blocks[-1].shape[1])
+                       min_eig=min_eig, solver="bordered", largest_block=plan.largest)
 
 
-def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
-    """Steady state of a Liouvillian: bordered LUs, else SVDs, block by block.
+def _solve(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyState:
+    """The numeric pass of ``solve_steady`` over ``liou.values`` on the plan of its pattern.
 
-    The generator's entries are split into their ``components`` once.  The
-    bordered solve (see ``_bordered``) handles every kernel with one
-    well-separated stationary state per traced block and reports
-    ``solver = "bordered"``, with ``nullspace_dim`` the number of those
-    blocks.  When any of its checks fails, each block goes through an SVD
-    instead (``solver = "svd"``).  ``largest_block`` is the size of the
-    largest block.  The blocks, norms and residual all come from the generator's
-    nonzero entries; a non-finite entry, or a broken Hermiticity, raises ValueError.
-
-    The SVD path raises KernelError when the kernel is empty at ``tol``, when
-    the split between kernel and non-kernel singular values is not clean
-    (factor ``GAP_FACTOR``), or when the resulting state violates positivity
-    or stationarity beyond solver-noise bounds.
+    Unless the plan is kept, its mirror index and gather are freed before
+    the LUs, which need the memory.
     """
-    if not np.isfinite(liou.values).all():
+    values = liou.values
+    if not np.isfinite(values).all():
         raise ValueError("generator contains non-finite entries")
-    n = liou.dim * liou.dim
-    flip = np.arange(n).reshape(liou.dim, -1).ravel(order="F")  # |i><j| -> |j><i|
-    rows, cols = liou.rows, liou.cols
-    key, mirror = rows * n + cols, flip[rows] * n + flip[cols]  # key ascends
-    at = np.searchsorted(key, mirror) % max(key.size, 1)
-    lone = key[at] != mirror  # entries whose mirror is zero
-    defect = np.abs(liou.values - np.where(lone, 0.0, liou.values[at].conj()))
-    if defect.max(initial=0.0) > HERMITICITY_BOUND * np.abs(liou.values).max(initial=0.0):
+    defect = values[plan.at]  # L[r, c] - conj L[flip r, flip c], formed in place
+    np.conjugate(defect, out=defect)
+    defect[plan.lone] = 0.0
+    np.subtract(values, defect, out=defect)
+    if np.abs(defect).max(initial=0.0) > HERMITICITY_BOUND * np.abs(values).max(initial=0.0):
         raise ValueError("generator does not preserve Hermiticity")
-    if lone.any():  # their mirrors join the graph, so that flip maps components onto components
-        rows, cols = np.append(rows, flip[rows[lone]]), np.append(cols, flip[cols[lone]])
-    blocks = components(rows, cols, n)
-    del rows, cols, key, mirror, at, lone, defect  # the solves below need the memory
-    state = _bordered(liou, tol, blocks, flip)
+    del defect
+    plan.gather(values)
+    if not keep:  # the LUs need the memory
+        plan.at = plan.lone = None
+        for g in plan.groups:
+            g.sel = g.pos = None
+    state = _bordered(liou, tol, plan, keep)
     if state is not None:
         return state
-    basis, s = svd_kernel([pair for idx, paired, b in _blocks(liou, blocks, flip)
-                           for pair in ((idx, b), (flip[idx[paired]], b[paired].conj()))], tol)
+    if not keep:  # a one-off plan has dropped its gather and its stacks
+        plan = _Plan(liou.dim, liou.rows, liou.cols)
+    for g in plan.groups:
+        g.stack[g.held, g.first] = 0.0  # the traces out: the gather puts L's rows back
+    plan.gather(values)
+    factors = []
+    for g in plan.groups:  # one SVD per adjoint pair: a mirror's factors are the conjugates
+        _, s, vh = np.linalg.svd(g.stack)
+        factors += [(g.idx, s, vh), (plan.flip[g.idx[g.paired]], s[g.paired], vh[g.paired].conj())]
+    basis, s = svd_kernel(factors, tol)
     k = basis.shape[1]
     if k < s.size:
         s_kernel = float(s[-k])  # singular values are sorted descending
@@ -244,7 +316,46 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     if min_eig < MIN_EIG_FLOOR:
         raise KernelError(f"steady state has a negative eigenvalue {min_eig:.3e}")
     return SteadyState(rho=rho, residual=residual, nullspace_dim=k, min_eig=min_eig,
-                       solver="svd", largest_block=blocks[-1].shape[1])
+                       solver="svd", largest_block=plan.largest)
+
+
+def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
+    """Steady state of a Liouvillian: bordered LUs, else SVDs, block by block.
+
+    The generator's entries are split into their ``components``.  The
+    bordered solve (see ``_bordered``) handles every kernel with one
+    well-separated stationary state per traced block and reports
+    ``solver = "bordered"``, with ``nullspace_dim`` the number of those
+    blocks.  When any of its checks fails, each block goes through an SVD
+    instead (``solver = "svd"``).  ``largest_block`` is the size of the
+    largest block.  The blocks, norms and residual all come from the generator's
+    nonzero entries; a non-finite entry, or a broken Hermiticity, raises ValueError.
+
+    The SVD path raises KernelError when the kernel is empty at ``tol``, when
+    the split between kernel and non-kernel singular values is not clean
+    (factor ``GAP_FACTOR``), or when the resulting state violates positivity
+    or stationarity beyond solver-noise bounds.
+
+    The work that depends on the entry pattern alone is a ``_Plan``; each
+    thread keeps the plan of its last pattern, with its own copy of
+    ``(dim, rows, cols)``, and reuses it for a generator whose pattern
+    equals that copy.
+    """
+    plan = getattr(_last, "plan", None)
+    if plan is None or not plan.fits(liou):
+        _last.plan = None  # the old plan's stacks go before the new plan's are made
+        plan = _last.plan = _Plan(liou.dim, liou.rows.copy(), liou.cols.copy())
+    return _solve(liou, tol, plan, keep=True)
+
+
+def _solve_once(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
+    """``solve_steady`` on a plan that is dropped on return, for ``ri``'s one-off generators.
+
+    A collision generator can hold millions of entries; its plan, kept,
+    would stay alive through the next engine build, and the slot of
+    ``solve_steady`` keeps the plan of the thread's chain solves.
+    """
+    return _solve(liou, tol, _Plan(liou.dim, liou.rows, liou.cols), keep=False)
 
 
 def steady_for(spec: ChainSpec, baths: Sequence[BathSpec], tol: float = KERNEL_TOL) -> SteadyState:

@@ -103,10 +103,11 @@ def blocks_of(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return m[idx[:, :, None], idx[:, None, :]]
 
 
-def whole(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A square matrix as the one block of ``svd_kernel``'s ``(idx, stack)`` pairs."""
+def whole(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A square matrix as the one block of ``svd_kernel``'s ``(idx, s, vh)`` factors."""
     m = np.asarray(m)
-    return np.arange(m.shape[0])[None, :], m[None]
+    _, s, vh = np.linalg.svd(m[None])
+    return np.arange(m.shape[0])[None, :], s, vh
 
 
 def dense_expm(h: np.ndarray, t: float) -> np.ndarray:

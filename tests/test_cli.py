@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat.cli import (
     _SECTION_KEYS,
@@ -626,3 +631,134 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "eq16" in proc.stdout
+
+
+# -- the exit-code contract over drawn configuration text -----------------------
+
+_NUMBERS = st.sampled_from(["0.5", "-0.7", "1", "1.5", "-2", "0.25"])
+_BAD = st.one_of(st.sampled_from(["abc", "1,,2", "1e", "--", "0x1"]),  # malformed
+                 st.sampled_from(["nan", "inf", "-inf"]),  # non-finite
+                 st.sampled_from(["", "  "]),  # empty: the key is removed
+                 st.sampled_from(["-1", "0", "-0.5"]))  # out of range for some keys
+
+
+@st.composite
+def valid_sections(draw):
+    """A configuration every subcommand accepts, each solve small (n <= 4, n_max <= 8)."""
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        model = {"kind": "xxz", "n": n, "alpha": draw(_NUMBERS), "Delta": draw(_NUMBERS),
+                 "h": draw(_NUMBERS)}
+    else:
+        model = {"kind": "ising", "n": n, "field": ",".join(draw(_NUMBERS) for _ in range(n)),
+                 "bond_Delta": ",".join(draw(_NUMBERS) for _ in range(n - 1))}
+    sections = {"model": model}
+    for side in "LR":
+        if draw(st.sampled_from([False, False, False, True])):
+            sections[f"bath_{side}"] = {"kind": "bosonic", "beta": draw(st.sampled_from(["1", "2"])),
+                                        "omega": "1", "g": draw(st.sampled_from(["0.3", "0.5"]))}
+        else:
+            sections[f"bath_{side}"] = {"beta": draw(st.sampled_from(["1", "2", "50"])),
+                                        "h": draw(_NUMBERS),
+                                        "gamma": draw(st.sampled_from(["1", "0.5"]))}
+    if draw(st.sampled_from([True, True, True, False])):  # check-one-way runs without
+        parameter = draw(st.sampled_from(["alpha", "gamma"] if model["kind"] == "xxz"
+                                         else ["gamma"]))
+        model.pop(parameter, None)
+        for side in "LR":
+            sections[f"bath_{side}"].pop(parameter, None)
+        sections["sweep"] = {"parameter": parameter, "from": "0.5", "to": "1.5",
+                             "points": draw(st.sampled_from(["2", "3"]))}
+    sections["ri"] = {"taus": draw(st.sampled_from(["1e-2,5e-3,2.5e-3", "0.1,0.05,0.02"])),
+                      "n_max": draw(st.sampled_from(["4", "8"]))}
+    bosonic = any(sections[f"bath_{side}"].get("kind") == "bosonic" for side in "LR")
+    kind = draw(st.sampled_from(["identity"] if bosonic else  # the others need spin baths
+                                ["identity", "flip_f", "flip_h", "kappa_swap", "custom"]))
+    sections["inversion"] = {"kind": kind}
+    if kind == "kappa_swap":
+        sections["inversion"].update(kappa_L="2", kappa_R="0.5")
+    if kind == "custom":
+        sections["inversion"]["h_L"] = draw(_NUMBERS)
+    return sections
+
+
+@st.composite
+def config_texts(draw, sections: dict, faulty: bool):
+    """INI text of ``sections``; when ``faulty``, with one to three of: a malformed,
+    non-finite, empty or out-of-range value, an unknown key or section, a duplicate section or
+    key, or a missing section header."""
+    lines = [(name, key, str(value))
+             for name, keys in sections.items() for key, value in keys.items()]
+    headers = set()
+    changes = st.lists(st.sampled_from(["value", "value", "key", "section", "duplicate section",
+                                        "duplicate key", "header"]), min_size=1, max_size=3)
+    for change in draw(changes) if faulty else []:
+        at = draw(st.integers(0, len(lines) - 1))
+        name, key, value = lines[at]
+        if change == "value":
+            lines[at] = (name, key, draw(_BAD))
+        elif change == "key":
+            lines.insert(at, (name, "mass", "1"))
+        elif change == "section":
+            lines.append(("extra", "mass", "1"))
+        elif change == "duplicate key":
+            lines.insert(at, (name, key, draw(_NUMBERS)))
+        elif change == "duplicate section":
+            headers.add(at)
+        else:
+            headers.add(-1)
+    text, current = [], None
+    for at, (name, key, value) in enumerate(lines):
+        if name != current or at in headers:
+            if not (at == 0 and -1 in headers):
+                text.append(f"[{name}]")
+            current = name
+        text.append(f"{key} = {value}")
+    return "\n".join(text) + "\n"
+
+
+@st.composite
+def command_lines(draw):
+    """Flags and INI text for ``--config``, drawn to run cleanly, to hold a fault in the
+    text or in a flag, or to fail in the solver; and the subcommands to run.
+
+    Every subcommand runs on the same draw; ``ri-converge`` only where no bath is bosonic.
+    """
+    sections = draw(valid_sections())
+    fault = draw(st.sampled_from(["none", "text", "flag", "solver"]))
+    args = []
+    preset = draw(st.one_of(st.none(), st.none(), st.none(), st.sampled_from(list(PRESETS))))
+    if preset is not None:  # under the overlay
+        args += ["--preset", preset]
+    args += draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    args += draw(st.sampled_from([[], ["--jobs", "2"]]))
+    if fault == "solver":  # no kernel at a tolerance of 1e-300; check-one-way's --tol is another
+        args += ["--tol", "1e-300"]
+    if fault == "flag":
+        args += draw(st.sampled_from([["--tol", "nan"], ["--tol", "-1"], ["--jobs", "0"],
+                                      ["--preset", "nope"]]))
+    text = draw(config_texts(sections, faulty=fault == "text"))
+    bosonic = "boson" in (preset or "") or any(
+        sections[f"bath_{side}"].get("kind") == "bosonic" for side in "LR")
+    commands = ["steady", "sweep", "check-one-way"] + ([] if bosonic else ["ri-converge"])
+    return commands, args, text
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=command_lines())
+def test_every_command_line_exits_by_the_contract(case):
+    # any drawn input ends in a documented exit code, never a traceback, and
+    # a refused configuration or a solver failure says so on stderr
+    commands, args, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.ini"
+        path.write_text(text)
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *args, "--config", str(path)])
+            assert code in (0, 2, 3, 4), command
+            if code == 2:
+                assert err.getvalue().startswith("config error:"), command
+            if code == 3:
+                assert err.getvalue().startswith("solver failure:"), command

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import fields, replace
 from math import comb
 from pathlib import Path
 
@@ -20,17 +22,20 @@ from spinheat import (
     KernelError,
     Liouvillian,
     RIConfig,
+    SteadyState,
     build_hamiltonian,
     build_liouvillian,
     jump_ops,
     lindblad_action,
+    ri_fixed_point,
     solve_steady,
     steady_for,
     unvec,
     vec,
 )
+from spinheat import steady_state
 from spinheat.linalg import components, svd_kernel
-from spinheat.steady_state import HERMITICITY_BOUND, _blocks
+from spinheat.steady_state import HERMITICITY_BOUND, _Plan
 from dense_reference import blocks_of, dense, from_dense, liouvillian_matrix, sparsity, whole
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -345,10 +350,12 @@ def assert_blocks_match(liou, ref, tol):
     assert [g.tolist() for g in groups] == \
         [g.tolist() for g in components(*sparsity(ref), ref.shape[0])]
     flip = np.arange(ref.shape[0]).reshape(liou.dim, -1).ravel(order="F")
-    for idx, paired, stack in _blocks(liou, groups, flip):
-        assert np.max(np.abs(stack - blocks_of(ref, idx)), initial=0.0) <= tol
-        mirrors = blocks_of(ref, flip[idx[paired]])
-        assert np.max(np.abs(stack[paired].conj() - mirrors), initial=0.0) <= tol
+    plan = _Plan(liou.dim, liou.rows, liou.cols)
+    plan.gather(liou.values)
+    for g in plan.groups:
+        assert np.max(np.abs(g.stack - blocks_of(ref, g.idx)), initial=0.0) <= tol
+        mirrors = blocks_of(ref, flip[g.idx[g.paired]])
+        assert np.max(np.abs(g.stack[g.paired].conj() - mirrors), initial=0.0) <= tol
 
 
 @st.composite
@@ -511,6 +518,33 @@ def test_stationary_coherence_pair_is_refused_through_its_representative():
     assert np.max(np.abs(state.rho - np.diag([0.0, 0.5, 0.5]))) < 1e-12
 
 
+def test_one_svd_per_adjoint_pair(monkeypatch):
+    # an ising chain whose site energies repeat has stationary coherences, so
+    # the SVD fallback runs; a mirror block's factors are its partner's conjugates
+    spec = ChainSpec(kind="ising", n=5, field=(0.5, 0.4, 0.6, 0.8, 0.4),
+                     bond_Delta=(0.5, 0.8, 0.7, 0.6))
+    liou = build_liouvillian(spec, BOSON_PAIR)
+    seen = []
+    svd = np.linalg.svd
+
+    def record(a, *args, **kwargs):
+        seen.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", record)
+    state = in_new_thread(solve_steady, liou)
+    monkeypatch.undo()
+    blocks = components(liou.rows, liou.cols, liou.dim ** 2)
+    flip = np.arange(liou.dim ** 2).reshape(liou.dim, -1).ravel(order="F")
+    total = sum(len(idx) for idx in blocks)
+    own = sum(int(np.all(np.sort(flip[idx], axis=1) == idx, axis=1).sum()) for idx in blocks)
+    assert state.solver == "svd"
+    assert sum(seen) == own + (total - own) // 2 < total
+    rho, k = svd_reference(liou)
+    assert k == state.nullspace_dim
+    assert np.max(np.abs(state.rho - rho)) < 1e-12
+
+
 def run_fresh(code: str) -> tuple[list[str], float]:
     """Run ``code`` in a fresh interpreter: the fields it prints and its peak resident set in MiB.
 
@@ -573,3 +607,197 @@ def test_residual_reported():
     direct = float(np.linalg.norm(dense(liou) @ vec(state.rho)))
     assert state.residual == pytest.approx(direct, rel=1e-10)
     assert state.residual < 1e-10 * np.linalg.norm(dense(liou), 2)
+
+
+# -- the plan of a pattern, kept per thread and reused --------------------------------
+
+
+def solve_outcome(liou):
+    """Every field of ``solve_steady(liou)``, bit for bit, or the type and text of its error."""
+    try:
+        state = solve_steady(liou)
+    except (KernelError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(state.rho.tobytes() if f.name == "rho" else repr(getattr(state, f.name))
+                 for f in fields(SteadyState))
+
+
+def in_new_thread(fn, *args):
+    """``fn(*args)`` in a thread of its own, which holds no plan yet."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def nonzero(lo, hi):
+    return grid(lo, hi).filter(lambda x: x != 0)
+
+
+@st.composite
+def chain_sequences(draw):
+    """Driven chains, each one change away from the one before.
+
+    A change draws new nonzero values on the same pattern, sets one coupling
+    or field to exactly 0, switches one bath between spin and bosonic, or
+    draws another n.
+    """
+    def fresh_values(n):
+        return {"alpha": draw(nonzero(0.3, 2.0)),
+                "bonds": [draw(nonzero(-1.5, 1.5)) for _ in range(n - 1)],
+                "fields": [draw(nonzero(-1.0, 1.0)) for _ in range(n)]}
+
+    def chain(kind, n, p, families):
+        if kind == "xxz":
+            spec = ChainSpec(kind="xxz", n=n, alpha=p["alpha"], bond_Delta=tuple(p["bonds"]),
+                             field=tuple(p["fields"]))
+        else:
+            spec = ChainSpec(kind="ising", n=n, bond_Delta=tuple(p["bonds"]),
+                             field=tuple(p["fields"]))
+        baths = [BathSpec(side=side, f=draw(grid(-0.9, 0.9)), gamma=draw(grid(0.2, 2.0)))
+                 if family == "spin" else
+                 BathSpec(side=side, kind="bosonic", beta=draw(grid(0.3, 3.0)),
+                          omega=draw(grid(0.5, 2.0)), g=draw(grid(0.2, 0.6)))
+                 for side, family in zip("LR", families)]
+        return spec, baths
+
+    kind = draw(st.sampled_from(["xxz", "ising"]))
+    n = draw(st.integers(2, 4))
+    p = fresh_values(n)
+    families = [draw(st.sampled_from(["spin", "bosonic"])) for _ in "LR"]
+    chains = [chain(kind, n, p, families)]
+    for change in draw(st.lists(st.sampled_from(["values", "zero", "bath", "n"]),
+                                min_size=2, max_size=4)):
+        if change == "values":
+            new = fresh_values(n)
+            p = {k: [v if old else 0.0 for v, old in zip(new[k], p[k])] if isinstance(p[k], list)
+                 else (new[k] if p[k] else 0.0) for k in p}
+        elif change == "zero":
+            key = draw(st.sampled_from(["alpha", "bonds", "fields"] if kind == "xxz"
+                                       else ["bonds", "fields"]))
+            if key == "alpha":
+                p["alpha"] = 0.0
+            else:
+                p[key][draw(st.integers(0, len(p[key]) - 1))] = 0.0
+        elif change == "bath":
+            side = draw(st.integers(0, 1))
+            families[side] = "bosonic" if families[side] == "spin" else "spin"
+        else:
+            n = draw(st.sampled_from([m for m in (2, 3, 4) if m != n]))
+            p = fresh_values(n)
+        chains.append(chain(kind, n, p, families))
+    return chains
+
+
+@settings(max_examples=30, deadline=None)
+@given(chains=chain_sequences())
+def test_solves_in_sequence_match_fresh_solves(chains):
+    # each solve in this thread may reuse the plan of the one before; a new
+    # thread holds no plan, so its solve builds the plan afresh
+    for spec, baths in chains:
+        liou = build_liouvillian(spec, baths)
+        assert solve_outcome(liou) == in_new_thread(solve_outcome, liou)
+
+
+def test_new_values_on_the_kept_pattern_reuse_its_plan():
+    spec = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5, h=0.1)
+    solve_steady(build_liouvillian(spec, SPIN_PAIR))
+    plan = steady_state._last.plan
+    solve_steady(build_liouvillian(replace(spec, Delta=0.7, h=0.3), SPIN_PAIR))
+    assert steady_state._last.plan is plan
+
+
+@pytest.mark.parametrize("bad", ["nan", "hermiticity"])
+def test_values_are_checked_on_a_kept_plan(bad):
+    liou = build_liouvillian(ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5), SPIN_PAIR)
+    expected = in_new_thread(solve_outcome, liou)
+    solve_steady(liou)
+    plan = steady_state._last.plan
+    values = liou.values.copy()
+    if bad == "nan":
+        values[values.size // 2] = np.nan
+        match = "non-finite entries"
+    else:  # L[0, 0] (|0><0| -> |0><0|) is its own mirror, so it must be real
+        values[(liou.rows == 0) & (liou.cols == 0)] *= 1 + 1e-6j
+        match = "does not preserve Hermiticity"
+    with pytest.raises(ValueError, match=match):
+        solve_steady(Liouvillian(liou.rows, liou.cols, values, liou.dim))
+    assert steady_state._last.plan is plan
+    assert solve_outcome(liou) == expected
+
+
+def mirrored_chains():
+    """Two ising chains, one the other's mirror image: as many entries, in other rows."""
+    field = (0.3, 0.7, -0.4)
+    spin = BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0)
+    boson = BathSpec(side="R", kind="bosonic", beta=2.0, omega=1.3, g=0.3)
+    return (build_liouvillian(ChainSpec(kind="ising", n=3, field=field, bond_Delta=(0.8, 1.1)),
+                              [spin, boson]),
+            build_liouvillian(ChainSpec(kind="ising", n=3, field=field[::-1], bond_Delta=(1.1, 0.8)),
+                              [replace(boson, side="L"), replace(spin, side="R")]))
+
+
+def decay_and_pump():
+    """A qubit relaxing to |0><0| and one pumped to |1><1|: the same rows, other columns."""
+    h = np.diag([0.0, 1.0]).astype(complex)
+    decay = np.array([[0, 1], [0, 0]], dtype=complex)
+    return Liouvillian.from_jumps(h, [decay]), Liouvillian.from_jumps(h, [decay.T])
+
+
+@pytest.mark.parametrize("pair", [mirrored_chains, decay_and_pump])
+def test_entries_rewritten_in_place_are_solved_afresh(pair):
+    a, b = pair()
+    assert a.rows.size == b.rows.size and not np.array_equal(a.cols, b.cols)
+    expected = in_new_thread(solve_outcome, b)
+    assert solve_outcome(a) != expected
+    a.rows[:], a.cols[:], a.values[:] = b.rows, b.cols, b.values
+    assert solve_outcome(a) == expected
+
+
+def test_threads_solving_in_turn_match_the_serial_solves():
+    # three threads solve at once, step by step, each on a pattern of its own
+    # with values that change every step: each keeps its own plan throughout
+    xxz4 = ChainSpec(kind="xxz", n=4, alpha=1.0, bond_Delta=(0.3, -0.8, 1.1))
+    xxz3 = ChainSpec(kind="xxz", n=3, alpha=0.7, Delta=0.4, h=0.2)
+    ising = ChainSpec(kind="ising", n=3, field=(0.3, 0.7, -0.4), bond_Delta=(0.8, 1.1))
+    lious = [[build_liouvillian(xxz4, SPIN_PAIR),
+              build_liouvillian(replace(xxz4, bond_Delta=(0.9, 0.2, -0.5)), SPIN_PAIR)],
+             [build_liouvillian(xxz3, SPIN_PAIR),
+              build_liouvillian(replace(xxz3, h=-0.6), SPIN_PAIR)],
+             [build_liouvillian(ising, BOSON_PAIR),
+              build_liouvillian(replace(ising, field=(0.5, -0.2, 0.1)), BOSON_PAIR)]]
+    serial = [[in_new_thread(solve_outcome, liou) for liou in pair] for pair in lious]
+    step = threading.Barrier(len(lious), timeout=60)
+    seen = {k: [] for k in range(len(lious))}
+    plans = {k: set() for k in range(len(lious))}
+
+    def work(k):
+        for i in range(20):
+            step.wait()
+            seen[k].append(solve_outcome(lious[k][i % 2]))
+            plans[k].add(id(steady_state._last.plan))
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in seen]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter over often, inside a solve too
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for k in seen:
+        assert seen[k] == [serial[k][i % 2] for i in range(20)]
+        assert len(plans[k]) == 1
+
+
+def test_collision_fixed_point_leaves_the_kept_plan_alone():
+    liou = build_liouvillian(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.5), SPIN_PAIR)
+    solve_steady(liou)
+    plan = steady_state._last.plan
+    ri_fixed_point(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.5), SPIN_PAIR, RIConfig(tau=0.05))
+    assert steady_state._last.plan is plan
