@@ -518,6 +518,28 @@ def test_stationary_coherence_pair_is_refused_through_its_representative():
     assert np.max(np.abs(state.rho - np.diag([0.0, 0.5, 0.5]))) < 1e-12
 
 
+def one_off_outcome(liou):
+    """``solve_outcome`` through the one-off solve of the collision fixed point."""
+    try:
+        state = steady_state._solve_once(liou)
+    except (KernelError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(state.rho.tobytes() if f.name == "rho" else repr(getattr(state, f.name))
+                 for f in fields(SteadyState))
+
+
+@pytest.mark.parametrize("chain", [
+    (ChainSpec(kind="xxz", n=4, alpha=1.0, Delta=0.5, h=0.1), SPIN_PAIR),  # bordered
+    (ChainSpec(kind="ising", n=4, field=(0.5, 0.4, 0.6, 0.4), bond_Delta=(0.5, 0.8, 0.7)),
+     BOSON_PAIR),  # stationary coherences: SVD
+])
+def test_one_off_solve_matches_the_kept_plan(chain):
+    # the one-off solve frees its gather before the LUs and its stacks after
+    # them, and gathers afresh for the SVD path
+    liou = build_liouvillian(*chain)
+    assert one_off_outcome(liou) == in_new_thread(solve_outcome, liou)
+
+
 def test_one_svd_per_adjoint_pair(monkeypatch):
     # an ising chain whose site energies repeat has stationary coherences, so
     # the SVD fallback runs; a mirror block's factors are its partner's conjugates
