@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import check_dense_dim
-from .operators import site_op, two_site_op
 
 CHAIN_KINDS = ("xxz", "ising")
 BATH_KINDS = ("spin", "bosonic")
@@ -206,27 +205,45 @@ def with_f(b: BathSpec, f: float) -> BathSpec:
     return replace(b, f=f)
 
 
-def _bond_term(spec: ChainSpec, i: int, j: int, coupling: float) -> np.ndarray:
-    """Bond ``(i, j)`` at coupling D: ``alpha (xx + yy) + D zz`` (xxz), ``(D/2) zz`` (ising)."""
-    n = spec.n
-    zz = two_site_op("z", i, "z", j, n)
-    if spec.kind == "ising":
-        return (coupling / 2.0) * zz
-    hop = two_site_op("x", i, "x", j, n) + two_site_op("y", i, "y", j, n)
-    return spec.alpha * hop + coupling * zz
+def _chain_terms(spec: ChainSpec, bonds: list[tuple[int, int, float]],
+                 fields: list[tuple[int, float]]) -> np.ndarray:
+    """Sum of bond terms ``(i, j, D)`` and field terms ``(i, c)``, added in the order given.
+
+    A bond adds ``alpha (x_i x_j + y_i y_j) + D z_i z_j`` (xxz) or ``(D/2)
+    z_i z_j`` (ising), a field ``c z_i``, sites 1-based.  The terms come from
+    the basis bits: site ``i`` is bit ``n - i`` of a basis index (site 1 is
+    the first Kronecker factor), with ``z_i = +1`` where it is 0, and ``x_i
+    x_j + y_i y_j`` is 2 between two states that differ by flipping an
+    antiparallel pair.  Every term is an exact product added into zeros, in
+    the same order as a sum of Kronecker products would add it, so the
+    result has the bits of that sum.
+    """
+    n, dim = spec.n, spec.dim
+    states = np.arange(dim)
+    z = 1.0 - 2.0 * (states >> (n - np.arange(1, n + 1))[:, None] & 1)  # z[i - 1] = z_i
+    diagonal = np.zeros(dim)
+    h_mat = np.zeros((dim, dim), dtype=complex)
+    for i, j, coupling in bonds:
+        zz = z[i - 1] * z[j - 1]
+        if spec.kind == "ising":
+            diagonal += (coupling / 2.0) * zz
+            continue
+        diagonal += coupling * zz
+        flip = states[zz < 0]
+        h_mat[flip, flip ^ (1 << (n - i) | 1 << (n - j))] += 2.0 * spec.alpha
+    for i, c in fields:
+        diagonal += c * z[i - 1]
+    h_mat[states, states] += diagonal
+    return h_mat
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense chain Hamiltonian on 2^n dimensions, Hermitian by construction."""
-    h_mat = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for i, coupling in enumerate(spec.bond_couplings, start=1):
-        h_mat += _bond_term(spec, i, i + 1, coupling)
+    bonds = [(i, i + 1, coupling) for i, coupling in enumerate(spec.bond_couplings, start=1)]
     if spec.Delta13 != 0.0:
-        h_mat += _bond_term(spec, 1, 3, spec.Delta13)
-    for i, hi in enumerate(spec.site_fields, start=1):
-        if hi != 0.0:
-            h_mat += (hi / 2.0) * site_op("z", i, spec.n)
-    return h_mat
+        bonds.append((1, 3, spec.Delta13))
+    fields = [(i, hi / 2.0) for i, hi in enumerate(spec.site_fields, start=1) if hi != 0.0]
+    return _chain_terms(spec, bonds, fields)
 
 
 def bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
@@ -243,11 +260,9 @@ def bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
     n = spec.n
     if not 1 <= bond <= n - 1:
         raise ValueError(f"bond {bond} outside 1..{n - 1}")
-    i = bond
-    eps = _bond_term(spec, i, i + 1, spec.bond_couplings[i - 1])
     fields = spec.site_fields
-    w_left = 1.0 if i == 1 else 0.5
-    w_right = 1.0 if i + 1 == n else 0.5
-    eps = eps + w_left * (fields[i - 1] / 2.0) * site_op("z", i, n)
-    eps = eps + w_right * (fields[i] / 2.0) * site_op("z", i + 1, n)
-    return eps
+    w_left = 1.0 if bond == 1 else 0.5
+    w_right = 1.0 if bond + 1 == n else 0.5
+    return _chain_terms(spec, [(bond, bond + 1, spec.bond_couplings[bond - 1])],
+                        [(bond, w_left * (fields[bond - 1] / 2.0)),
+                         (bond + 1, w_right * (fields[bond] / 2.0))])

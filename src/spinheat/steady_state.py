@@ -19,10 +19,11 @@ probe right-hand sides and the stacks themselves) is a plan, built once per
 pattern: the points of a sweep and the two chains of a one-way check share
 one pattern and only refill the stacks (analyse once, factor many, as in
 sparse direct solvers).  Each thread keeps the plan of its last pattern,
-with its own copy of ``(dim, rows, cols)``; that plan and its stacks of the
-kept blocks are what stays alive, ~2 MiB for an xxz chain of 5 sites and
-~28 MiB for one of 6.  ``ri`` solves its collision generators on a plan
-that is dropped on return, so a collision fixed point keeps nothing.
+with its own copy of ``(dim, rows, cols)``; that plan and the stacks it has
+made are what stays alive, ~1 MiB for an xxz chain of 5 sites and ~14 MiB
+for one of 6 (the stack of the traced block alone, see below).  ``ri``
+solves its collision generators on a plan that is dropped on return, so a
+collision fixed point keeps nothing.
 
 Every block is solved by a trace-constrained ("bordered") LU, the direct
 method of QuTiP's ``steadystate`` (Johansson, Nation and Nori, CPC 184, 1234
@@ -34,6 +35,21 @@ for ising chains whose middle spins are never flipped (Buča and Prosen, NJP
 14, 073007 (2012)).  The result is accepted only when every LU is regular, a
 probe estimate of the condition number is small, the state is stationary to
 the kernel tolerance and it is positive.
+
+Most blocks of a chain with a unique, full-rank (faithful) steady state
+hold coherences only, and the LU of such a block would only show that its
+part of the state is 0.  When one block holds every ``|i><i|`` (the
+traced block) and another misses some column ``j`` of ``|i><j|``, that
+follows from the pattern: the fixed points of the dual generator form a
+*-algebra when a faithful state is stationary (Frigerio, Commun. Math.
+Phys. 63, 269 (1978); Spohn, Lett. Math. Phys. 2, 33 (1977)), so such a
+block holds none (``_bordered`` has the argument).  So the traced block is
+factored first, with the blocks no certificate covers; if its state passes
+every check and its smallest eigenvalue clears the error the probe
+estimate allows, the certified blocks are never factored, and their stacks
+never made.  Otherwise they are factored and checked as the others: an xxz
+chain of 5 sites factors its block of 252 alone, a pure steady state all
+six of its sectors.
 
 Anything else (a stationary coherence, two stationary states in one block,
 an ill-conditioned kernel) falls back to an SVD of each block of the
@@ -91,7 +107,7 @@ class SteadyState:
     nullspace_dim: int
     min_eig: float
     solver: str  # "bordered" or "svd"; "collision" for the fixed point of ri's cycle map
-    largest_block: int  # size of the largest matrix the solve factored
+    largest_block: int  # size of the largest block of the generator
 
 
 def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -111,7 +127,7 @@ def _representative(basis: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass
 class _Group:
-    """One size group of the kept blocks: their entries' gather, border rows and stack.
+    """Kept blocks of one size, all certified or none: their gather, border rows and stack.
 
     The kept blocks are those that are their own adjoint and the first of
     each adjoint pair (``paired``), whose mirror ``flip[c]`` has the
@@ -119,7 +135,10 @@ class _Group:
     idx[i]`` once the entries ``values[sel]`` are scattered to its flat
     places ``pos``.  Row ``first[j]`` of block ``held[j]`` is the one the
     trace replaces; ``traced[j]`` marks that block's diagonal entries.
-    ``rhs`` holds ``e`` and the probes on the rows of ``idx``.
+    ``rhs`` holds ``e`` and the probes on the rows of ``idx``.  ``certified``
+    marks blocks that hold no stationary element when the state is faithful
+    (see ``_bordered``); ``stack`` is made by the first gather that needs
+    it.
     """
 
     idx: np.ndarray
@@ -130,7 +149,18 @@ class _Group:
     first: np.ndarray
     traced: np.ndarray
     rhs: np.ndarray
-    stack: np.ndarray
+    certified: bool = False
+    stack: np.ndarray | None = None
+
+
+def _certified(dim: int, idx: np.ndarray) -> np.ndarray:
+    """Which blocks ``idx[k]`` miss a column ``j`` of their entries ``|i><j|``."""
+    count, size = idx.shape
+    if size < dim:
+        return np.ones(count, dtype=bool)
+    seen = np.zeros((count, dim), dtype=bool)
+    seen[np.arange(count)[:, None], idx // dim] = True  # column-stacked: r = i + dim j
+    return ~seen.all(axis=1)
 
 
 class _Plan:
@@ -141,7 +171,12 @@ class _Plan:
     them a ``_Group``.  A plan is built once per pattern; each solve then
     only fills its stacks with new values.  The gather writes the same
     places each time and the bordered solve only the border rows, so every
-    other entry of a stack stays zero.
+    other entry of a stack stays zero.  When exactly one block holds
+    diagonal entries (it then holds all of them), each size group splits
+    into the blocks that miss no column and the others, which are
+    ``certified`` (``_certified``): ``factored`` lists the groups factored
+    on every solve, ``deferred`` the certified ones, ``solved`` the rows of
+    ``factored`` and ``solved_norms`` the probes' norms on them.
     """
 
     def __init__(self, dim: int, rows: np.ndarray, cols: np.ndarray):
@@ -161,48 +196,114 @@ class _Plan:
         blocks = components(*edges, n)
         del edges
         self.largest = blocks[-1].shape[1]
-        start, place = np.zeros((2, n), dtype=np.intp)  # row offset in the stack; place
-        group = np.full(n, len(blocks))  # group of a gathered index; past the last if none
-        kept = []
-        for g, idx in enumerate(blocks):
-            size, first = idx.shape[1], idx[:, 0]
-            mate = flip[idx].min(axis=1)  # smallest index of the mirror component, of the same size
-            own = idx[mate >= first]  # its own adjoint, or first of its pair
-            start[own] = np.arange(0, own.size * size, size).reshape(own.shape)
-            place[idx] = np.arange(size)
-            group[own] = g
-            kept.append((own, mate[mate >= first] > own[:, 0]))
-        entry_group = group[rows]
         traces = np.zeros(n, dtype=bool)
         traces[::dim + 1] = True  # the diagonal entries |i><i|
+        place = np.zeros(n, dtype=np.intp)
+        kept = []  # per size: the kept blocks, their paired flags, which of them hold a trace
+        for idx in blocks:
+            first = idx[:, 0]
+            mate = flip[idx].min(axis=1)  # smallest index of the mirror component, of the same size
+            own = idx[mate >= first]  # its own adjoint, or first of its pair
+            place[idx] = np.arange(idx.shape[1])
+            kept.append((own, mate[mate >= first] > own[:, 0], traces[own].any(axis=1)))
+        parts = [(*part, False) for part in kept]
+        if sum(int(held.sum()) for *_, held in kept) == 1:  # one traced block, holding every |i><i|
+            parts = []
+            for own, paired, held in kept:  # a size splits into factored and certified blocks
+                certified = ~held & _certified(dim, own)
+                parts += [(own[c], paired[c], held[c], flag)
+                          for c, flag in ((~certified, False), (certified, True)) if c.any()]
+        start = np.zeros(n, dtype=np.intp)  # row offset in the stack
+        group = np.full(n, len(parts))  # group of a gathered index; past the last if none
+        for g, (own, *_) in enumerate(parts):
+            start[own] = np.arange(0, own.size * own.shape[1], own.shape[1]).reshape(own.shape)
+            group[own] = g
+        entry_group = group[rows]
         self.groups, self.kernel = [], []  # kernel: per group, the index rows of its traced blocks
-        for g, (idx, paired) in enumerate(kept):
+        for g, (idx, paired, held, certified) in enumerate(parts):
             sel = np.flatnonzero(entry_group == g)
             rhs[flip[idx[paired]], 1:] = 0.0  # no probe of a mirror: conj(b) is conditioned as b
-            traced = traces[idx]
-            held = traced.any(axis=1).nonzero()[0]
-            traced = traced[held]
+            held = held.nonzero()[0]
+            traced = traces[idx[held]]
             first = traced.argmax(axis=1)  # place of each block's first diagonal entry
             rhs[idx[held, first], 0] = 1.0
             if held.size:
                 self.kernel.append(idx[held])
-            size = idx.shape[1]
             self.groups.append(_Group(
                 idx=idx, paired=paired, sel=sel, pos=start[rows[sel]] + place[cols[sel]],
-                held=held, first=first, traced=traced, rhs=rhs[idx],
-                stack=np.zeros((len(idx), size, size), dtype=complex)))
+                held=held, first=first, traced=traced, rhs=rhs[idx], certified=certified))
+        self.factored = [g for g in self.groups if not g.certified]
+        self.deferred = [g for g in self.groups if g.certified]
         self.probe_norms = np.linalg.norm(rhs[:, 1:], axis=0)
+        if self.deferred:
+            self.solved = np.concatenate([g.idx.ravel() for g in self.factored])
+            self.solved_norms = np.linalg.norm(rhs[self.solved, 1:], axis=0)
         self.replaced = rhs[:, 0] != 0  # the rows of L that B replaces by traces
 
-    def gather(self, values: np.ndarray) -> None:
-        """Scatter the entries' ``values`` into the stacks: they then hold the kept blocks."""
-        for g in self.groups:
+    def gather(self, values: np.ndarray, groups: list[_Group] | None = None) -> None:
+        """Scatter the entries' ``values`` into the stacks of ``groups`` (all by default).
+
+        A stack that is not there yet is made first.
+        """
+        for g in self.groups if groups is None else groups:
+            if g.stack is None:
+                size = g.idx.shape[1]
+                g.stack = np.zeros((len(g.idx), size, size), dtype=complex)
             g.stack.reshape(-1)[g.pos] = values[g.sel]
 
     def fits(self, liou: Liouvillian) -> bool:
         """Whether ``liou`` has this plan's entry pattern."""
         return (liou.dim == self.dim and np.array_equal(liou.rows, self.rows)
                 and np.array_equal(liou.cols, self.cols))
+
+
+def _factor(groups: list[_Group], x: np.ndarray, keep: bool) -> bool:
+    """Bordered LUs of the stacks of ``groups`` into the rows of ``x``; False if one is singular.
+
+    Unless the plan is kept, the groups' gathers go before the LUs, which
+    need the memory, and their stacks after the last LU.
+    """
+    if not keep:
+        for g in groups:
+            g.sel = g.pos = None
+    for g in groups:
+        g.stack[g.held, g.first] = g.traced
+        try:
+            x[g.idx] = np.linalg.solve(g.stack, g.rhs)
+        except np.linalg.LinAlgError:  # exactly singular LU
+            return False
+    if not keep:
+        for g in groups:
+            g.stack = None
+    return True
+
+
+def _condition(x: np.ndarray, probe_norms: np.ndarray, column_sums: np.ndarray) -> float:
+    """``||B||_1 max ||B^-1 r|| / ||r||`` from the probe solutions ``x`` and ``B``'s column sums."""
+    with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused later
+        growth = np.linalg.norm(x, axis=0) / probe_norms
+    return float(column_sums.max()) * float(growth.max())
+
+
+def _accept(liou: Liouvillian, tol: float, plan: _Plan, x: np.ndarray, scale: float,
+            cond: float) -> SteadyState | None:
+    """The state of the bordered solutions ``x`` if it passes ``_bordered``'s checks, else None."""
+    if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
+        return None
+    v = x[:, 0].copy()
+    norms = [(np.abs(v[i]) ** 2).sum(axis=1) for i in plan.kernel]  # ||x_c||^2
+    for i, norm in zip(plan.kernel, norms):
+        v[i] *= (norms[0][0] / norm)[:, None]
+    rho = hermitize(unvec(v, liou.dim))
+    rho = rho / float(np.trace(rho).real)
+    residual = float(np.linalg.norm(liou.apply(vec(rho))))
+    if not residual <= tol * scale * float(np.linalg.norm(rho)):
+        return None
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < MIN_EIG_FLOOR:
+        return None
+    return SteadyState(rho=rho, residual=residual, nullspace_dim=sum(map(len, norms)),
+                       min_eig=min_eig, solver="bordered", largest_block=plan.largest)
 
 
 def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyState | None:
@@ -224,51 +325,57 @@ def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyS
     ``x_c`` as it is.  The residual ``||L vec rho|| / ||rho||_F`` must be at
     most ``tol`` times the largest column 2-norm of ``L``, a lower bound on
     its spectral norm, so this test is never looser than the SVD kernel
-    threshold.  Unless the plan is kept, its stacks are freed after the
-    last LU.
+    threshold.
+
+    The plan's certified groups (``deferred``) are factored only when the
+    state solved without them cannot be shown faithful.  Why they may be
+    left out: ``F = ker L^dag`` is block diagonal over the components, and
+    when a faithful (full-rank) state is stationary, ``F`` is a *-algebra
+    (Frigerio, Commun. Math. Phys. 63, 269 (1978); Spohn, Lett. Math. Phys.
+    2, 33 (1977)).  With one traced block ``c0`` whose kernel is
+    1-dimensional, ``F`` meets ``c0`` in ``C I`` alone (``I`` is in ``F``
+    because ``L`` preserves the trace).  For ``X`` in ``F`` on a certified
+    block, ``X^dag X`` is in ``F`` and its diagonal lies in ``c0``, so there
+    it is a multiple of ``I``: every column of ``X`` has the same norm, and
+    a column that the block misses makes ``X = 0``.  So ``ker L_c^dag`` is
+    0, and with it ``ker L_c``, of the same dimension: ``x`` is 0 on ``c``,
+    as its LU would find.  The premises are checked on the solve without
+    the certified groups.  The probe estimate, over the rows solved, passes
+    the gap rule (one stationary state in ``c0``); the residual and
+    positivity checks pass; and ``min_eig`` exceeds ``GAP_FACTOR cond
+    eps``.  ``cond eps`` bounds the LU's relative error in ``x``, and so the
+    error in the 2-norm of ``rho``, whose Frobenius norm is at most 1; the
+    estimate's slack gets the same allowance ``GAP_FACTOR`` as elsewhere.
+    If a premise fails, the certified groups are factored too and every
+    check runs on all the blocks, as without a certificate.
     """
     dim = liou.dim
     n = dim * dim
     x = np.zeros((n, 1 + PROBES), dtype=complex)  # a mirror block is never solved: its rows stay 0
-    for g in plan.groups:
-        g.stack[g.held, g.first] = g.traced
-        try:
-            x[g.idx] = np.linalg.solve(g.stack, g.rhs)
-        except np.linalg.LinAlgError:  # exactly singular LU
-            return None
-    if not keep:  # a one-off plan's stacks go before the state is formed
-        for g in plan.groups:
-            g.stack = None
+    if not _factor(plan.factored, x, keep):
+        return None
     magnitude = np.abs(liou.values)
     scale = float(np.sqrt(np.bincount(liou.cols, magnitude ** 2, n).max()))
     magnitude[plan.replaced[liou.rows]] = 0.0
     column_sums = np.bincount(liou.cols, magnitude, n)
     column_sums[::dim + 1] += 1.0  # the traces' columns
-    with np.errstate(over="ignore", invalid="ignore"):  # near-singular LU: inf/nan, refused below
-        growth = np.linalg.norm(x[:, 1:], axis=0) / plan.probe_norms
-    cond = float(column_sums.max()) * float(growth.max())
-    if not cond <= 1.0 / (GAP_FACTOR * tol):  # also refuses nan
-        return None
-    norms = [(np.abs(x[i, 0]) ** 2).sum(axis=1) for i in plan.kernel]  # ||x_c||^2
-    for i, norm in zip(plan.kernel, norms):
-        x[i, 0] *= (norms[0][0] / norm)[:, None]
-    rho = hermitize(unvec(x[:, 0], dim))
-    rho = rho / float(np.trace(rho).real)
-    residual = float(np.linalg.norm(liou.apply(vec(rho))))
-    if not residual <= tol * scale * float(np.linalg.norm(rho)):
-        return None
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < MIN_EIG_FLOOR:
-        return None
-    return SteadyState(rho=rho, residual=residual, nullspace_dim=sum(map(len, norms)),
-                       min_eig=min_eig, solver="bordered", largest_block=plan.largest)
+    if plan.deferred:
+        solved = plan.solved
+        cond = _condition(x[solved, 1:], plan.solved_norms, column_sums[solved])
+        state = _accept(liou, tol, plan, x, scale, cond)
+        if state is not None and state.min_eig > GAP_FACTOR * cond * np.finfo(float).eps:
+            return state
+        plan.gather(liou.values, plan.deferred)
+        if not _factor(plan.deferred, x, keep):
+            return None
+    return _accept(liou, tol, plan, x, scale, _condition(x[:, 1:], plan.probe_norms, column_sums))
 
 
 def _solve(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyState:
     """The numeric pass of ``solve_steady`` over ``liou.values`` on the plan of its pattern.
 
-    Unless the plan is kept, its mirror index and gather are freed before
-    the LUs, which need the memory.
+    Unless the plan is kept, its mirror index is freed before the LUs, which
+    need the memory.
     """
     values = liou.values
     if not np.isfinite(values).all():
@@ -280,18 +387,17 @@ def _solve(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyStat
     if np.abs(defect).max(initial=0.0) > HERMITICITY_BOUND * np.abs(values).max(initial=0.0):
         raise ValueError("generator does not preserve Hermiticity")
     del defect
-    plan.gather(values)
+    plan.gather(values, plan.factored)
     if not keep:  # the LUs need the memory
         plan.at = plan.lone = None
-        for g in plan.groups:
-            g.sel = g.pos = None
     state = _bordered(liou, tol, plan, keep)
     if state is not None:
         return state
     if not keep:  # a one-off plan has dropped its gather and its stacks
         plan = _Plan(liou.dim, liou.rows, liou.cols)
-    for g in plan.groups:
-        g.stack[g.held, g.first] = 0.0  # the traces out: the gather puts L's rows back
+    for g in plan.factored:
+        if g.stack is not None:
+            g.stack[g.held, g.first] = 0.0  # the traces out: the gather puts L's rows back
     plan.gather(values)
     factors = []
     for g in plan.groups:  # one SVD per adjoint pair: a mirror's factors are the conjugates
@@ -326,9 +432,11 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     bordered solve (see ``_bordered``) handles every kernel with one
     well-separated stationary state per traced block and reports
     ``solver = "bordered"``, with ``nullspace_dim`` the number of those
-    blocks.  When any of its checks fails, each block goes through an SVD
-    instead (``solver = "svd"``).  ``largest_block`` is the size of the
-    largest block.  The blocks, norms and residual all come from the generator's
+    blocks; a faithful state spares it the LUs of the blocks that hold no
+    stationary element by their pattern.  When any of its checks fails, each
+    block goes through an SVD instead (``solver = "svd"``).
+    ``largest_block`` is the size of the largest block of the generator,
+    factored or not.  The blocks, norms and residual all come from the generator's
     nonzero entries; a non-finite entry, or a broken Hermiticity, raises ValueError.
 
     The SVD path raises KernelError when the kernel is empty at ``tol``, when

@@ -7,7 +7,9 @@ tests hold the entry-wise builder and the block solve against it, through
 exponentiates a whole Hermitian matrix by one ``eigh``, the reference for the
 component-wise ``herm_expm``.  ``from_jumps_reference`` is the entry-wise
 builder as it was when it gathered ``sum_a L_a^dag L_a`` one pattern row at a
-time; ``Liouvillian.from_jumps`` must return the same bits.
+time; ``Liouvillian.from_jumps`` must return the same bits.  ``kron_hamiltonian``
+and ``kron_bond_energy`` sum Kronecker products of Pauli strings, the way the
+package built the chain terms before it wrote them from the basis bits.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spinheat import Liouvillian
+from spinheat import ChainSpec, Liouvillian, site_op, two_site_op
 
 
 def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -114,3 +116,38 @@ def dense_expm(h: np.ndarray, t: float) -> np.ndarray:
     """``exp(-i t h)`` of a Hermitian ``h`` by one ``eigh`` of the whole matrix, blocks or not."""
     w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
     return (v * np.exp(-1j * float(t) * w)) @ v.conj().T
+
+
+def _kron_bond(spec: ChainSpec, i: int, j: int, coupling: float) -> np.ndarray:
+    """Bond ``(i, j)`` at coupling D: ``alpha (xx + yy) + D zz`` (xxz), ``(D/2) zz`` (ising)."""
+    n = spec.n
+    zz = two_site_op("z", i, "z", j, n)
+    if spec.kind == "ising":
+        return (coupling / 2.0) * zz
+    hop = two_site_op("x", i, "x", j, n) + two_site_op("y", i, "y", j, n)
+    return spec.alpha * hop + coupling * zz
+
+
+def kron_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """The chain Hamiltonian as a sum of Kronecker products, bonds first, then fields."""
+    h_mat = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for i, coupling in enumerate(spec.bond_couplings, start=1):
+        h_mat += _kron_bond(spec, i, i + 1, coupling)
+    if spec.Delta13 != 0.0:
+        h_mat += _kron_bond(spec, 1, 3, spec.Delta13)
+    for i, hi in enumerate(spec.site_fields, start=1):
+        if hi != 0.0:
+            h_mat += (hi / 2.0) * site_op("z", i, spec.n)
+    return h_mat
+
+
+def kron_bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
+    """The local energy of bond ``(bond, bond + 1)`` of an xxz chain as Kronecker products."""
+    n, i = spec.n, bond
+    eps = _kron_bond(spec, i, i + 1, spec.bond_couplings[i - 1])
+    fields = spec.site_fields
+    w_left = 1.0 if i == 1 else 0.5
+    w_right = 1.0 if i + 1 == n else 0.5
+    eps = eps + w_left * (fields[i - 1] / 2.0) * site_op("z", i, n)
+    eps = eps + w_right * (fields[i] / 2.0) * site_op("z", i + 1, n)
+    return eps

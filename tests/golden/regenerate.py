@@ -9,10 +9,13 @@ with the files in this directory:
 
 Rewrite the files, from the root of a checkout, with::
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [CASE ...]
 
-Regenerating changes what the test checks.  CHANGES.md must then name the
-files that changed, the reason, and the largest numeric change per column.
+Named cases are rewritten alone, and the other entries of ``outcomes.json``
+are kept, so a new case can be added without touching the files of the
+others.  With no name, every case is rewritten.  Regenerating changes what
+the test checks.  CHANGES.md must then name the files that changed, the
+reason, and the largest numeric change per column.
 The bytes depend on the BLAS build and its thread count; a mismatch on another
 machine is a finding to record, not a reason to loosen the comparison.
 """
@@ -38,6 +41,19 @@ BETA_L = "[bath_L]\nbeta = 0.8\n"
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "eq16")
 ISING = ("ising_boson_n2", "ising_boson_n3", "ising_spin_n2", "ising_spin_n3")
 
+# field-free xxz n=5 with asymmetric bonds, and xxz n=4 in a field, both between (beta, h) baths
+XXZ5_FLIP_F = (
+    "[model]\nkind = xxz\nn = 5\nalpha = 1.1\nh = 0\nbond_Delta = 0.3, -0.8, 1.1, 0.5\n"
+    "[bath_L]\nkind = spin\nbeta = 1\nh = 0.7\ngamma = 1\n"
+    "[bath_R]\nkind = spin\nbeta = 2\nh = -0.4\ngamma = 0.8\n"
+    "[inversion]\nkind = flip_f\n"
+)
+XXZ4 = (
+    "[model]\nkind = xxz\nn = 4\nalpha = 0.9\nh = 0.2\nbond_Delta = 0.4, -0.6, 1.2\n"
+    "[bath_L]\nkind = spin\nbeta = 0.8\nh = 1.1\ngamma = 1.2\n"
+    "[bath_R]\nkind = spin\nbeta = 1.5\nh = -0.3\ngamma = 0.7\n"
+)
+
 # name -> (arguments, INI overlay passed as --config, or None)
 CASES: dict[str, tuple[list[str], str | None]] = {
     **{f"steady_{p}": (["steady", "--preset", p], BETA_H_L) for p in FIGURES},
@@ -56,6 +72,10 @@ CASES: dict[str, tuple[list[str], str | None]] = {
         ["check-one-way", "--preset", "eq16", "--format", "json"], "[inversion]\nkind = flip_f\n",
     ),
     "ri_converge_json_eq16": (["ri-converge", "--preset", "eq16", "--format", "json"], BETA_H_L),
+    # chains whose kernel is one faithful state, so that the solve factors
+    # only the block of the populations
+    "check_one_way_json_xxz5_flip_f": (["check-one-way", "--format", "json"], XXZ5_FLIP_F),
+    "steady_xxz4": (["steady"], XXZ4),
 }
 
 
@@ -74,16 +94,21 @@ def run_case(name: str, extra: tuple[str, ...] = ()) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def main() -> int:
-    outcomes = {}
-    for name in CASES:
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    kept = json.loads(OUTCOMES.read_text()) if names and OUTCOMES.exists() else {}
+    for name in names or CASES:
         code, out, err = run_case(name)
         (HERE / f"{name}.out").write_text(out, newline="")
-        outcomes[name] = {"exit": code, "stderr": err}
+        kept[name] = {"exit": code, "stderr": err}
+    outcomes = {name: kept[name] for name in CASES if name in kept}  # in the order of CASES
     OUTCOMES.write_text(json.dumps(outcomes, indent=2) + "\n")
-    print(f"wrote {len(outcomes)} cases to {HERE}", file=sys.stderr)
+    print(f"wrote {len(names or CASES)} case(s) to {HERE}", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

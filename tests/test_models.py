@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat import (
     BathSpec,
@@ -17,6 +19,7 @@ from spinheat import (
     with_f,
 )
 from spinheat import DimensionLimitError
+from dense_reference import kron_bond_energy, kron_hamiltonian
 
 
 def test_xxz_bond_split_three_sites():
@@ -50,6 +53,36 @@ def test_xxz_two_site_explicit():
     expected = alpha * (np.kron(sx, sx) + np.kron(sy, sy)) + Delta * np.kron(sz, sz)
     expected += (h / 2) * (np.kron(sz, eye) + np.kron(eye, sz))
     assert np.allclose(got, expected, atol=1e-14)
+
+
+@st.composite
+def chain_specs(draw):
+    """Chains of 2 to 6 sites with couplings of either sign and any scale, 0 and -0 included."""
+    value = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    kind = draw(st.sampled_from(["xxz", "ising"]))
+    n = draw(st.integers(2, 6))
+    params = {"kind": kind, "n": n, "h": draw(value), "Delta": draw(value)}
+    if kind == "xxz":
+        params["alpha"] = draw(value)
+    if draw(st.booleans()):
+        params["field"] = tuple(draw(value) for _ in range(n))
+    if draw(st.booleans()):
+        params["bond_Delta"] = tuple(draw(value) for _ in range(n - 1))
+    elif n == 3:
+        params["delta"] = draw(value)
+    if kind == "ising" and n == 3:
+        params["Delta13"] = draw(value)
+    return ChainSpec(**params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=chain_specs())
+def test_hamiltonian_has_the_bits_of_the_kronecker_sum(spec):
+    assert build_hamiltonian(spec).tobytes() == kron_hamiltonian(spec).tobytes()
+    if spec.kind == "xxz":  # the Kronecker bond energy starts from no zeros: a 0 may differ in sign
+        for bond in range(1, spec.n):
+            assert np.array_equal(bond_energy(spec, bond), kron_bond_energy(spec, bond))
 
 
 def test_ising_two_site_diagonal():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinheat import (
@@ -489,22 +489,143 @@ def test_entry_without_mirror_below_the_bound_joins_the_blocks():
     assert np.max(np.abs(state.rho - np.diag([1.0, 0.0]))) < 1e-12
 
 
-def test_one_lu_per_adjoint_pair(monkeypatch):
-    # the magnetization sectors q and -q of an xxz chain are adjoint: one of
-    # each pair is factored, with the q = 0 sector, which is its own adjoint
+def lu_sizes(solve, liou):
+    """``solve(liou)`` and the size of each matrix its LUs factored, sorted."""
     seen = []
-    solve = np.linalg.solve
+    lu = np.linalg.solve
 
     def record(a, b):
         seen.extend([a.shape[-1]] * len(a))
-        return solve(a, b)
+        return lu(a, b)
 
-    spec = ChainSpec(kind="xxz", n=5, alpha=1.1, h=0.0, bond_Delta=(0.3, -0.8, 1.1, 0.5))
-    liou = build_liouvillian(spec, SPIN_PAIR)
-    monkeypatch.setattr(np.linalg, "solve", record)
-    state = solve_steady(liou)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", record)
+        state = solve(liou)
+    return state, sorted(seen)
+
+
+XXZ5 = ChainSpec(kind="xxz", n=5, alpha=1.1, h=0.0, bond_Delta=(0.3, -0.8, 1.1, 0.5))
+
+
+@pytest.mark.parametrize("chain, factored", [
+    # faithful: one LU, of the q = 0 sector, which holds every |i><i|; the
+    # sectors q = 1..5 miss a column and the sectors -q are their adjoints
+    ((XXZ5, SPIN_PAIR), [252]),
+    # both baths pump the all-up state, min_eig 0: not faithful, so every
+    # sector is factored, one of each adjoint pair
+    ((XXZ5, [BathSpec(side="L", f=1.0), BathSpec(side="R", f=1.0)]), [1, 10, 45, 120, 210, 252]),
+    # a bosonic bath flips with x: two parity blocks, the odd one has an
+    # entry in every column, so no certificate spares it
+    ((ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5), [BOSON_PAIR[0], SPIN_PAIR[1]]), [32, 32]),
+], ids=["faithful", "pure", "odd-covers-every-column"])
+def test_lus_of_the_blocks_a_faithful_state_does_not_certify(chain, factored):
+    state, sizes = lu_sizes(solve_steady, build_liouvillian(*chain))
     assert (state.solver, state.nullspace_dim) == ("bordered", 1)
-    assert sorted(seen) == [1, 10, 45, 120, 210, 252]
+    assert sizes == factored
+    # the kept plan has made the stacks of the factored blocks only
+    made = [g.stack.shape[-1] for g in steady_state._last.plan.groups if g.stack is not None
+            for _ in g.idx]
+    assert sorted(made) == factored
+
+
+def maybe_zero(lo, hi):
+    """A grid value, or 0 in about one draw of five."""
+    return st.tuples(st.integers(0, 4), grid(lo, hi)).map(lambda kv: kv[1] if kv[0] else 0.0)
+
+
+@st.composite
+def certificate_chains(draw):
+    """xxz and ising chains of 2 to 5 sites with some couplings 0, between spin baths given
+    by (beta, h) or by f alone, f = +-1 and next to it included, or bosonic baths."""
+    n = draw(st.integers(2, 5))
+    fields = tuple(draw(maybe_zero(-1.0, 1.0)) for _ in range(n))
+    bonds = tuple(draw(maybe_zero(-1.5, 1.5)) for _ in range(n - 1))
+    if draw(st.sampled_from(["xxz", "xxz", "ising"])) == "xxz":
+        spec = ChainSpec(kind="xxz", n=n, alpha=draw(maybe_zero(0.3, 2.0)), bond_Delta=bonds,
+                         field=fields)
+    else:
+        spec = ChainSpec(kind="ising", n=n, bond_Delta=bonds, field=fields)
+    f = st.one_of(grid(-1.0, 1.0), st.sampled_from([-1.0, 1.0, -0.999999, 0.999999]))
+    baths = [draw(st.one_of(
+        st.builds(BathSpec, side=st.just(side), beta=grid(0.2, 3.0), h=grid(-1.5, 1.5),
+                  gamma=grid(0.2, 2.0)),
+        st.builds(BathSpec, side=st.just(side), f=f, gamma=grid(0.2, 2.0)),
+        st.builds(BathSpec, side=st.just(side), kind=st.just("bosonic"), beta=grid(0.3, 3.0),
+                  omega=grid(0.5, 2.0), g=grid(0.2, 0.6)),
+    )) for side in "LR"]
+    return spec, baths
+
+
+def outcome_or_error(solve, liou):
+    """``lu_sizes(solve, liou)``, with the type and text of an error in place of the state."""
+    try:
+        return lu_sizes(solve, liou)
+    except (KernelError, ValueError) as exc:
+        return (type(exc).__name__, str(exc)), None
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=certificate_chains())
+@example(chain=(ChainSpec(kind="ising", n=2, field=(0.0, 0.0), bond_Delta=(0.0,)),
+                [BOSON_PAIR[0], BathSpec(side="R", f=0.0)]))
+def test_certified_blocks_are_left_out_only_of_a_unique_kernel(chain):
+    # the certificate changes which LUs run, not the result.  In the example,
+    # x_1 and I are both stationary (H = 0): the block of x_1 misses no
+    # column, so no certificate may leave it out
+    liou = build_liouvillian(*chain)
+    state, sizes, all_sizes = solve_as_if_uncertified(liou)
+    if sizes is not None and state.solver == "bordered" and len(sizes) < len(all_sizes):
+        rho, k = svd_reference(liou)
+        assert k == 1
+        assert np.max(np.abs(state.rho - rho)) < 1e-10
+
+
+def solve_as_if_uncertified(liou):
+    """``outcome_or_error(solve_steady, liou)`` and the LU sizes of a solve that certifies nothing.
+
+    Every field equals that solve's, the one-off solve's too.
+    """
+    state, sizes = in_new_thread(outcome_or_error, solve_steady, liou)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steady_state, "_certified", lambda dim, idx: np.zeros(len(idx), dtype=bool))
+        every, all_sizes = in_new_thread(outcome_or_error, solve_steady, liou)
+    once, _ = outcome_or_error(steady_state._solve_once, liou)
+    for other in (every, once):
+        assert type(other) is type(state)
+        if isinstance(state, SteadyState):
+            assert np.array_equal(other.rho, state.rho)
+            assert all(getattr(other, f.name) == getattr(state, f.name)
+                       for f in fields(SteadyState) if f.name != "rho")
+        else:
+            assert other == state
+    return state, sizes, all_sizes
+
+
+def test_a_size_split_by_the_certificate_takes_the_svd_path_as_a_whole():
+    # a d = 4 generator with three kept blocks of 4 on |i><j| (r = i + 4 j),
+    # each a cycle with a stationary element: the populations, B = {2, 7, 8,
+    # 13}, which has an entry in every column, and C = {1, 3, 9, 11}, which
+    # misses columns 1 and 3 (its mirror is implied).  The certificate splits
+    # C from the others; the LU of B is singular, and the SVD path then
+    # factors C too
+    entries = {}
+    for cycle, rate in (([0, 5, 10, 15], 1.0), ([2, 7, 8, 13], 0.7), ([1, 9, 11, 3], 0.3)):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            entries[b, a] = rate
+            entries[a, a] = -rate
+    flip = np.arange(16).reshape(4, 4).ravel(order="F")
+    entries.update({(flip[r], flip[c]): v for (r, c), v in entries.items() if r in (1, 3, 9, 11)})
+    keys = sorted(entries)
+    liou = Liouvillian(np.array([r for r, _ in keys]), np.array([c for _, c in keys]),
+                       np.array([entries[k] for k in keys], dtype=complex), 4)
+    assert [(g.idx.shape, g.certified) for g in _Plan(4, liou.rows, liou.cols).groups] == \
+        [((2, 4), False), ((1, 4), True)]
+    state, sizes, _ = solve_as_if_uncertified(liou)
+    assert (state.solver, state.nullspace_dim) == ("svd", 4)
+    assert sizes == [4, 4]  # the populations and B; singular, so C never comes to its LU
+    rho, k = svd_reference(liou)
+    assert k == 4
+    assert np.max(np.abs(state.rho - rho)) < 1e-12
 
 
 def test_stationary_coherence_pair_is_refused_through_its_representative():
