@@ -86,11 +86,6 @@ def _density(state) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
-def _nested(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``x y z - 2 x z y + z x y``: the ``(x, y)`` term of ``[v, [v, z]]``."""
-    return x @ (y @ z - z @ y) - (x @ z - z @ x) @ y
-
-
 def _rate_operators(
     spec: ChainSpec, bath: BathSpec, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -101,19 +96,22 @@ def _rate_operators(
     """
     copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
     site = bath.boundary_site(spec.n)
-    pairs = [(b_op, site_op(kind, site, spec.n)) for b_op, kind in copy.couplings]
+    pairs = []  # per coupling: bath operator, chain operator s and its commutator [s, h]
+    for b_op, kind in copy.couplings:
+        s = site_op(kind, site, spec.n)
+        pairs.append((b_op, s, s @ h - h @ s))
     o_q = np.zeros_like(h)
     o_h = np.zeros_like(h)
     # with g = diag(p) and A = diag(E): P_ij = p_i (B_k)_ij (B_l)_ji gives
     # t_kl = sum P and c_kl = 2 sum P (E_i - E_j)
     gap = copy.energies[:, None] - copy.energies[None, :]
-    for b_k, s_k in pairs:
-        for b_l, s_l in pairs:
+    for b_k, s_k, c_k in pairs:
+        for b_l, s_l, c_l in pairs:
             p_kl = copy.populations[:, None] * b_k * b_l.T
             c_kl = 2.0 * np.sum(p_kl * gap)
             t_kl = np.sum(p_kl)
             o_q += c_kl * (s_k @ s_l)
-            o_h += t_kl * _nested(s_k, s_l, h)
+            o_h += t_kl * (s_k @ c_l - c_k @ s_l)  # the (k, l) term of [v, [v, h]]
     scale = 0.5 * copy.prefactor ** 2
     o_q *= scale
     return o_q, -o_q - scale * o_h
