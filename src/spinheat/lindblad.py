@@ -28,6 +28,7 @@ Both bath families reduce to jump-operator form:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,40 +131,10 @@ class Liouvillian:
         it, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
+        It keeps nothing: ``build_liouvillian`` keeps the index work of the
+        last pattern per thread (``_Layout``).
         """
-        h = np.asarray(h, dtype=complex)
-        d = h.shape[0]
-        n = d * d
-        check_dense_dim(n)
-        stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
-        jumped = np.any(stack != 0, axis=0)
-        # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
-        used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
-        pos = np.flatnonzero(used)  # positions i d + k, ascending
-        row, col = np.divmod(pos, d)
-        flat = stack.reshape(len(stack), n)
-        if pos.size < n:
-            flat = flat[:, pos]
-        m = flat.T @ flat.conj()
-        # (sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]: one add over the
-        # pairs (p, q) of positions in one pattern row k, p and then q ascending
-        bounds = np.searchsorted(row, np.arange(d + 1))
-        width = np.diff(bounds)[row]  # positions in the pattern row of each position
-        p = np.repeat(np.arange(pos.size), width)
-        q = np.arange(p.size) + np.repeat(bounds[row] - (np.cumsum(width) - width), width)
-        ldl = np.zeros((d, d), dtype=complex)
-        np.add.at(ldl, (col[p], col[q]), m[q, p])
-        del p, q  # d^3 pairs when every pattern row is full; not kept through the entries below
-        h_eff = (h - 0.5j * ldl)[row, col]
-        diagonal = row == col
-        m[:, diagonal] -= 1j * h_eff[:, None]
-        m[diagonal, :] += 1j * h_eff.conj()
-        a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
-        values = m[a, b]
-        del m  # the largest array of a collision build; the indices below need the memory
-        rows, cols = row[a] + d * row[b], col[a] + d * col[b]
-        order = np.argsort(rows * n + cols)
-        return cls(rows[order], cols[order], values[order], d)
+        return _assemble(h, jumps, None)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``L v`` for a vector ``v`` of length ``dim^2``, summed row by row."""
@@ -175,12 +146,110 @@ class Liouvillian:
         return out
 
 
+@dataclass
+class _Layout:
+    """The index work of ``Liouvillian.from_jumps`` for one d x d pattern ``used``.
+
+    ``pos`` are the used positions ``i d + k`` and ``row``, ``col`` their
+    parts; ``ldl_at`` and ``pairs`` place and take the terms of ``sum_a L_a^dag
+    L_a`` (the flat places ``q npos + p`` in ``G``); ``diagonal`` marks the
+    positions ``i = k``.  Once a generator is made, ``take`` holds the flat
+    places in ``G`` of its nonzero entries in sorted order, and ``rows``,
+    ``cols`` their generator indices.
+    """
+
+    used: np.ndarray
+    pos: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    ldl_at: tuple[np.ndarray, np.ndarray]
+    pairs: np.ndarray
+    diagonal: np.ndarray
+    take: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, used: np.ndarray) -> _Layout:
+        d = used.shape[0]
+        pos = np.flatnonzero(used)  # positions i d + k, ascending
+        row, col = np.divmod(pos, d)
+        # (sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]: one add over the
+        # pairs (p, q) of positions in one pattern row k, p and then q ascending
+        bounds = np.searchsorted(row, np.arange(d + 1))
+        width = np.diff(bounds)[row]  # positions in the pattern row of each position
+        p = np.repeat(np.arange(pos.size), width)
+        q = np.arange(p.size) + np.repeat(bounds[row] - (np.cumsum(width) - width), width)
+        return cls(used, pos, row, col, (col[p], col[q]), q * pos.size + p, row == col)
+
+
+# Per thread, the layout of the last pattern build_liouvillian built.
+_last = threading.local()
+
+
+def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
+              slot: threading.local | None) -> Liouvillian:
+    """``Liouvillian.from_jumps(h, jumps)``, on the layout ``slot`` keeps if it has one.
+
+    A kept layout of the same ``used`` pattern only refills the values, when
+    the nonzero set of ``G`` is the one the layout holds (as many nonzeros,
+    and every kept entry nonzero); an exact cancellation makes the layout
+    afresh.  With no slot, the layout goes with the pairs before the entries
+    are found, which need the memory.
+    """
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    n = d * d
+    check_dense_dim(n)
+    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
+    jumped = np.any(stack != 0, axis=0)
+    # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
+    used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
+    layout = getattr(slot, "layout", None)
+    if layout is None or not np.array_equal(layout.used, used):
+        if slot is not None:
+            slot.layout = None  # the old layout goes before the new one is made
+        layout = _Layout.of(used)
+    pos, row, col = layout.pos, layout.row, layout.col
+    flat = stack.reshape(len(stack), n)
+    if pos.size < n:
+        flat = flat[:, pos]
+    m = flat.T @ flat.conj()
+    ldl = np.zeros((d, d), dtype=complex)
+    np.add.at(ldl, layout.ldl_at, m.reshape(-1)[layout.pairs])
+    if slot is None:  # d^3 pairs when every pattern row is full; not kept through the entries
+        layout.ldl_at = layout.pairs = None
+    h_eff = (h - 0.5j * ldl)[row, col]
+    diagonal = layout.diagonal
+    m[:, diagonal] -= 1j * h_eff[:, None]
+    m[diagonal, :] += 1j * h_eff.conj()
+    if layout.take is not None and np.count_nonzero(m) == layout.take.size:
+        values = m.reshape(-1)[layout.take]
+        if values.all():  # the same nonzero set
+            return Liouvillian(layout.rows.copy(), layout.cols.copy(), values, d)
+    a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
+    values = m[a, b]
+    del m  # the largest array of a collision build; the indices below need the memory
+    rows, cols = row[a] + d * row[b], col[a] + d * col[b]
+    order = np.argsort(rows * n + cols)
+    rows, cols, values = rows[order], cols[order], values[order]
+    if slot is not None:
+        layout.take, layout.rows, layout.cols = (a * pos.size + b)[order], rows, cols
+        slot.layout = layout
+        rows, cols = rows.copy(), cols.copy()
+    return Liouvillian(rows, cols, values, d)
+
+
 def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian:
-    """Assemble the Liouvillian of a boundary-driven chain."""
+    """Assemble the Liouvillian of a boundary-driven chain.
+
+    Each thread keeps the index layout of its last d x d pattern, so the
+    points of a sweep only fill values; the generator's arrays are its own.
+    """
     _check_sides(baths)
     h = build_hamiltonian(spec)
     jumps = [L for b in baths for L in jump_ops(b, spec.n)]
-    return Liouvillian.from_jumps(h, jumps)
+    return _assemble(h, jumps, _last)
 
 
 def _check_sides(baths: Sequence[BathSpec]) -> dict[str, BathSpec]:

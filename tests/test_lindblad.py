@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from spinheat import (
     unvec,
     vec,
 )
+from spinheat import lindblad
 from dense_reference import dense, from_jumps_reference, liouvillian_matrix
 
 
@@ -282,6 +284,66 @@ def test_builder_sums_a_kraus_stack_as_the_row_loop_did(monkeypatch):
     (h, stack, liou), = built
     assert stack.shape == (16, 4, 4)  # one Kraus operator per in and out level of two units
     assert_same_entries(liou, from_jumps_reference(h, stack))
+
+
+def in_new_thread(fn, *args):
+    """``fn(*args)`` in a fresh thread, which starts with no kept layout."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def builds_and_layouts(chains):
+    """Each chain's generator, built in turn on one thread, with the layout kept after it
+    and that layout's entry places."""
+    return [(build_liouvillian(spec, baths), lindblad._last.layout, lindblad._last.layout.take)
+            for spec, baths in chains]
+
+
+def test_builds_on_a_kept_layout_equal_fresh_builds():
+    # a sweep's points share their pattern and refill the kept layout; a new
+    # pattern makes a new one.  Without baths the entry of the coherence of
+    # two equal-energy states cancels exactly: the same pattern of h and
+    # jumps, and fewer nonzero entries (field 0.3, 0.3) or as many in other
+    # places (0.3, -0.3), so the entries are found afresh on the kept pair
+    # gather
+    spin = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.1),
+            BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.6)]
+    xxz = ChainSpec(kind="xxz", n=3, alpha=0.8, field=(0.4, -0.3, 0.7), bond_Delta=(0.9, -1.1))
+    pair = ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7, field=(0.3, 0.5))
+    chains = [(xxz, spin), (replace(xxz, alpha=1.3, bond_Delta=(0.2, 0.5)), spin),
+              (ChainSpec(kind="ising", n=3, field=(0.3, 0.7, -0.4), bond_Delta=(0.8, 1.1)), spin),
+              (xxz, spin), (pair, []), (replace(pair, field=(0.3, 0.3)), []),
+              (replace(pair, field=(0.3, -0.3)), []), (pair, [])]
+    built = in_new_thread(builds_and_layouts, chains)
+    for (spec, baths), (liou, *_) in zip(chains, built):
+        h = build_hamiltonian(spec)
+        assert_same_entries(liou, Liouvillian.from_jumps(h, [L for b in baths
+                                                             for L in jump_ops(b, spec.n)]))
+    same = [[built[k][i] is built[k - 1][i] for k in range(1, len(chains))] for i in (1, 2)]
+    assert same == [[True, False, False, False, True, True, True],
+                    [True, False, False, False, False, False, False]]
+    assert [liou.rows.size for liou, *_ in built[4:]] == [28, 26, 26, 28]
+    # the generator's index arrays are its own: rewriting them leaves the layout alone
+    liou, layout, _ = built[-1]
+    liou.rows[:] = 0
+    assert not np.array_equal(layout.rows, liou.rows)
+
+
+def test_collision_builds_keep_no_layout():
+    spec = ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7, h=0.3)
+    baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
+             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
+
+    def layouts():
+        kept = build_liouvillian(spec, baths) and lindblad._last.layout
+        CollisionEngine(spec, baths, RIConfig(tau=1e-2))
+        return kept, lindblad._last.layout
+
+    kept, after = in_new_thread(layouts)
+    assert after is kept
 
 
 def test_trace_preservation_left_kernel():
