@@ -125,9 +125,9 @@ class Liouvillian:
         generator is zero off the pairs of positions where some jump, ``h_eff``
         or the identity is nonzero.  ``G`` is one matrix product over those
         positions.  ``sum_a L_a^dag L_a`` is gathered from the diagonal blocks of
-        ``G``, the pairs of positions in one pattern row, by one ``np.add.at``
-        over all such pairs with the rows ascending, so each of its entries
-        sums its terms in row order.  The two ``h_eff`` terms are added after
+        ``G``, the pairs of positions in one pattern row, by one ``np.bincount``
+        of each part over all such pairs with the rows ascending, so each of
+        its entries sums its terms in row order.  The two ``h_eff`` terms are added after
         it, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
@@ -150,37 +150,44 @@ class Liouvillian:
 class _Layout:
     """The index work of ``Liouvillian.from_jumps`` for one d x d pattern ``used``.
 
-    ``pos`` are the used positions ``i d + k`` and ``row``, ``col`` their
-    parts; ``ldl_at`` and ``pairs`` place and take the terms of ``sum_a L_a^dag
-    L_a`` (the flat places ``q npos + p`` in ``G``); ``diagonal`` marks the
-    positions ``i = k``.  Once a generator is made, ``take`` holds the flat
-    places in ``G`` of its nonzero entries in sorted order, and ``rows``,
-    ``cols`` their generator indices.
+    ``pos`` are the used positions ``i d + k``, ``row`` and ``col`` their
+    parts, and ``diagonal`` marks the positions ``i = k``.  The first
+    generator made on the layout adds ``ldl_at`` and ``pairs``, which place
+    and take the terms of ``sum_a L_a^dag L_a`` (the flat places ``q npos +
+    p`` in ``G``), then ``take``, the flat places in ``G`` of its nonzero
+    entries in sorted order, and ``rows``, ``cols``, their generator indices.
     """
 
     used: np.ndarray
     pos: np.ndarray
     row: np.ndarray
     col: np.ndarray
-    ldl_at: tuple[np.ndarray, np.ndarray]
-    pairs: np.ndarray
     diagonal: np.ndarray
+    ldl_at: np.ndarray | None = None
+    pairs: np.ndarray | None = None
     take: np.ndarray | None = None
     rows: np.ndarray | None = None
     cols: np.ndarray | None = None
 
     @classmethod
     def of(cls, used: np.ndarray) -> _Layout:
-        d = used.shape[0]
         pos = np.flatnonzero(used)  # positions i d + k, ascending
-        row, col = np.divmod(pos, d)
-        # (sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]: one add over the
-        # pairs (p, q) of positions in one pattern row k, p and then q ascending
-        bounds = np.searchsorted(row, np.arange(d + 1))
+        row, col = np.divmod(pos, used.shape[0])
+        return cls(used, pos, row, col, row == col)
+
+    def pair(self) -> None:
+        """Find ``ldl_at`` and ``pairs``.
+
+        ``(sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]``: one add over
+        the pairs ``(p, q)`` of positions in one pattern row ``k``, ``p`` and
+        then ``q`` ascending.
+        """
+        row = self.row
+        bounds = np.searchsorted(row, np.arange(self.used.shape[0] + 1))
         width = np.diff(bounds)[row]  # positions in the pattern row of each position
-        p = np.repeat(np.arange(pos.size), width)
+        p = np.repeat(np.arange(row.size), width)
         q = np.arange(p.size) + np.repeat(bounds[row] - (np.cumsum(width) - width), width)
-        return cls(used, pos, row, col, (col[p], col[q]), q * pos.size + p, row == col)
+        self.ldl_at, self.pairs = self.col[p] * self.used.shape[0] + self.col[q], q * row.size + p
 
 
 # Per thread, the layout of the last pattern build_liouvillian built.
@@ -194,8 +201,8 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     A kept layout of the same ``used`` pattern only refills the values, when
     the nonzero set of ``G`` is the one the layout holds (as many nonzeros,
     and every kept entry nonzero); an exact cancellation makes the layout
-    afresh.  With no slot, the layout goes with the pairs before the entries
-    are found, which need the memory.
+    afresh.  With no slot, the pairs are dropped before the entries are
+    found, which need the memory.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
@@ -215,9 +222,14 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     if pos.size < n:
         flat = flat[:, pos]
     m = flat.T @ flat.conj()
-    ldl = np.zeros((d, d), dtype=complex)
-    np.add.at(ldl, layout.ldl_at, m.reshape(-1)[layout.pairs])
-    if slot is None:  # d^3 pairs when every pattern row is full; not kept through the entries
+    if layout.pairs is None:  # after G: d^3 pairs when every pattern row is full
+        layout.pair()
+    terms = m.reshape(-1)[layout.pairs]
+    ldl = np.empty((d, d), dtype=complex)  # each part summed in the order of the pairs
+    ldl.real = np.bincount(layout.ldl_at, terms.real, n).reshape(d, d)
+    ldl.imag = np.bincount(layout.ldl_at, terms.imag, n).reshape(d, d)
+    del terms
+    if slot is None:  # not kept through the entries below
         layout.ldl_at = layout.pairs = None
     h_eff = (h - 0.5j * ldl)[row, col]
     diagonal = layout.diagonal
