@@ -7,9 +7,10 @@ diagonal in the basis ``|i><j|``, so every factorization here runs on the
 connected components of its nonzero entries, one block at a time.  A
 Lindblad generator preserves Hermiticity, ``L(rho^dag) = L(rho)^dag``: with
 ``flip: |i><j| -> |j><i|`` the components come in adjoint pairs ``c``,
-``flip[c]`` with conjugate blocks, and one LU per pair solves both.  The
-entries are checked for that symmetry first (else ValueError) and gathered
-size by size; the blocks of one size go through one stacked LAPACK call.  The
+``flip[c]`` with conjugate blocks, and one LU per pair solves both; a block
+that is its own adjoint is real in a Hermitian basis (below).  The entries
+are checked for that symmetry first (else ValueError) and gathered size by
+size; the blocks of one size go through one stacked LAPACK call.  The
 norms, the finiteness check and the residual come from the same entries, so
 no ``d^2 x d^2`` matrix is formed here.
 
@@ -20,8 +21,9 @@ pattern: the points of a sweep and the two chains of a one-way check share
 one pattern and only refill the stacks (analyse once, factor many, as in
 sparse direct solvers).  Each thread keeps the plan of its last pattern,
 with its own copy of ``(dim, rows, cols)``; that plan and the stacks it has
-made are what stays alive, ~1 MiB for an xxz chain of 5 sites and ~14 MiB
-for one of 6 (the stack of the traced block alone, see below).  ``ri``
+made are what stays alive, 0.8 MiB for an xxz chain of 5 sites and 7.8 MiB
+for one of 6, of which the real stack of the traced block (see below) takes
+0.48 and 6.5 MiB.  ``ri``
 solves its collision generators on a plan that is dropped on return, so a
 collision fixed point keeps nothing.
 
@@ -35,6 +37,18 @@ for ising chains whose middle spins are never flipped (Buča and Prosen, NJP
 14, 073007 (2012)).  The result is accepted only when every LU is regular, a
 probe estimate of the condition number is small, the state is stationary to
 the kernel tolerance and it is positive.
+
+A block that is its own adjoint, as the traced block always is, is real in
+the basis ``|i><i|``, ``(|i><j| + |j><i|) / sqrt 2``, ``i (|i><j| - |j><i|)
+/ sqrt 2``: a generator that preserves Hermiticity maps Hermitian matrices
+to Hermitian matrices, whose coordinates there are real (Alicki and Lendi,
+*Quantum Dynamical Semigroups and Applications* (1987)).  So such a block
+is factored by one real LU of ``T^dag B T``, a quarter of the flops of the
+complex one, with the unitary ``T`` of ``_bordered``.  A size that also
+holds an adjoint pair keeps one complex LU for all its blocks, so that each
+size stays one LAPACK call: ising chains, whose blocks of 4 mix both kinds,
+factor as before, and an xxz chain of 5 sites factors its traced block of
+252 as a real matrix.
 
 Most blocks of a chain with a unique, full-rank (faithful) steady state
 hold coherences only, and the LU of such a block would only show that its
@@ -65,6 +79,7 @@ the kernel mixture.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,6 +108,10 @@ PROBES = 2
 
 # Largest |L[r, c] - conj L[flip r, flip c]| / max |L| accepted: one LU serves an adjoint pair.
 HERMITICITY_BOUND = 1e-14
+
+# The entries of the unitary T of a real block's basis change (see _bordered).
+_ROOT_HALF = math.sqrt(0.5)
+_ROOT_TWO = math.sqrt(2.0)
 
 # Per thread, the plan of the last pattern solve_steady solved.
 _last = threading.local()
@@ -131,25 +150,33 @@ class _Group:
 
     The kept blocks are those that are their own adjoint and the first of
     each adjoint pair (``paired``), whose mirror ``flip[c]`` has the
-    conjugate block.  ``stack[i]`` holds ``L[c][:, c]`` for the row ``c =
-    idx[i]`` once the entries ``values[sel]`` are scattered to its flat
-    places ``pos``.  Row ``first[j]`` of block ``held[j]`` is the one the
-    trace replaces; ``traced[j]`` marks that block's diagonal entries.
-    ``rhs`` holds ``e`` and the probes on the rows of ``idx``.  ``certified``
-    marks blocks that hold no stationary element when the state is faithful
-    (see ``_bordered``); ``stack`` is made by the first gather that needs
-    it.
+    conjugate block.  ``stack[i]`` is the matrix of the block ``c =
+    idx[i]``: ``L[c][:, c]``, complex, once the entries ``values[sel]`` are
+    scattered to its flat places ``pos``, or, when no block of the group is
+    paired (``real``), ``T^dag L[c][:, c] T``, real (see ``_bordered``), once
+    ``fill`` has scattered the entries' real and imaginary parts.  In the
+    real coordinates a diagonal entry ``|i><i|`` keeps its place, a
+    representative ``r < flip[r]`` holds ``a_r`` and its mirror ``b_r``;
+    ``back`` maps them to ``x``.  Row ``first[j]`` of block ``held[j]`` is
+    the one the trace replaces; ``traced[j]`` marks that block's diagonal
+    entries.  ``rhs`` holds ``e`` and the probes on the rows of ``idx``, in
+    the stack's field.  ``certified`` marks blocks that hold no stationary
+    element when the state is faithful (see ``_bordered``); ``stack`` is
+    made by the first gather that needs it.
     """
 
     idx: np.ndarray
     paired: np.ndarray
-    sel: np.ndarray | None
-    pos: np.ndarray | None
+    real: bool
     held: np.ndarray
     first: np.ndarray
     traced: np.ndarray
     rhs: np.ndarray
-    certified: bool = False
+    certified: bool
+    sel: np.ndarray | None = None
+    pos: np.ndarray | None = None
+    fill: tuple | None = None
+    back: tuple | None = None
     stack: np.ndarray | None = None
 
 
@@ -163,28 +190,68 @@ def _certified(dim: int, idx: np.ndarray) -> np.ndarray:
     return ~seen.all(axis=1)
 
 
+# Weight of the real or imaginary part of L[p, q] in T^dag L T, per term (rows a_p, a_p, b_p,
+# b_p; columns a_q, b_q, a_q, b_q), whether p is a representative, and whether q is a
+# diagonal entry, a representative or a mirror; 0 where the term does not exist
+_WEIGHTS = np.array([
+    [[1.0, _ROOT_HALF, _ROOT_HALF], [_ROOT_TWO, 1.0, 1.0]],
+    [[0.0, -_ROOT_HALF, _ROOT_HALF], [0.0, -1.0, 1.0]],
+    [[0.0, 0.0, 0.0], [_ROOT_TWO, 1.0, 1.0]],
+    [[0.0, 0.0, 0.0], [0.0, 1.0, -1.0]],
+])
+
+# x = T y: x_p = alpha y[lo] + i beta y[hi], per kind of p (diagonal, representative, mirror)
+_ALPHA = np.array([1.0, _ROOT_HALF, _ROOT_HALF])
+_BETA = np.array([0.0, _ROOT_HALF, -_ROOT_HALF])
+
+
+def _real_fill(sel: np.ndarray, rows: np.ndarray, cols: np.ndarray, flip: np.ndarray,
+               kind: np.ndarray, start: np.ndarray, place: np.ndarray) -> tuple:
+    """The ``fill`` of a real group from its entries ``sel``, those on the rows of its diagonal
+    entries and representatives.
+
+    Entry ``L[p, q] = u + i v`` adds ``w u`` or ``w v`` to up to four
+    entries of ``T^dag L T`` (``_WEIGHTS``): row ``a_p`` and, for a
+    representative ``p``, ``b_p`` at the place of its mirror; column ``a_q``
+    and, unless ``q`` is diagonal, ``b_q``.  A mirror's row is the conjugate
+    of its representative's and is not read.  Each target takes at most one
+    term from a column ``q`` that is no mirror and one from a mirror, so the
+    fill zeroes the second kind's targets, assigns the first and adds the
+    second.
+    """
+    p, q = rows[sel], cols[sel]
+    fp, fq, at = flip[p], flip[q], kind[q]
+    a, b = place[np.minimum(q, fq)], place[np.maximum(q, fq)]
+    target = np.stack([start[p] + a, start[p] + b, start[fp] + a, start[fp] + b])
+    weight = _WEIGHTS[:, kind[p], at]
+    part = 2 * sel + np.array([[0], [1], [1], [0]])  # u, v of entry e: parts[2 e], parts[2 e + 1]
+    used = weight != 0.0
+    mirrored = used & (at == 2)
+    assigned = used & (at != 2)
+    return tuple((target[m], part[m], weight[m]) for m in (assigned, mirrored))
+
+
 class _Plan:
     """Everything a solve takes from the entry pattern ``(dim, rows, cols)`` alone.
 
     That is each entry's mirror (the entry at ``(flip r, flip c)``, ``at``;
-    ``lone`` where it is zero), the ``components``, and per size group of
-    them a ``_Group``.  A plan is built once per pattern; each solve then
-    only fills its stacks with new values.  The gather writes the same
-    places each time and the bordered solve only the border rows, so every
-    other entry of a stack stays zero.  When exactly one block holds
-    diagonal entries (it then holds all of them), each size group splits
-    into the blocks that miss no column and the others, which are
-    ``certified`` (``_certified``): ``factored`` lists the groups factored
-    on every solve, ``deferred`` the certified ones, ``solved`` the rows of
-    ``factored`` and ``solved_norms`` the probes' norms on them.
+    ``lone`` where it is zero), the ``components``, and per size of them a
+    ``_Group``, real when none of its blocks is paired.  A plan is built
+    once per pattern; each solve then only fills its stacks with new
+    values.  The gather writes the same places each time and the bordered
+    solve only the border rows, so every other entry of a stack stays zero.
+    When exactly one block holds diagonal entries (it then holds all of
+    them), each group splits into the blocks that miss no column and the
+    others, which are ``certified`` (``_certified``): ``factored`` lists the
+    groups factored on every solve, ``deferred`` the certified ones,
+    ``solved`` the rows of ``factored`` and ``solved_norms`` the probes'
+    norms on them.  ``group``, ``start`` and ``place`` locate each index in
+    the blocks of its group, for the gathers and the SVD path (``blocks``).
     """
 
     def __init__(self, dim: int, rows: np.ndarray, cols: np.ndarray):
         n = dim * dim
         self.dim, self.rows, self.cols = dim, rows, cols
-        rhs = np.zeros((n, 1 + PROBES), dtype=complex)
-        rng = np.random.default_rng(PROBE_SEED)
-        rhs[:, 1:] = rng.standard_normal((n, PROBES)) + 1j * rng.standard_normal((n, PROBES))
         self.flip = flip = np.arange(n).reshape(dim, -1).ravel(order="F")  # |i><j| -> |j><i|
         key, mirror = rows * n + cols, flip[rows] * n + flip[cols]  # key ascends
         self.at = np.searchsorted(key, mirror) % max(key.size, 1)
@@ -198,58 +265,97 @@ class _Plan:
         self.largest = blocks[-1].shape[1]
         traces = np.zeros(n, dtype=bool)
         traces[::dim + 1] = True  # the diagonal entries |i><i|
-        place = np.zeros(n, dtype=np.intp)
+        self.place = np.zeros(n, dtype=np.intp)  # place in its block
         kept = []  # per size: the kept blocks, their paired flags, which of them hold a trace
         for idx in blocks:
             first = idx[:, 0]
             mate = flip[idx].min(axis=1)  # smallest index of the mirror component, of the same size
             own = idx[mate >= first]  # its own adjoint, or first of its pair
-            place[idx] = np.arange(idx.shape[1])
             kept.append((own, mate[mate >= first] > own[:, 0], traces[own].any(axis=1)))
-        parts = [(*part, False) for part in kept]
+            self.place[idx] = np.arange(idx.shape[1])
+        parts = [(*part, False) for part in kept]  # per size: blocks, paired, held, certified
         if sum(int(held.sum()) for *_, held in kept) == 1:  # one traced block, holding every |i><i|
             parts = []
             for own, paired, held in kept:  # a size splits into factored and certified blocks
                 certified = ~held & _certified(dim, own)
                 parts += [(own[c], paired[c], held[c], flag)
                           for c, flag in ((~certified, False), (certified, True)) if c.any()]
-        start = np.zeros(n, dtype=np.intp)  # row offset in the stack
-        group = np.full(n, len(parts))  # group of a gathered index; past the last if none
-        for g, (own, *_) in enumerate(parts):
-            start[own] = np.arange(0, own.size * own.shape[1], own.shape[1]).reshape(own.shape)
-            group[own] = g
-        entry_group = group[rows]
+        self.start = np.zeros(n, dtype=np.intp)  # flat offset of the index's row in its stack
+        self.group = np.full(n, len(parts))  # group of a gathered index; past the last if none
+        self.replaced = np.zeros(n, dtype=bool)  # the rows of L that B replaces by traces
         self.groups, self.kernel = [], []  # kernel: per group, the index rows of its traced blocks
-        for g, (idx, paired, held, certified) in enumerate(parts):
-            sel = np.flatnonzero(entry_group == g)
-            rhs[flip[idx[paired]], 1:] = 0.0  # no probe of a mirror: conj(b) is conditioned as b
+        # one draw for every probe: a real normal per row of a real group, two per row of a
+        # complex one; a mirror block is never solved and takes none
+        real = [not paired.any() for _, paired, *_ in parts]
+        probes = np.random.default_rng(PROBE_SEED).standard_normal(
+            PROBES * sum(part[0].size * (1 if r else 2) for part, r in zip(parts, real)))
+        drawn = 0
+        for g, ((idx, paired, held, certified), real) in enumerate(zip(parts, real)):
+            count, size = idx.shape
+            self.start[idx] = (np.arange(count)[:, None] * size + np.arange(size)) * size
+            self.group[idx] = g
+            rhs = np.zeros((count, size, 1 + PROBES), dtype=float if real else complex)
+            for part in (rhs.real,) if real else (rhs.real, rhs.imag):
+                part[..., 1:] = probes[drawn:drawn + idx.size * PROBES].reshape(count, size, PROBES)
+                drawn += idx.size * PROBES
             held = held.nonzero()[0]
             traced = traces[idx[held]]
             first = traced.argmax(axis=1)  # place of each block's first diagonal entry
-            rhs[idx[held, first], 0] = 1.0
+            rhs[held, first, 0] = 1.0
+            self.replaced[idx[held, first]] = True
             if held.size:
                 self.kernel.append(idx[held])
-            self.groups.append(_Group(
-                idx=idx, paired=paired, sel=sel, pos=start[rows[sel]] + place[cols[sel]],
-                held=held, first=first, traced=traced, rhs=rhs[idx], certified=certified))
+            self.groups.append(_Group(idx=idx, paired=paired, real=real, held=held, first=first,
+                                      traced=traced, rhs=rhs, certified=certified))
+        index = np.arange(n)
+        kind = (index < flip) + 2 * (index > flip)  # 0 |i><i|, 1 representative, 2 mirror
+        in_real = np.array([g.real for g in self.groups] + [False])[self.group]
+        entry_group = np.where(in_real[rows] & (kind[rows] == 2), len(parts), self.group[rows])
+        shift = self.place[flip] - self.place  # from an index of a real block to its mirror
+        for k, g in enumerate(self.groups):
+            sel = np.flatnonzero(entry_group == k)  # a real group's mirrors' rows are not read
+            if not g.real:
+                g.sel, g.pos = sel, self.start[rows[sel]] + self.place[cols[sel]]
+                continue
+            g.fill = _real_fill(sel, rows, cols, flip, kind, self.start, self.place)
+            here = np.arange(g.idx.size).reshape(g.idx.shape)
+            there, at = here + shift[g.idx], kind[g.idx]
+            g.back = (np.where(at == 2, there, here).ravel(),
+                      np.where(at == 1, there, here).ravel(),
+                      _ALPHA[at].reshape(-1, 1), _BETA[at].reshape(-1, 1))
         self.factored = [g for g in self.groups if not g.certified]
         self.deferred = [g for g in self.groups if g.certified]
-        self.probe_norms = np.linalg.norm(rhs[:, 1:], axis=0)
+        self.probe_norms = _probe_norms(self.groups)
         if self.deferred:
             self.solved = np.concatenate([g.idx.ravel() for g in self.factored])
-            self.solved_norms = np.linalg.norm(rhs[self.solved, 1:], axis=0)
-        self.replaced = rhs[:, 0] != 0  # the rows of L that B replaces by traces
+            self.solved_norms = _probe_norms(self.factored)
 
-    def gather(self, values: np.ndarray, groups: list[_Group] | None = None) -> None:
-        """Scatter the entries' ``values`` into the stacks of ``groups`` (all by default).
+    def gather(self, values: np.ndarray, groups: list[_Group]) -> None:
+        """Scatter the entries' ``values`` into the stacks of ``groups``.
 
         A stack that is not there yet is made first.
         """
-        for g in self.groups if groups is None else groups:
+        parts = np.ascontiguousarray(values).view(np.float64)  # real, imaginary, real, ...
+        for g in groups:
+            count, size = g.idx.shape
             if g.stack is None:
-                size = g.idx.shape[1]
-                g.stack = np.zeros((len(g.idx), size, size), dtype=complex)
-            g.stack.reshape(-1)[g.pos] = values[g.sel]
+                g.stack = np.zeros((count, size, size), dtype=float if g.real else complex)
+            flat = g.stack.reshape(-1)
+            if g.real:
+                (t, s, w), (u, r, v) = g.fill
+                flat[u] = 0.0
+                flat[t] = w * parts[s]
+                flat[u] += v * parts[r]
+            else:
+                flat[g.pos] = values[g.sel]
+
+    def blocks(self, values: np.ndarray, k: int) -> np.ndarray:
+        """The blocks ``L[c][:, c]`` of group ``k`` for its rows ``c``, gathered afresh."""
+        count, size = self.groups[k].idx.shape
+        sel = np.flatnonzero(self.group[self.rows] == k)
+        out = np.zeros((count, size, size), dtype=complex)
+        out.reshape(-1)[self.start[self.rows[sel]] + self.place[self.cols[sel]]] = values[sel]
+        return out
 
     def fits(self, liou: Liouvillian) -> bool:
         """Whether ``liou`` has this plan's entry pattern."""
@@ -257,21 +363,34 @@ class _Plan:
                 and np.array_equal(liou.cols, self.cols))
 
 
-def _factor(groups: list[_Group], x: np.ndarray, keep: bool) -> bool:
-    """Bordered LUs of the stacks of ``groups`` into the rows of ``x``; False if one is singular.
+def _probe_norms(groups: list[_Group]) -> np.ndarray:
+    """The 2-norms of the probe right-hand sides of ``groups``, one per probe."""
+    return np.sqrt(sum((np.abs(g.rhs[..., 1:]) ** 2).sum(axis=(0, 1)) for g in groups))
 
+
+def _factor(plan: _Plan, values: np.ndarray, groups: list[_Group], x: np.ndarray,
+            keep: bool) -> bool:
+    """Bordered LUs of ``groups`` on ``values`` into the rows of ``x``; False if one is singular.
+
+    A real stack solves ``T^dag B T y = T^dag e`` and writes ``x = T y``.
     Unless the plan is kept, the groups' gathers go before the LUs, which
     need the memory, and their stacks after the last LU.
     """
+    plan.gather(values, groups)
     if not keep:
         for g in groups:
-            g.sel = g.pos = None
+            g.sel = g.pos = g.fill = None
     for g in groups:
         g.stack[g.held, g.first] = g.traced
         try:
-            x[g.idx] = np.linalg.solve(g.stack, g.rhs)
+            y = np.linalg.solve(g.stack, g.rhs)
         except np.linalg.LinAlgError:  # exactly singular LU
             return False
+        if g.real:  # x_d = a_d, x_r = (a_r + i b_r) / sqrt 2, x_flip(r) = (a_r - i b_r) / sqrt 2
+            lo, hi, alpha, beta = g.back
+            y = y.reshape(-1, y.shape[-1])
+            y = (y[lo] * alpha + 1j * (y[hi] * beta)).reshape(*g.idx.shape, -1)
+        x[g.idx] = y
     if not keep:
         for g in groups:
             g.stack = None
@@ -319,13 +438,32 @@ def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyS
     so a block with a second stationary state is refused.  The mirror of a
     paired block is implied and never touched: it holds no diagonal entry,
     so its part of the state is exactly 0, and its matrix ``conj(b)`` is
-    conditioned exactly as ``b``, so its probe rows are zeroed.  The state
-    is the projection of ``vec(I) / d`` onto the solutions ``x_c``, ``sum_c
-    x_c / ||x_c||^2`` scaled to the first, which keeps a unique kernel's
-    ``x_c`` as it is.  The residual ``||L vec rho|| / ||rho||_F`` must be at
-    most ``tol`` times the largest column 2-norm of ``L``, a lower bound on
-    its spectral norm, so this test is never looser than the SVD kernel
-    threshold.
+    conditioned exactly as ``b``, so it takes no probe.
+
+    A block that is its own adjoint maps ``flip`` onto itself.  With its
+    diagonal entries ``d`` and representatives ``r < flip[r]``, the unitary
+    ``T`` takes the real coordinates ``(a_d; a_r; b_r)`` to ``x_d = a_d``,
+    ``x_r = (a_r + i b_r) / sqrt 2`` and ``x_flip(r) = (a_r - i b_r) / sqrt
+    2``; its columns are ``|i><i|``, ``(|i><j| + |j><i|) / sqrt 2`` and ``i
+    (|i><j| - |j><i|) / sqrt 2``.  ``L[flip p, flip q] = conj L[p, q]`` makes
+    ``T^dag L_c T`` real, and the trace row, 1 on the ``a_d`` columns, is
+    real too, so ``B x = e`` is solved as ``(T^dag B T) y = e`` by one real
+    LU, with ``x = T y``.  Its rows are read from the entries on the rows
+    ``d`` and ``r`` alone, the mirrors' rows taken as their conjugates: it
+    is ``T^dag B' T`` for the ``B'`` whose mirror rows are those conjugates,
+    which differs from ``B`` by at most the Hermiticity defect the solve
+    has bounded.  Its probes are real; as ``T`` is unitary, ``||y|| =
+    ||x||`` and ``||T r|| = ||r||``, so each probe measures ``||B'^-1 T r||
+    / ||T r||``, and the estimate bounds the condition number of ``B'``,
+    which has the singular values of ``T^dag B' T``, from below as before.
+    ``GAP_FACTOR``, that estimate and the margin below keep their meaning.
+
+    The state is the projection of ``vec(I) / d`` onto the solutions
+    ``x_c``, ``sum_c x_c / ||x_c||^2`` scaled to the first, which keeps a
+    unique kernel's ``x_c`` as it is.  The residual ``||L vec rho|| /
+    ||rho||_F`` must be at most ``tol`` times the largest column 2-norm of
+    ``L``, a lower bound on its spectral norm, so this test is never looser
+    than the SVD kernel threshold.
 
     The plan's certified groups (``deferred``) are factored only when the
     state solved without them cannot be shown faithful.  Why they may be
@@ -352,7 +490,7 @@ def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyS
     dim = liou.dim
     n = dim * dim
     x = np.zeros((n, 1 + PROBES), dtype=complex)  # a mirror block is never solved: its rows stay 0
-    if not _factor(plan.factored, x, keep):
+    if not _factor(plan, liou.values, plan.factored, x, keep):
         return None
     magnitude = np.abs(liou.values)
     scale = float(np.sqrt(np.bincount(liou.cols, magnitude ** 2, n).max()))
@@ -365,8 +503,7 @@ def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyS
         state = _accept(liou, tol, plan, x, scale, cond)
         if state is not None and state.min_eig > GAP_FACTOR * cond * np.finfo(float).eps:
             return state
-        plan.gather(liou.values, plan.deferred)
-        if not _factor(plan.deferred, x, keep):
+        if not _factor(plan, liou.values, plan.deferred, x, keep):
             return None
     return _accept(liou, tol, plan, x, scale, _condition(x[:, 1:], plan.probe_norms, column_sums))
 
@@ -375,7 +512,8 @@ def _solve(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyStat
     """The numeric pass of ``solve_steady`` over ``liou.values`` on the plan of its pattern.
 
     Unless the plan is kept, its mirror index is freed before the LUs, which
-    need the memory.
+    need the memory.  The SVD path gathers each block afresh, in the basis
+    ``|i><j|``.
     """
     values = liou.values
     if not np.isfinite(values).all():
@@ -387,22 +525,16 @@ def _solve(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyStat
     if np.abs(defect).max(initial=0.0) > HERMITICITY_BOUND * np.abs(values).max(initial=0.0):
         raise ValueError("generator does not preserve Hermiticity")
     del defect
-    plan.gather(values, plan.factored)
     if not keep:  # the LUs need the memory
         plan.at = plan.lone = None
     state = _bordered(liou, tol, plan, keep)
     if state is not None:
         return state
-    if not keep:  # a one-off plan has dropped its gather and its stacks
-        plan = _Plan(liou.dim, liou.rows, liou.cols)
-    for g in plan.factored:
-        if g.stack is not None:
-            g.stack[g.held, g.first] = 0.0  # the traces out: the gather puts L's rows back
-    plan.gather(values)
     factors = []
-    for g in plan.groups:  # one SVD per adjoint pair: a mirror's factors are the conjugates
-        _, s, vh = np.linalg.svd(g.stack)
-        factors += [(g.idx, s, vh), (plan.flip[g.idx[g.paired]], s[g.paired], vh[g.paired].conj())]
+    for k, g in enumerate(plan.groups):  # one SVD per adjoint pair: a mirror's are the conjugates
+        _, s, vh = np.linalg.svd(plan.blocks(values, k))
+        factors.append((g.idx, s, vh))
+        factors.append((plan.flip[g.idx[g.paired]], s[g.paired], vh[g.paired].conj()))
     basis, s = svd_kernel(factors, tol)
     k = basis.shape[1]
     if k < s.size:
@@ -433,8 +565,10 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     well-separated stationary state per traced block and reports
     ``solver = "bordered"``, with ``nullspace_dim`` the number of those
     blocks; a faithful state spares it the LUs of the blocks that hold no
-    stationary element by their pattern.  When any of its checks fails, each
-    block goes through an SVD instead (``solver = "svd"``).
+    stationary element by their pattern, and a block that is its own adjoint
+    takes a real LU where no adjoint pair shares its size.  When any of its
+    checks fails, each block goes through an SVD instead (``solver =
+    "svd"``).
     ``largest_block`` is the size of the largest block of the generator,
     factored or not.  The blocks, norms and residual all come from the generator's
     nonzero entries; a non-finite entry, or a broken Hermiticity, raises ValueError.

@@ -13,9 +13,13 @@ Rewrite the files, from the root of a checkout, with::
 
 Named cases are rewritten alone, and the other entries of ``outcomes.json``
 are kept, so a new case can be added without touching the files of the
-others.  With no name, every case is rewritten.  Regenerating changes what
-the test checks.  CHANGES.md must then name the files that changed, the
-reason, and the largest numeric change per column.
+others.  With no name, every case is rewritten.  Before a file is rewritten,
+the command prints its largest change per column against the file it
+replaces: a CSV table's columns, a JSON record's keys, and the ``name =
+value`` lines of standard error; a column that changed other than in a
+number is marked ``changed``.  Regenerating changes what the test checks.
+CHANGES.md must then name the files that changed, the reason, and that
+table.
 The bytes depend on the BLAS build and its thread count; a mismatch on another
 machine is a finding to record, not a reason to loosen the comparison.
 """
@@ -23,8 +27,10 @@ machine is a finding to record, not a reason to loosen the comparison.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -94,15 +100,99 @@ def run_case(name: str, extra: tuple[str, ...] = ()) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def columns(text: str) -> dict[str, list]:
+    """The values of each column of an output, in order.
+
+    Columns are the keys of a JSON record (or of each record of a list), the
+    header of a CSV table, or the names of ``name = value`` lines.
+    """
+    text = text.strip()
+    out: dict[str, list] = {}
+    if not text:
+        return out
+    if text[0] in "[{":
+        records = json.loads(text)
+        for record in [records] if isinstance(records, dict) else records:
+            for name, value in record.items():
+                out.setdefault(name, []).append(value)
+        return out
+    lines = text.splitlines()
+    if " = " in lines[0]:
+        for line in lines:
+            name, _, value = line.rpartition(" = ")
+            out.setdefault(name, []).append(value)
+        return out
+    header, *rows = csv.reader(lines)
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _number(value) -> float | None:
+    """A value as a float, or None for a string that is no number, a flag or nothing."""
+    if value is None or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def _integral(value) -> bool:
+    """Whether a value is written as an integer: a count, not a measured number."""
+    if isinstance(value, str):
+        return value.lstrip("-").isdigit()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def changes(old: str, new: str) -> dict[str, str]:
+    """Per column that differs between two outputs: its largest change, or ``changed``.
+
+    A column is ``changed`` when a value that is no number changes, when an
+    integer changes into another integer, or when the values do not pair up.
+    """
+    before, after = columns(old), columns(new)
+    out = {}
+    for name in dict.fromkeys([*before, *after]):
+        a, b = before.get(name), after.get(name)
+        if a == b:
+            continue
+        largest = 0.0
+        if a is None or b is None or len(a) != len(b):
+            largest = math.nan
+        for x, y in zip(a or [], b or []):
+            if x == y:
+                continue
+            fx, fy = _number(x), _number(y)
+            if fx is None or fy is None or _integral(x) and _integral(y):
+                largest = math.nan
+                break
+            largest = max(largest, abs(fx - fy))
+        out[name] = f"{largest:.2g}" if math.isfinite(largest) else "changed"
+    return out
+
+
+def report(label: str, old: str, new: str) -> None:
+    """Print the largest change per column of one output."""
+    for name, change in changes(old, new).items():
+        print(f"{label}\t{name}\t{change}")
+
+
 def main(names: list[str]) -> int:
     unknown = [name for name in names if name not in CASES]
     if unknown:
         print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     kept = json.loads(OUTCOMES.read_text()) if names and OUTCOMES.exists() else {}
+    committed = json.loads(OUTCOMES.read_text()) if OUTCOMES.exists() else {}
+    print("file\tcolumn\tlargest change")
     for name in names or CASES:
         code, out, err = run_case(name)
-        (HERE / f"{name}.out").write_text(out, newline="")
+        path = HERE / f"{name}.out"
+        report(path.name, path.read_text() if path.exists() else "", out)
+        before = committed.get(name, {"exit": None, "stderr": ""})
+        report(f"{name} stderr", before["stderr"], err)
+        if before["exit"] != code:
+            print(f"{name}\texit\tchanged")
+        path.write_text(out, newline="")
         kept[name] = {"exit": code, "stderr": err}
     outcomes = {name: kept[name] for name in CASES if name in kept}  # in the order of CASES
     OUTCOMES.write_text(json.dumps(outcomes, indent=2) + "\n")

@@ -340,22 +340,53 @@ def test_degenerate_kernels_take_the_bordered_path(chain):
     assert np.max(np.abs(state.rho - rho)) < 1e-12
 
 
+def real_basis(idx, flip):
+    """The unitary ``T`` of each block ``idx[k]`` that is its own adjoint: ``x = T y`` with
+    ``x_r = (a_r + i b_r) / sqrt 2`` and ``x_flip(r) = (a_r - i b_r) / sqrt 2`` for ``r < flip[r]``,
+    where ``a_r`` sits at the place of ``r`` and ``b_r`` at that of ``flip[r]``."""
+    count, size = idx.shape
+    t = np.zeros((count, size, size), dtype=complex)
+    for k, block in enumerate(idx):
+        place = {r: p for p, r in enumerate(block)}
+        for p, r in enumerate(block):
+            m = place[flip[r]]
+            if m == p:
+                t[k, p, p] = 1.0
+            elif r < flip[r]:
+                t[k, p, p], t[k, p, m] = 1 / np.sqrt(2), 1j / np.sqrt(2)
+            else:
+                t[k, p, m], t[k, p, p] = 1 / np.sqrt(2), -1j / np.sqrt(2)
+    return t
+
+
 def assert_blocks_match(liou, ref, tol):
     """The builder's components and blocks against the dense reference's.
 
-    The gather returns one block of each adjoint pair; the other is its
-    conjugate in the mirrored index order.
+    The plan keeps one block of each adjoint pair; the other is its
+    conjugate in the mirrored index order.  The stack of a block that is its
+    own adjoint holds its real matrix ``T^dag b T``, up to rounding.
     """
     groups = components(liou.rows, liou.cols, ref.shape[0])
     assert [g.tolist() for g in groups] == \
         [g.tolist() for g in components(*sparsity(ref), ref.shape[0])]
     flip = np.arange(ref.shape[0]).reshape(liou.dim, -1).ravel(order="F")
     plan = _Plan(liou.dim, liou.rows, liou.cols)
-    plan.gather(liou.values)
-    for g in plan.groups:
-        assert np.max(np.abs(g.stack - blocks_of(ref, g.idx)), initial=0.0) <= tol
-        mirrors = blocks_of(ref, flip[g.idx[g.paired]])
-        assert np.max(np.abs(g.stack[g.paired].conj() - mirrors), initial=0.0) <= tol
+    plan.gather(liou.values, plan.groups)
+    for k, g in enumerate(plan.groups):
+        expected = blocks_of(ref, g.idx)
+        assert np.max(np.abs(plan.blocks(liou.values, k) - expected), initial=0.0) <= tol
+        if not g.real:
+            mirrors = blocks_of(ref, flip[g.idx])
+            assert np.max(np.abs(plan.blocks(liou.values, k).conj() - mirrors),
+                          initial=0.0) <= tol
+            continue
+        assert np.array_equal(np.sort(flip[g.idx], axis=1), g.idx)  # each block its own adjoint
+        t = real_basis(g.idx, flip)
+        rotated = t.conj().transpose(0, 2, 1) @ expected @ t
+        bound = tol + 1e-15 * max(1.0, float(np.abs(ref).max(initial=0.0)))
+        assert g.stack.dtype == float
+        assert np.max(np.abs(rotated.imag), initial=0.0) <= bound
+        assert np.max(np.abs(g.stack - rotated.real), initial=0.0) <= bound
 
 
 @st.composite
@@ -490,12 +521,12 @@ def test_entry_without_mirror_below_the_bound_joins_the_blocks():
 
 
 def lu_sizes(solve, liou):
-    """``solve(liou)`` and the size of each matrix its LUs factored, sorted."""
+    """``solve(liou)`` and the size and dtype kind of each matrix its LUs factored, sorted."""
     seen = []
     lu = np.linalg.solve
 
     def record(a, b):
-        seen.extend([a.shape[-1]] * len(a))
+        seen.extend([(a.shape[-1], a.dtype.kind)] * len(a))
         return lu(a, b)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -508,23 +539,26 @@ XXZ5 = ChainSpec(kind="xxz", n=5, alpha=1.1, h=0.0, bond_Delta=(0.3, -0.8, 1.1, 
 
 
 @pytest.mark.parametrize("chain, factored", [
-    # faithful: one LU, of the q = 0 sector, which holds every |i><i|; the
-    # sectors q = 1..5 miss a column and the sectors -q are their adjoints
-    ((XXZ5, SPIN_PAIR), [252]),
+    # faithful: one real LU, of the q = 0 sector, which holds every |i><i|;
+    # the sectors q = 1..5 miss a column and the sectors -q are their adjoints
+    ((XXZ5, SPIN_PAIR), [(252, "f")]),
     # both baths pump the all-up state, min_eig 0: not faithful, so every
-    # sector is factored, one of each adjoint pair
-    ((XXZ5, [BathSpec(side="L", f=1.0), BathSpec(side="R", f=1.0)]), [1, 10, 45, 120, 210, 252]),
-    # a bosonic bath flips with x: two parity blocks, the odd one has an
-    # entry in every column, so no certificate spares it
-    ((ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5), [BOSON_PAIR[0], SPIN_PAIR[1]]), [32, 32]),
+    # sector is factored, one complex LU of each adjoint pair
+    ((XXZ5, [BathSpec(side="L", f=1.0), BathSpec(side="R", f=1.0)]),
+     [(1, "c"), (10, "c"), (45, "c"), (120, "c"), (210, "c"), (252, "f")]),
+    # a bosonic bath flips with x: two parity blocks, each its own adjoint;
+    # the odd one has an entry in every column, so no certificate spares it
+    ((ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5), [BOSON_PAIR[0], SPIN_PAIR[1]]),
+     [(32, "f"), (32, "f")]),
 ], ids=["faithful", "pure", "odd-covers-every-column"])
 def test_lus_of_the_blocks_a_faithful_state_does_not_certify(chain, factored):
     state, sizes = lu_sizes(solve_steady, build_liouvillian(*chain))
     assert (state.solver, state.nullspace_dim) == ("bordered", 1)
     assert sizes == factored
-    # the kept plan has made the stacks of the factored blocks only
-    made = [g.stack.shape[-1] for g in steady_state._last.plan.groups if g.stack is not None
-            for _ in g.idx]
+    # the kept plan has made the matrices of the factored blocks only: the
+    # real stack of a block that is its own adjoint, the complex one of a pair
+    made = [(g.stack.shape[-1], g.stack.dtype.kind) for g in steady_state._last.plan.groups
+            if g.stack is not None for _ in g.idx]
     assert sorted(made) == factored
 
 
@@ -580,6 +614,29 @@ def test_certified_blocks_are_left_out_only_of_a_unique_kernel(chain):
         assert np.max(np.abs(state.rho - rho)) < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(chain=certificate_chains())
+def test_real_lus_keep_the_path_and_the_state(chain):
+    # blocks that are their own adjoint are factored in the real basis: the
+    # path and kernel dimension are those of the solve on the dense
+    # reference's entries, and a bordered state is the full SVD's
+    spec, baths = chain
+    liou = build_liouvillian(*chain)
+    state, _ = outcome_or_error(solve_steady, liou)
+    h = build_hamiltonian(spec)
+    jumps = [L for b in baths for L in jump_ops(b, spec.n)]
+    ref, _ = outcome_or_error(solve_steady, from_dense(liouvillian_matrix(h, jumps), spec.dim))
+    if not isinstance(state, SteadyState):
+        assert state == ref
+        return
+    same_path(state, ref)
+    if spec.n <= 4:  # the full-SVD reference costs seconds beyond that
+        rho, k = svd_reference(liou)
+        assert state.nullspace_dim == k
+        if state.solver == "bordered":
+            assert np.max(np.abs(state.rho - rho)) < 1e-10
+
+
 def solve_as_if_uncertified(liou):
     """``outcome_or_error(solve_steady, liou)`` and the LU sizes of a solve that certifies nothing.
 
@@ -605,8 +662,9 @@ def test_a_size_split_by_the_certificate_takes_the_svd_path_as_a_whole():
     # a d = 4 generator with three kept blocks of 4 on |i><j| (r = i + 4 j),
     # each a cycle with a stationary element: the populations, B = {2, 7, 8,
     # 13}, which has an entry in every column, and C = {1, 3, 9, 11}, which
-    # misses columns 1 and 3 (its mirror is implied).  The certificate splits
-    # C from the others; the LU of B is singular, and the SVD path then
+    # misses columns 1 and 3 (its mirror is implied).  The populations and B
+    # are their own adjoints, and C is one of a pair: the certificate splits C
+    # from the others.  The real LU of B is singular, and the SVD path then
     # factors C too
     entries = {}
     for cycle, rate in (([0, 5, 10, 15], 1.0), ([2, 7, 8, 13], 0.7), ([1, 9, 11, 3], 0.3)):
@@ -618,11 +676,12 @@ def test_a_size_split_by_the_certificate_takes_the_svd_path_as_a_whole():
     keys = sorted(entries)
     liou = Liouvillian(np.array([r for r, _ in keys]), np.array([c for _, c in keys]),
                        np.array([entries[k] for k in keys], dtype=complex), 4)
-    assert [(g.idx.shape, g.certified) for g in _Plan(4, liou.rows, liou.cols).groups] == \
-        [((2, 4), False), ((1, 4), True)]
+    assert [(g.idx.shape, g.real, g.certified) for g in _Plan(4, liou.rows, liou.cols).groups] == \
+        [((2, 4), True, False), ((1, 4), False, True)]
     state, sizes, _ = solve_as_if_uncertified(liou)
     assert (state.solver, state.nullspace_dim) == ("svd", 4)
-    assert sizes == [4, 4]  # the populations and B; singular, so C never comes to its LU
+    # the populations and B, in one real LU; B is singular, so C never comes to its LU
+    assert sizes == [(4, "f"), (4, "f")]
     rho, k = svd_reference(liou)
     assert k == 4
     assert np.max(np.abs(state.rho - rho)) < 1e-12
