@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -330,6 +331,47 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
     liou, layout, _ = built[-1]
     liou.rows[:] = 0
     assert not np.array_equal(layout.rows, liou.rows)
+
+
+def test_threads_building_in_turn_keep_their_own_layouts():
+    # three threads build at once, step by step, each alternating two chains
+    # of its own patterns: every build equals a fresh one
+    spin = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.1),
+            BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.6)]
+    boson = [BathSpec(side="L", kind="bosonic", beta=1.0, omega=1.0, g=0.4),
+             BathSpec(side="R", kind="bosonic", beta=2.0, omega=1.3, g=0.3)]
+    chains = [[(ChainSpec(kind="xxz", n=3, alpha=0.8, Delta=0.4), spin),
+               (ChainSpec(kind="xxz", n=3, alpha=0.8, Delta=0.4, h=0.3), spin)],
+              [(ChainSpec(kind="ising", n=3, field=(0.3, 0.7, -0.4), bond_Delta=(0.8, 1.1)), boson),
+               (ChainSpec(kind="ising", n=3, field=(0.3, 0.7, -0.4), bond_Delta=(0.8, 1.1)), spin)],
+              [(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7), spin),
+               (ChainSpec(kind="xxz", n=4, alpha=1.0, Delta=0.7), boson)]]
+    expected = [[Liouvillian.from_jumps(build_hamiltonian(spec),
+                                        [L for b in baths for L in jump_ops(b, spec.n)])
+                 for spec, baths in pair] for pair in chains]
+    step = threading.Barrier(len(chains), timeout=60)
+    seen = {k: [] for k in range(len(chains))}
+
+    def work(k):
+        for i in range(20):
+            step.wait()
+            seen[k].append(build_liouvillian(*chains[k][i % 2]))
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in seen]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter over often, inside a build too
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for k in seen:
+        assert len(seen[k]) == 20
+        for i, liou in enumerate(seen[k]):
+            assert_same_entries(liou, expected[k][i % 2])
 
 
 def test_collision_builds_keep_no_layout():
