@@ -127,8 +127,8 @@ class Liouvillian:
         positions.  ``sum_a L_a^dag L_a`` is gathered from the diagonal blocks of
         ``G``, the pairs of positions in one pattern row, by one ``np.bincount``
         of each part over all such pairs with the rows ascending, so each of
-        its entries sums its terms in row order.  The two ``h_eff`` terms are added after
-        it, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
+        its entries sums its terms in row order.  The two ``h_eff`` terms are
+        added after it, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
         It keeps nothing: ``build_liouvillian`` keeps the index work of the

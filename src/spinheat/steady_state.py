@@ -335,7 +335,7 @@ class _Plan:
 
         A stack that is not there yet is made first.
         """
-        parts = np.ascontiguousarray(values).view(np.float64)  # real, imaginary, real, ...
+        parts = np.ascontiguousarray(values, dtype=complex).view(np.float64)  # re, im, re, ...
         for g in groups:
             count, size = g.idx.shape
             if g.stack is None:

@@ -698,6 +698,19 @@ def test_stationary_coherence_pair_is_refused_through_its_representative():
     assert np.max(np.abs(state.rho - np.diag([0.0, 0.5, 0.5]))) < 1e-12
 
 
+def test_real_entries_given_as_floats_solve_as_complex_ones():
+    # a generator without a Hamiltonian and with real jumps has real entries;
+    # given as a float array, its real group is scattered from the same real
+    # and imaginary parts as the complex array's
+    decay = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    liou = Liouvillian.from_jumps(np.zeros((2, 2)), [decay, 0.6 * decay.T])
+    assert not liou.values.imag.any()
+    assert any(g.real for g in _Plan(2, liou.rows, liou.cols).groups)
+    expected = in_new_thread(solve_outcome, liou)
+    assert expected[-2] == repr("bordered")
+    assert in_new_thread(solve_outcome, replace(liou, values=liou.values.real.copy())) == expected
+
+
 def one_off_outcome(liou):
     """``solve_outcome`` through the one-off solve of the collision fixed point."""
     try:
