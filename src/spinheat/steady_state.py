@@ -286,11 +286,11 @@ class _Plan:
         self.groups, self.kernel = [], []  # kernel: per group, the index rows of its traced blocks
         # one draw for every probe: a real normal per row of a real group, two per row of a
         # complex one; a mirror block is never solved and takes none
-        real = [not paired.any() for _, paired, *_ in parts]
+        reals = [not paired.any() for _, paired, *_ in parts]
         probes = np.random.default_rng(PROBE_SEED).standard_normal(
-            PROBES * sum(part[0].size * (1 if r else 2) for part, r in zip(parts, real)))
+            PROBES * sum(part[0].size * (1 if real else 2) for part, real in zip(parts, reals)))
         drawn = 0
-        for g, ((idx, paired, held, certified), real) in enumerate(zip(parts, real)):
+        for g, ((idx, paired, held, certified), real) in enumerate(zip(parts, reals)):
             count, size = idx.shape
             self.start[idx] = (np.arange(count)[:, None] * size + np.arange(size)) * size
             self.group[idx] = g

@@ -155,10 +155,11 @@ def changes(old: str, new: str) -> dict[str, str]:
         a, b = before.get(name), after.get(name)
         if a == b:
             continue
-        largest = 0.0
         if a is None or b is None or len(a) != len(b):
-            largest = math.nan
-        for x, y in zip(a or [], b or []):
+            out[name] = "changed"
+            continue
+        largest = 0.0
+        for x, y in zip(a, b):
             if x == y:
                 continue
             fx, fy = _number(x), _number(y)

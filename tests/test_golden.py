@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from golden.regenerate import CASES, HERE, OUTCOMES, run_case
+from golden.regenerate import CASES, HERE, OUTCOMES, changes, run_case
 
 EXPECTED = json.loads(OUTCOMES.read_text())
 
@@ -39,3 +39,14 @@ def test_check_one_way_at_two_jobs_matches_the_golden_file():
     # the base and the inverted chains are solved in two threads, each on its own kept plan
     name = "check_one_way_json_eq16_flip_f"
     assert_golden(name, run_case(name, ("--jobs", "2")))
+
+
+def test_changes_reports_the_largest_change_per_column():
+    # a CSV zero written "0" moves like any number; a count, a string or a
+    # missing row is "changed"; unchanged columns are left out
+    old = "a,n,regime\n0,1,Other\n0.5,2,Other\n"
+    new = "a,n,regime\n1e-16,1,Other\n0.5000000000000001,3,Heater\n"
+    assert changes(old, new) == {"a": "1.1e-16", "n": "changed", "regime": "changed"}
+    assert changes('[{"x": 1.0, "k": 2}]', '[{"x": 1.5, "k": 2}]') == {"x": "0.5"}
+    assert changes("fitted order = 2.0\n", "fitted order = 2.25\n") == {"fitted order": "0.25"}
+    assert changes("a\n1.0\n", "a\n1.0\n2.0\n") == {"a": "changed"}
