@@ -309,11 +309,11 @@ class _Plan:
                                       traced=traced, rhs=rhs, certified=certified))
         index = np.arange(n)
         kind = (index < flip) + 2 * (index > flip)  # 0 |i><i|, 1 representative, 2 mirror
-        in_real = np.array([g.real for g in self.groups] + [False])[self.group]
-        entry_group = np.where(in_real[rows] & (kind[rows] == 2), len(parts), self.group[rows])
+        real = np.array([g.real for g in self.groups] + [False])[self.group]
+        entry_group = np.where(real & (kind == 2), len(parts), self.group)[rows]
         shift = self.place[flip] - self.place  # from an index of a real block to its mirror
         for k, g in enumerate(self.groups):
-            sel = np.flatnonzero(entry_group == k)  # a real group's mirrors' rows are not read
+            sel = np.flatnonzero(entry_group == k)  # a real group reads no mirror's row
             if not g.real:
                 g.sel, g.pos = sel, self.start[rows[sel]] + self.place[cols[sel]]
                 continue
