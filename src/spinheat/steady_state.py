@@ -282,18 +282,31 @@ class _Plan:
                           for c, flag in ((~certified, False), (certified, True)) if c.any()]
         self.start = np.zeros(n, dtype=np.intp)  # flat offset of the index's row in its stack
         self.group = np.full(n, len(parts))  # group of a gathered index; past the last if none
+        for g, (idx, *_) in enumerate(parts):
+            count, size = idx.shape
+            self.start[idx] = (np.arange(count)[:, None] * size + np.arange(size)) * size
+            self.group[idx] = g
+        index = np.arange(n)
+        kind = (index < flip) + 2 * (index > flip)  # 0 |i><i|, 1 representative, 2 mirror
+        # real: no block paired, and the real fill writes no more terms than the stack holds, so a
+        # dense block (a collision generator's) keeps the complex gather, whose plan costs less
+        reals = [not paired.any() for _, paired, *_ in parts]
+        if any(reals):  # the terms of an entry: two on row a_p (one if q is |i><i|), as many on
+            # b_p for a representative p, none on a mirror's row
+            count = 2 * np.diff(np.searchsorted(rows, np.arange(n + 1)))
+            count -= np.bincount(rows[kind[cols] == 0], minlength=n)
+            terms = np.bincount(self.group, np.array([1, 2, 0])[kind] * count, len(parts) + 1)
+            reals = [real and terms[g] <= idx.size * idx.shape[1]
+                     for g, (real, (idx, *_)) in enumerate(zip(reals, parts))]
         self.replaced = np.zeros(n, dtype=bool)  # the rows of L that B replaces by traces
         self.groups, self.kernel = [], []  # kernel: per group, the index rows of its traced blocks
         # one draw for every probe: a real normal per row of a real group, two per row of a
         # complex one; a mirror block is never solved and takes none
-        reals = [not paired.any() for _, paired, *_ in parts]
         probes = np.random.default_rng(PROBE_SEED).standard_normal(
             PROBES * sum(part[0].size * (1 if real else 2) for part, real in zip(parts, reals)))
         drawn = 0
-        for g, ((idx, paired, held, certified), real) in enumerate(zip(parts, reals)):
+        for (idx, paired, held, certified), real in zip(parts, reals):
             count, size = idx.shape
-            self.start[idx] = (np.arange(count)[:, None] * size + np.arange(size)) * size
-            self.group[idx] = g
             rhs = np.zeros((count, size, 1 + PROBES), dtype=float if real else complex)
             for part in (rhs.real,) if real else (rhs.real, rhs.imag):
                 part[..., 1:] = probes[drawn:drawn + idx.size * PROBES].reshape(count, size, PROBES)
@@ -307,13 +320,13 @@ class _Plan:
                 self.kernel.append(idx[held])
             self.groups.append(_Group(idx=idx, paired=paired, real=real, held=held, first=first,
                                       traced=traced, rhs=rhs, certified=certified))
-        index = np.arange(n)
-        kind = (index < flip) + 2 * (index > flip)  # 0 |i><i|, 1 representative, 2 mirror
-        real = np.array([g.real for g in self.groups] + [False])[self.group]
-        entry_group = np.where(real & (kind == 2), len(parts), self.group)[rows]
+        entry_group = self.group[rows]
+        if any(reals):  # a real group reads no mirror's row
+            real = np.array(reals + [False])[self.group] & (kind == 2)
+            entry_group[real[rows]] = len(parts)
         shift = self.place[flip] - self.place  # from an index of a real block to its mirror
         for k, g in enumerate(self.groups):
-            sel = np.flatnonzero(entry_group == k)  # a real group reads no mirror's row
+            sel = np.flatnonzero(entry_group == k)
             if not g.real:
                 g.sel, g.pos = sel, self.start[rows[sel]] + self.place[cols[sel]]
                 continue
@@ -325,7 +338,7 @@ class _Plan:
                       _ALPHA[at].reshape(-1, 1), _BETA[at].reshape(-1, 1))
         self.factored = [g for g in self.groups if not g.certified]
         self.deferred = [g for g in self.groups if g.certified]
-        self.probe_norms = _probe_norms(self.groups)
+        self.probe_norms = np.linalg.norm(probes.reshape(-1, PROBES), axis=0)  # all drawn
         if self.deferred:
             self.solved = np.concatenate([g.idx.ravel() for g in self.factored])
             self.solved_norms = _probe_norms(self.factored)
