@@ -132,7 +132,7 @@ class Liouvillian:
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
         It keeps nothing: ``build_liouvillian`` keeps the index work of the
-        last pattern per thread (``_Layout``).
+        last pattern per thread, once it is built twice (``_Layout``).
         """
         return _assemble(h, jumps, None)
 
@@ -190,7 +190,8 @@ class _Layout:
         self.ldl_at, self.pairs = self.col[p] * self.used.shape[0] + self.col[q], q * row.size + p
 
 
-# Per thread, the layout of the last pattern build_liouvillian built.
+# Per thread, the pattern build_liouvillian built last (used) and, from its second build in a
+# row on, that pattern's layout (layout).
 _last = threading.local()
 
 
@@ -201,8 +202,11 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     A kept layout of the same ``used`` pattern only refills the values, when
     the nonzero set of ``G`` is the one the layout holds (as many nonzeros,
     and every kept entry nonzero); an exact cancellation makes the layout
-    afresh.  With no slot, the pairs are dropped before the entries are
-    found, which need the memory.
+    afresh.  A pattern's first build keeps only ``used``, and the build
+    after it on the same pattern keeps the layout, so a pattern built once
+    (each point of a scan over chains) costs no kept memory.  A build that
+    keeps nothing drops the pairs before the entries are found, which need
+    the memory.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
@@ -213,9 +217,11 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
     used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
     layout = getattr(slot, "layout", None)
-    if layout is None or not np.array_equal(layout.used, used):
-        if slot is not None:
-            slot.layout = None  # the old layout goes before the new one is made
+    keep = layout is not None and np.array_equal(layout.used, used)
+    if not keep:
+        if slot is not None:  # the old layout goes before the new one is made
+            keep = np.array_equal(getattr(slot, "used", None), used)
+            slot.layout, slot.used = None, used
         layout = _Layout.of(used)
     pos, row, col = layout.pos, layout.row, layout.col
     flat = stack.reshape(len(stack), n)
@@ -229,7 +235,7 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     ldl.real = np.bincount(layout.ldl_at, terms.real, n).reshape(d, d)
     ldl.imag = np.bincount(layout.ldl_at, terms.imag, n).reshape(d, d)
     del terms
-    if slot is None:  # not kept through the entries below
+    if not keep:  # not kept through the entries below
         layout.ldl_at = layout.pairs = None
     h_eff = (h - 0.5j * ldl)[row, col]
     diagonal = layout.diagonal
@@ -245,7 +251,7 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     rows, cols = row[a] + d * row[b], col[a] + d * col[b]
     order = np.argsort(rows * n + cols)
     rows, cols, values = rows[order], cols[order], values[order]
-    if slot is not None:
+    if keep:
         layout.take, layout.rows, layout.cols = (a * pos.size + b)[order], rows, cols
         slot.layout = layout
         rows, cols = rows.copy(), cols.copy()
@@ -255,8 +261,9 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
 def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian:
     """Assemble the Liouvillian of a boundary-driven chain.
 
-    Each thread keeps the index layout of its last d x d pattern, so the
-    points of a sweep only fill values; the generator's arrays are its own.
+    Each thread keeps the index layout of its last d x d pattern from that
+    pattern's second build on, so the points of a sweep only fill values;
+    the generator's arrays are its own.
     """
     _check_sides(baths)
     h = build_hamiltonian(spec)

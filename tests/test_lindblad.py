@@ -298,23 +298,27 @@ def in_new_thread(fn, *args):
 
 def builds_and_layouts(chains):
     """Each chain's generator, built in turn on one thread, with the layout kept after it
-    and that layout's entry places."""
-    return [(build_liouvillian(spec, baths), lindblad._last.layout, lindblad._last.layout.take)
-            for spec, baths in chains]
+    (None if none) and that layout's entry places."""
+    built = []
+    for spec, baths in chains:
+        liou = build_liouvillian(spec, baths)
+        layout = lindblad._last.layout
+        built.append((liou, layout, None if layout is None else layout.take))
+    return built
 
 
 def test_builds_on_a_kept_layout_equal_fresh_builds():
-    # a sweep's points share their pattern and refill the kept layout; a new
-    # pattern makes a new one.  Without baths the entry of the coherence of
-    # two equal-energy states cancels exactly: the same pattern of h and
-    # jumps, and fewer nonzero entries (field 0.3, 0.3) or as many in other
-    # places (0.3, -0.3), so the entries are found afresh on the kept pair
-    # gather
+    # a pattern's first build keeps no layout, its second in a row keeps one,
+    # and the next points on that pattern refill it; a new pattern drops it.
+    # Without baths the entry of the coherence of two equal-energy states
+    # cancels exactly: the same pattern of h and jumps, and fewer nonzero
+    # entries (field 0.3, 0.3) or as many in other places (0.3, -0.3), so the
+    # entries are found afresh on the kept pair gather
     spin = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.1),
             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.6)]
     xxz = ChainSpec(kind="xxz", n=3, alpha=0.8, field=(0.4, -0.3, 0.7), bond_Delta=(0.9, -1.1))
     pair = ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7, field=(0.3, 0.5))
-    chains = [(xxz, spin), (replace(xxz, alpha=1.3, bond_Delta=(0.2, 0.5)), spin),
+    chains = [(xxz, spin), (replace(xxz, alpha=1.3, bond_Delta=(0.2, 0.5)), spin), (xxz, spin),
               (ChainSpec(kind="ising", n=3, field=(0.3, 0.7, -0.4), bond_Delta=(0.8, 1.1)), spin),
               (xxz, spin), (pair, []), (replace(pair, field=(0.3, 0.3)), []),
               (replace(pair, field=(0.3, -0.3)), []), (pair, [])]
@@ -323,10 +327,11 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
         h = build_hamiltonian(spec)
         assert_same_entries(liou, Liouvillian.from_jumps(h, [L for b in baths
                                                              for L in jump_ops(b, spec.n)]))
-    same = [[built[k][i] is built[k - 1][i] for k in range(1, len(chains))] for i in (1, 2)]
-    assert same == [[True, False, False, False, True, True, True],
-                    [True, False, False, False, False, False, False]]
-    assert [liou.rows.size for liou, *_ in built[4:]] == [28, 26, 26, 28]
+    assert [layout is not None for _, layout, _ in built] == \
+        [False, True, True, False, False, False, True, True, True]
+    same = [[built[k][i] is built[k - 1][i] for k in (2, 7, 8)] for i in (1, 2)]
+    assert same == [[True, True, True], [True, False, False]]
+    assert [liou.rows.size for liou, *_ in built[5:]] == [28, 26, 26, 28]
     # the generator's index arrays are its own: rewriting them leaves the layout alone
     liou, layout, _ = built[-1]
     liou.rows[:] = 0
@@ -334,8 +339,8 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
 
 
 def test_threads_building_in_turn_keep_their_own_layouts():
-    # three threads build at once, step by step, each alternating two chains
-    # of its own patterns: every build equals a fresh one
+    # three threads build at once, step by step, each building two chains of
+    # its own patterns in turn: every build equals a fresh one
     spin = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.1),
             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.6)]
     boson = [BathSpec(side="L", kind="bosonic", beta=1.0, omega=1.0, g=0.4),
@@ -353,9 +358,9 @@ def test_threads_building_in_turn_keep_their_own_layouts():
     seen = {k: [] for k in range(len(chains))}
 
     def work(k):
-        for i in range(20):
+        for i in range(20):  # each pattern twice in a row, so a layout is kept and dropped
             step.wait()
-            seen[k].append(build_liouvillian(*chains[k][i % 2]))
+            seen[k].append(build_liouvillian(*chains[k][i // 2 % 2]))
 
     workers = [threading.Thread(target=work, args=(k,)) for k in seen]
     interval = sys.getswitchinterval()
@@ -371,7 +376,7 @@ def test_threads_building_in_turn_keep_their_own_layouts():
     for k in seen:
         assert len(seen[k]) == 20
         for i, liou in enumerate(seen[k]):
-            assert_same_entries(liou, expected[k][i % 2])
+            assert_same_entries(liou, expected[k][i // 2 % 2])
 
 
 def test_collision_builds_keep_no_layout():
@@ -380,12 +385,13 @@ def test_collision_builds_keep_no_layout():
              BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
 
     def layouts():
+        build_liouvillian(spec, baths)
         kept = build_liouvillian(spec, baths) and lindblad._last.layout
         CollisionEngine(spec, baths, RIConfig(tau=1e-2))
         return kept, lindblad._last.layout
 
     kept, after = in_new_thread(layouts)
-    assert after is kept
+    assert kept is not None and after is kept
 
 
 def test_trace_preservation_left_kernel():
