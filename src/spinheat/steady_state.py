@@ -48,7 +48,10 @@ complex one, with the unitary ``T`` of ``_bordered``.  A size that also
 holds an adjoint pair keeps one complex LU for all its blocks, so that each
 size stays one LAPACK call: ising chains, whose blocks of 4 mix both kinds,
 factor as before, and an xxz chain of 5 sites factors its traced block of
-252 as a real matrix.
+252 as a real matrix.  So does a size whose real matrix would take more
+terms to fill than it has entries: the dense blocks of a collision
+generator, solved once each, where making that fill costs more than the
+real LU saves.
 
 Most blocks of a chain with a unique, full-rank (faithful) steady state
 hold coherences only, and the LU of such a block would only show that its
@@ -153,8 +156,9 @@ class _Group:
     conjugate block.  ``stack[i]`` is the matrix of the block ``c =
     idx[i]``: ``L[c][:, c]``, complex, once the entries ``values[sel]`` are
     scattered to its flat places ``pos``, or, when no block of the group is
-    paired (``real``), ``T^dag L[c][:, c] T``, real (see ``_bordered``), once
-    ``fill`` has scattered the entries' real and imaginary parts.  In the
+    paired and the blocks are not dense (``real``, see ``_Plan``), ``T^dag
+    L[c][:, c] T``, real (see ``_bordered``), once ``fill`` has scattered
+    the entries' real and imaginary parts.  In the
     real coordinates a diagonal entry ``|i><i|`` keeps its place, a
     representative ``r < flip[r]`` holds ``a_r`` and its mirror ``b_r``;
     ``back`` maps them to ``x``.  Row ``first[j]`` of block ``held[j]`` is
@@ -236,7 +240,8 @@ class _Plan:
 
     That is each entry's mirror (the entry at ``(flip r, flip c)``, ``at``;
     ``lone`` where it is zero), the ``components``, and per size of them a
-    ``_Group``, real when none of its blocks is paired.  A plan is built
+    ``_Group``, real when none of its blocks is paired and its real fill
+    writes no more terms than its stack holds.  A plan is built
     once per pattern; each solve then only fills its stacks with new
     values.  The gather writes the same places each time and the bordered
     solve only the border rows, so every other entry of a stack stays zero.
@@ -288,16 +293,21 @@ class _Plan:
             self.group[idx] = g
         index = np.arange(n)
         kind = (index < flip) + 2 * (index > flip)  # 0 |i><i|, 1 representative, 2 mirror
-        # real: no block paired, and the real fill writes no more terms than the stack holds, so a
-        # dense block (a collision generator's) keeps the complex gather, whose plan costs less
+        # a group is real when none of its blocks is paired and its real fill writes no more terms
+        # than its stack holds: a dense block (a collision generator's) keeps the complex gather,
+        # which costs less to plan than the real LU saves
         reals = [not paired.any() for _, paired, *_ in parts]
-        if any(reals):  # the terms of an entry: two on row a_p (one if q is |i><i|), as many on
-            # b_p for a representative p, none on a mirror's row
-            count = 2 * np.diff(np.searchsorted(rows, np.arange(n + 1)))
-            count -= np.bincount(rows[kind[cols] == 0], minlength=n)
-            terms = np.bincount(self.group, np.array([1, 2, 0])[kind] * count, len(parts) + 1)
-            reals = [real and terms[g] <= idx.size * idx.shape[1]
-                     for g, (real, (idx, *_)) in enumerate(zip(reals, parts))]
+        if any(reals):  # an entry writes on row a_p and, for a representative p, on b_p (a
+            # mirror's row is not read): two terms on each, one if q is |i><i|
+            area = [idx.size * idx.shape[1] for idx, *_ in parts]
+            rows_written = np.array([1, 2, 0])[kind]
+            least = np.bincount(self.group, rows_written * np.diff(np.searchsorted(
+                rows, np.arange(n + 1))), len(parts) + 1)  # one term per entry and row written
+            terms = 2 * least
+            if any(real and least[g] <= area[g] < terms[g] for g, real in enumerate(reals)):
+                p = rows[traces[cols]]  # the entries in a column |i><i|
+                terms -= np.bincount(self.group[p], rows_written[p], len(parts) + 1)
+            reals = [real and terms[g] <= area[g] for g, real in enumerate(reals)]
         self.replaced = np.zeros(n, dtype=bool)  # the rows of L that B replaces by traces
         self.groups, self.kernel = [], []  # kernel: per group, the index rows of its traced blocks
         # one draw for every probe: a real normal per row of a real group, two per row of a
@@ -324,7 +334,7 @@ class _Plan:
         if any(reals):  # a real group reads no mirror's row
             real = np.array(reals + [False])[self.group] & (kind == 2)
             entry_group[real[rows]] = len(parts)
-        shift = self.place[flip] - self.place  # from an index of a real block to its mirror
+            shift = self.place[flip] - self.place  # from an index of a real block to its mirror
         for k, g in enumerate(self.groups):
             sel = np.flatnonzero(entry_group == k)
             if not g.real:
@@ -579,9 +589,9 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     ``solver = "bordered"``, with ``nullspace_dim`` the number of those
     blocks; a faithful state spares it the LUs of the blocks that hold no
     stationary element by their pattern, and a block that is its own adjoint
-    takes a real LU where no adjoint pair shares its size.  When any of its
-    checks fails, each block goes through an SVD instead (``solver =
-    "svd"``).
+    takes a real LU where no adjoint pair shares its size and the blocks of
+    that size are not dense.  When any of its checks fails, each block goes
+    through an SVD instead (``solver = "svd"``).
     ``largest_block`` is the size of the largest block of the generator,
     factored or not.  The blocks, norms and residual all come from the generator's
     nonzero entries; a non-finite entry, or a broken Hermiticity, raises ValueError.

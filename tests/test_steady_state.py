@@ -721,18 +721,23 @@ def real_fill_terms(plan, k):
     return sum(target.size for target, *_ in fill)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_a_block_denser_than_its_real_fill_keeps_the_complex_lu(n):
+@pytest.mark.parametrize("spec, collision_real", [
+    (ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.3), False),
+    (ChainSpec(kind="xxz", n=3, alpha=1.0, bond_Delta=(0.3, 0.5)), False),
+    (ChainSpec(kind="xxz", n=4, alpha=1.0, bond_Delta=(0.3, 0.5, 0.7)), False),
+    # the traced block holds the populations alone: an entry writes one term
+    (ChainSpec(kind="ising", n=2, field=(0.6, 0.9), Delta=0.8), True),
+], ids=["xxz2", "xxz3", "xxz4", "ising2"])
+def test_a_block_denser_than_its_real_fill_keeps_the_complex_lu(spec, collision_real):
     # a group of blocks that are their own adjoints is real where its real fill
     # writes no more terms than its stack holds: the traced block of a chain's
-    # generator, not the dense one of a collision generator, whose one-off
+    # generator, not the dense one of an xxz collision generator, whose one-off
     # solve equals the kept plan's all the same
-    spec = ChainSpec(kind="xxz", n=n, alpha=1.0, bond_Delta=(0.3, 0.5, 0.7)[:n - 1])
     baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
              BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
     chain = build_liouvillian(spec, baths)
     collision = CollisionEngine(spec, baths, RIConfig(tau=1e-2)).generator
-    for liou, traced in ((chain, True), (collision, False)):
+    for liou, traced in ((chain, True), (collision, collision_real)):
         plan = _Plan(liou.dim, liou.rows, liou.cols)
         for k, g in enumerate(plan.groups):
             if not g.paired.any():
