@@ -1,7 +1,9 @@
 """Pauli matrices and their embedding into tensor-product spaces.
 
-Every embedded operator is one ``kron_all`` product over the tensor
-factors; a two-site Pauli string is one product, not two embeddings multiplied.
+A Pauli string on the chain is written from the basis bits: each column of
+it holds one entry, in the row that flips the bits of its x, y, plus and minus
+sites.  ``op_at`` embeds any operator by one ``kron_all`` product over the
+tensor factors.
 
 Layout convention used across the package: tensor factors are ordered
 ``[left bath] (x) [site 1] (x) ... (x) [site N] (x) [right bath]``, with
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import kron_all
+from .linalg import check_dense_dim, kron_all
 
 _PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -49,14 +51,40 @@ def op_at(op: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
     return kron_all(factors)
 
 
-def _pauli_string(terms: Sequence[tuple[str, int]], n: int) -> np.ndarray:
-    """One Kronecker product of Paulis ``(kind, 1-based site)`` on an ``n``-site chain."""
-    factors = [_PAULI["i"]] * n
+def _pauli_columns(terms: Sequence[tuple[str, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Pauli string ``(kind, 1-based site)`` on an ``n``-site chain, one entry per column.
+
+    Column ``c`` holds ``values[c]`` in row ``rows[c]``.  Site ``i`` is bit ``n - i``
+    of a basis index (site 1 is the first Kronecker factor); x, y, plus and minus
+    flip it, i and z keep it.  Each value is the product of the sites' factors
+    taken from site 1 on, as ``kron_all`` multiplies them, so a nonzero one has
+    its bits; plus and minus leave zeros in the columns they annihilate.
+    """
+    kinds = ["i"] * n
     for kind, site in terms:
         if not 1 <= site <= n:
             raise ValueError(f"site {site} outside the chain 1..{n}")
-        factors[site - 1] = pauli(kind)
-    return kron_all(factors)
+        kinds[site - 1] = kind
+    check_dense_dim(1 << n)
+    cols = np.arange(1 << n)
+    rows = cols.copy()
+    values = None
+    for i, kind in enumerate(kinds, start=1):
+        op = pauli(kind)
+        flip = int(op[0, 0] == 0 and op[1, 1] == 0)
+        bit = cols >> (n - i) & 1
+        rows ^= flip << (n - i)
+        factor = op[bit ^ flip, bit]
+        values = factor if values is None else values * factor
+    return rows, values
+
+
+def _pauli_string(terms: Sequence[tuple[str, int]], n: int) -> np.ndarray:
+    """The dense Pauli string ``(kind, 1-based site)`` on an ``n``-site chain."""
+    rows, values = _pauli_columns(terms, n)
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    out[rows, np.arange(rows.size)] = values
+    return out
 
 
 def site_op(kind: str, site: int, n: int) -> np.ndarray:

@@ -7,9 +7,10 @@ tests hold the entry-wise builder and the block solve against it, through
 exponentiates a whole Hermitian matrix by one ``eigh``, the reference for the
 component-wise ``herm_expm``.  ``from_jumps_reference`` is the entry-wise
 builder as it was when it gathered ``sum_a L_a^dag L_a`` one pattern row at a
-time; ``Liouvillian.from_jumps`` must return the same bits.  ``kron_hamiltonian``
-and ``kron_bond_energy`` sum Kronecker products of Pauli strings, the way the
-package built the chain terms before it wrote them from the basis bits.
+time; ``Liouvillian.from_jumps`` must return the same bits.  ``kron_pauli_string``
+is one Kronecker product of single-site Paulis, and ``kron_hamiltonian`` and
+``kron_bond_energy`` sum such products, the way the package built Pauli strings
+and the chain terms before it wrote them from the basis bits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spinheat import ChainSpec, Liouvillian, site_op, two_site_op
+from spinheat import ChainSpec, Liouvillian, kron_all, pauli
 
 
 def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -118,13 +119,21 @@ def dense_expm(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * float(t) * w)) @ v.conj().T
 
 
+def kron_pauli_string(terms: Sequence[tuple[str, int]], n: int) -> np.ndarray:
+    """The Paulis ``(kind, 1-based site)`` on an ``n``-site chain as one ``kron_all`` product."""
+    factors = [pauli("i")] * n
+    for kind, site in terms:
+        factors[site - 1] = pauli(kind)
+    return kron_all(factors)
+
+
 def _kron_bond(spec: ChainSpec, i: int, j: int, coupling: float) -> np.ndarray:
     """Bond ``(i, j)`` at coupling D: ``alpha (xx + yy) + D zz`` (xxz), ``(D/2) zz`` (ising)."""
     n = spec.n
-    zz = two_site_op("z", i, "z", j, n)
+    zz = kron_pauli_string([("z", i), ("z", j)], n)
     if spec.kind == "ising":
         return (coupling / 2.0) * zz
-    hop = two_site_op("x", i, "x", j, n) + two_site_op("y", i, "y", j, n)
+    hop = kron_pauli_string([("x", i), ("x", j)], n) + kron_pauli_string([("y", i), ("y", j)], n)
     return spec.alpha * hop + coupling * zz
 
 
@@ -137,7 +146,7 @@ def kron_hamiltonian(spec: ChainSpec) -> np.ndarray:
         h_mat += _kron_bond(spec, 1, 3, spec.Delta13)
     for i, hi in enumerate(spec.site_fields, start=1):
         if hi != 0.0:
-            h_mat += (hi / 2.0) * site_op("z", i, spec.n)
+            h_mat += (hi / 2.0) * kron_pauli_string([("z", i)], spec.n)
     return h_mat
 
 
@@ -148,6 +157,6 @@ def kron_bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
     fields = spec.site_fields
     w_left = 1.0 if i == 1 else 0.5
     w_right = 1.0 if i + 1 == n else 0.5
-    eps = eps + w_left * (fields[i - 1] / 2.0) * site_op("z", i, n)
-    eps = eps + w_right * (fields[i] / 2.0) * site_op("z", i + 1, n)
+    eps = eps + w_left * (fields[i - 1] / 2.0) * kron_pauli_string([("z", i)], n)
+    eps = eps + w_right * (fields[i] / 2.0) * kron_pauli_string([("z", i + 1)], n)
     return eps

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinheat import (
     BathSpec,
@@ -20,6 +22,9 @@ from spinheat import (
     steady_for,
     two_site_op,
 )
+from dense_reference import kron_pauli_string
+
+KINDS = ("i", "x", "y", "z", "plus", "minus")
 
 
 def test_pauli_matrices():
@@ -85,11 +90,35 @@ def test_two_site_op_product_structure():
     assert np.allclose(got, expected)
 
 
+@st.composite
+def pauli_strings(draw):
+    """A chain of 2..6 sites and one or two Paulis on distinct sites of it."""
+    n = draw(st.integers(2, 6))
+    sites = draw(st.lists(st.integers(1, n), min_size=1, max_size=2, unique=True))
+    return n, [(draw(st.sampled_from(KINDS)), site) for site in sites]
+
+
+@given(pauli_strings())
+def test_pauli_strings_from_the_basis_bits_equal_the_kronecker_products(drawn):
+    # the nonzero entries also keep their bits; only the signs of zeros may differ
+    n, terms = drawn
+    got = site_op(*terms[0], n) if len(terms) == 1 else two_site_op(*terms[0], *terms[1], n)
+    expected = kron_pauli_string(terms, n)
+    assert np.array_equal(got, expected)
+    assert got[expected != 0].tobytes() == expected[expected != 0].tobytes()
+
+
+def test_every_single_site_pauli_equals_its_kronecker_product():
+    for n in range(2, 7):
+        for site in range(1, n + 1):
+            for kind in KINDS:
+                assert np.array_equal(site_op(kind, site, n), kron_pauli_string([(kind, site)], n))
+
+
 def test_two_site_op_equals_product_of_site_ops():
-    kinds = ("i", "x", "y", "z", "plus", "minus")
     for n in range(2, 6):
         for i, j in itertools.permutations(range(1, n + 1), 2):
-            for a, b in itertools.product(kinds, repeat=2):
+            for a, b in itertools.product(KINDS, repeat=2):
                 assert np.array_equal(
                     two_site_op(a, i, b, j, n), site_op(a, i, n) @ site_op(b, j, n)
                 ), (a, i, b, j, n)
