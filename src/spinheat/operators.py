@@ -30,12 +30,25 @@ _PAULI = {
 }
 
 
-def pauli(kind: str) -> np.ndarray:
-    """Fresh copy of a single-site operator: i, x, y, z, plus, minus."""
+def _columns(op: np.ndarray) -> tuple[int, np.ndarray]:
+    """Whether ``op`` flips the bit of its site, and its entries in the columns of bit 0 and 1."""
+    flip = int(op[0, 0] == 0 and op[1, 1] == 0)
+    return flip, op[[flip, 1 - flip], [0, 1]]
+
+
+_COLUMNS = {key: _columns(op) for key, op in _PAULI.items()}
+
+
+def _key(kind: str) -> str:
     key = kind.lower()
     if key not in _PAULI:
         raise ValueError(f"unknown single-site operator {kind!r}")
-    return _PAULI[key].copy()
+    return key
+
+
+def pauli(kind: str) -> np.ndarray:
+    """Fresh copy of a single-site operator: i, x, y, z, plus, minus."""
+    return _PAULI[_key(kind)].copy()
 
 
 def op_at(op: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
@@ -64,18 +77,20 @@ def _pauli_columns(terms: Sequence[tuple[str, int]], n: int) -> tuple[np.ndarray
     for kind, site in terms:
         if not 1 <= site <= n:
             raise ValueError(f"site {site} outside the chain 1..{n}")
-        kinds[site - 1] = kind
+        kinds[site - 1] = _key(kind)
     check_dense_dim(1 << n)
     cols = np.arange(1 << n)
     rows = cols.copy()
     values = None
     for i, kind in enumerate(kinds, start=1):
-        op = pauli(kind)
-        flip = int(op[0, 0] == 0 and op[1, 1] == 0)
-        bit = cols >> (n - i) & 1
-        rows ^= flip << (n - i)
-        factor = op[bit ^ flip, bit]
-        values = factor if values is None else values * factor
+        flip, entries = _COLUMNS[kind]
+        if kind == "i":
+            factor = entries[0]
+        else:
+            bit = cols >> (n - i) & 1
+            rows ^= flip << (n - i)
+            factor = entries[bit]
+        values = np.full(cols.size, factor) if values is None else values * factor
     return rows, values
 
 
