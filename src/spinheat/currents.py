@@ -13,6 +13,15 @@ so the bath enters only through its moments
 ``c_kl = Tr(g (B_k B_l A - 2 B_k A B_l + A B_k B_l))`` and
 ``t_kl = Tr(g B_k B_l)``.  No joint-space matrix is formed.
 
+Nor is a product of chain operators.  Every coupling is a Pauli x or y on
+the boundary site, so ``S_k = P diag(v_k)`` with ``P`` the flip of that
+site's bit and ``v_k`` a phase per basis state (1 for x, -i or i for y).
+With ``u_k = P v_k`` the phases read at the flipped state,
+``S_k S_l = diag(u_k v_l)`` is diagonal, the outer terms sum to
+``D H + H D`` with ``D = sum_kl t_kl diag(u_k v_l)``, and
+``sum_kl t_kl S_k H S_l = (u^T t v) o (P H P)``, an entrywise product with
+the rank-one sum ``u^T t v``.  Each operator therefore costs O(d^2).
+
 The work rate is the part of the boundary energy flow spent switching the
 coupling on and off; the remainder is heat drawn from the bath.  Their sum
 equals the energy in-flow ``Tr(H_s D(rho))`` generated by that side's
@@ -35,7 +44,7 @@ from .bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
 from .linalg import expectation
 from .lindblad import _check_sides, dissipator_action, jump_ops
 from .models import BathSpec, ChainSpec, bath_f, build_hamiltonian
-from .operators import site_op, two_site_op
+from .operators import _pauli_columns, site_op, two_site_op
 from .steady_state import SteadyState
 
 FIRST_LAW_TOL = 1e-9
@@ -92,28 +101,26 @@ def _rate_operators(
     """One bath's heat and work rate operators ``(O_q, O_w)`` on the chain space.
 
     ``h`` is the chain Hamiltonian of ``spec``.  See the module docstring for
-    the formulas and the moments ``c_kl``, ``t_kl``.
+    the formulas, the moments ``c_kl``, ``t_kl`` and the bit-flip form.
     """
     copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
-    site = bath.boundary_site(spec.n)
-    pairs = []  # per coupling: bath operator, chain operator s and its commutator [s, h]
-    for b_op, kind in copy.couplings:
-        s = site_op(kind, site, spec.n)
-        pairs.append((b_op, s, s @ h - h @ s))
-    o_q = np.zeros_like(h)
-    o_h = np.zeros_like(h)
     # with g = diag(p) and A = diag(E): P_ij = p_i (B_k)_ij (B_l)_ji gives
     # t_kl = sum P and c_kl = 2 sum P (E_i - E_j)
+    b = np.array([b_op for b_op, _ in copy.couplings])
+    p = copy.populations[:, None] * b[:, None] * b.transpose(0, 2, 1)
     gap = copy.energies[:, None] - copy.energies[None, :]
-    for b_k, s_k, c_k in pairs:
-        for b_l, s_l, c_l in pairs:
-            p_kl = copy.populations[:, None] * b_k * b_l.T
-            c_kl = 2.0 * np.sum(p_kl * gap)
-            t_kl = np.sum(p_kl)
-            o_q += c_kl * (s_k @ s_l)
-            o_h += t_kl * (s_k @ c_l - c_k @ s_l)  # the (k, l) term of [v, [v, h]]
+    c, t = 2.0 * np.sum(p * gap, axis=(2, 3)), np.sum(p, axis=(2, 3))
+    # S_k holds v_k[j] in row flip[j] of column j; u_k[j] = v_k[flip[j]]
+    site = bath.boundary_site(spec.n)
+    columns = [_pauli_columns([(kind, site)], spec.n) for _, kind in copy.couplings]
+    flip = columns[0][0]
+    v = np.array([values for _, values in columns])
+    u = v[:, flip]
+    pairs = u[:, None, :] * v[None, :, :]  # the diagonals of S_k S_l
     scale = 0.5 * copy.prefactor ** 2
-    o_q *= scale
+    o_q = np.diag(scale * np.einsum("kl,klj->j", c, pairs))
+    diagonal = np.einsum("kl,klj->j", t, pairs)
+    o_h = (diagonal[:, None] + diagonal[None, :]) * h - 2.0 * ((u.T @ t) @ v) * h[np.ix_(flip, flip)]
     return o_q, -o_q - scale * o_h
 
 

@@ -131,8 +131,9 @@ class Liouvillian:
         added after it, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
-        It keeps nothing: ``build_liouvillian`` keeps the index work of the
-        last pattern per thread, once it is built twice (``_Layout``).
+        It keeps nothing: ``build_liouvillian`` keeps the entries of the last
+        pattern per thread, once it is built twice, and refills them
+        (``_Layout``).
         """
         return _assemble(h, jumps, None)
 
@@ -146,67 +147,115 @@ class Liouvillian:
         return out
 
 
+def _pairs(row: np.ndarray, col: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the terms of ``sum_a L_a^dag L_a`` go and where they are in a Gram.
+
+    ``row`` and ``col`` are the parts of ascending positions ``i d + k``, and
+    the Gram is over those positions.  ``(sum_a L_a^dag L_a)[i, j] = sum_k
+    G[(k, j), (k, i)]``: one add over the pairs ``(p, q)`` of positions in
+    one pattern row ``k``, ``p`` and then ``q`` ascending.  Returns each
+    term's flat place ``i d + j`` and its flat place ``q npos + p`` in ``G``.
+    """
+    bounds = np.searchsorted(row, np.arange(d + 1))
+    width = np.diff(bounds)[row]  # positions in the pattern row of each position
+    p = np.repeat(np.arange(row.size), width)
+    q = np.arange(p.size) + np.repeat(bounds[row] - (np.cumsum(width) - width), width)
+    return col[p] * d + col[q], q * row.size + p
+
+
+def _ldl(gram: np.ndarray, at: np.ndarray, pairs: np.ndarray, d: int) -> np.ndarray:
+    """``sum_a L_a^dag L_a`` from a Gram and its pair gather, each part summed in pair order."""
+    terms = gram.reshape(-1)[pairs]
+    ldl = np.empty((d, d), dtype=complex)
+    ldl.real = np.bincount(at, terms.real, d * d).reshape(d, d)
+    ldl.imag = np.bincount(at, terms.imag, d * d).reshape(d, d)
+    return ldl
+
+
 @dataclass
 class _Layout:
-    """The index work of ``Liouvillian.from_jumps`` for one d x d pattern ``used``.
+    """The sorted entries of one chain pattern and the places a refill takes their values from.
 
-    ``pos`` are the used positions ``i d + k``, ``row`` and ``col`` their
-    parts, and ``diagonal`` marks the positions ``i = k``.  The first
-    generator made on the layout adds ``ldl_at`` and ``pairs``, which place
-    and take the terms of ``sum_a L_a^dag L_a`` (the flat places ``q npos +
-    p`` in ``G``), then ``take``, the flat places in ``G`` of its nonzero
-    entries in sorted order, and ``rows``, ``cols``, their generator indices.
+    It is made from a fresh build in which no entry cancelled.  ``used`` and
+    ``jumped`` are the build's patterns, ``spots`` the jumped positions
+    ``i d + k``, and ``gram`` and ``heff`` the nonzero masks of the Gram
+    ``g`` of the jumped positions and of ``h_eff``, which with ``jumped`` fix
+    the pairs of positions where a term is nonzero; ``rows`` and ``cols``
+    are the entries.  The first refill adds ``ldl_at`` and ``pairs``, which
+    gather ``sum_a L_a^dag L_a`` from ``g``, and the places of the terms:
+    entry ``at[0]`` takes ``g`` at the flat place ``take[0]``, then entry
+    ``at[1]`` subtracts ``i h_eff`` and entry ``at[2]`` adds ``i conj(h_eff)``
+    at the flat places ``take[1]`` and ``take[2]``, the order of the fresh build.
     """
 
     used: np.ndarray
-    pos: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    diagonal: np.ndarray
+    jumped: np.ndarray
+    spots: np.ndarray
+    gram: np.ndarray
+    heff: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     ldl_at: np.ndarray | None = None
     pairs: np.ndarray | None = None
-    take: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
+    at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    take: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @classmethod
-    def of(cls, used: np.ndarray) -> _Layout:
-        pos = np.flatnonzero(used)  # positions i d + k, ascending
-        row, col = np.divmod(pos, used.shape[0])
-        return cls(used, pos, row, col, row == col)
+    def refill(self, h: np.ndarray, flat: np.ndarray) -> np.ndarray | None:
+        """The values of the generator of ``h`` and the jumps ``flat`` at ``spots``, in the
+        order of ``rows`` and ``cols``, or None if its nonzero entries are not these."""
+        d = h.shape[0]
+        g = flat.T @ flat.conj()
+        if not np.array_equal(g != 0, self.gram):
+            return None
+        if self.pairs is None:
+            self.ldl_at, self.pairs = _pairs(*np.divmod(self.spots, d), d)
+        h_eff = h - 0.5j * _ldl(g, self.ldl_at, self.pairs, d)
+        if not np.array_equal(h_eff != 0, self.heff):
+            return None
+        if self.at is None:
+            self.place()
+        values = np.zeros(self.rows.size, dtype=complex)
+        values[self.at[0]] = g.reshape(-1)[self.take[0]]
+        del g
+        np.subtract.at(values, self.at[1], (1j * h_eff).reshape(-1)[self.take[1]])
+        np.add.at(values, self.at[2], (1j * h_eff.conj()).reshape(-1)[self.take[2]])
+        return values if values.all() else None  # or an entry cancelled
 
-    def pair(self) -> None:
-        """Find ``ldl_at`` and ``pairs``.
+    def place(self) -> None:
+        """Find ``at`` and ``take`` from the entries' positions ``(i d + k, j d + l)``."""
+        d = self.used.shape[0]
+        j, i = np.divmod(self.rows, d)  # row i + d j, column k + d l
+        l, k = np.divmod(self.cols, d)
+        a, b = i * d + k, j * d + l
+        spot = np.full(d * d, -1)  # each jumped position's place among the spots
+        spot[self.spots] = np.arange(self.spots.size)
+        both = np.flatnonzero((spot[a] >= 0) & (spot[b] >= 0))
+        right, left = np.flatnonzero(j == l), np.flatnonzero(i == k)
+        self.at = both, right, left
+        self.take = spot[a[both]] * self.spots.size + spot[b[both]], a[right], b[left]
 
-        ``(sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]``: one add over
-        the pairs ``(p, q)`` of positions in one pattern row ``k``, ``p`` and
-        then ``q`` ascending.
-        """
-        row = self.row
-        bounds = np.searchsorted(row, np.arange(self.used.shape[0] + 1))
-        width = np.diff(bounds)[row]  # positions in the pattern row of each position
-        p = np.repeat(np.arange(row.size), width)
-        q = np.arange(p.size) + np.repeat(bounds[row] - (np.cumsum(width) - width), width)
-        self.ldl_at, self.pairs = self.col[p] * self.used.shape[0] + self.col[q], q * row.size + p
 
-
-# Per thread, the pattern build_liouvillian built last (used) and, from its second build in a
-# row on, that pattern's layout (layout).
+# Per thread, the pattern build_liouvillian built last (used) and, once a build of it
+# in a row has cancelled no entry, that pattern's layout (layout).
 _last = threading.local()
 
 
 def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
               slot: threading.local | None) -> Liouvillian:
-    """``Liouvillian.from_jumps(h, jumps)``, on the layout ``slot`` keeps if it has one.
+    """``Liouvillian.from_jumps(h, jumps)``, refilled on the layout ``slot`` keeps if it has one.
 
-    A kept layout of the same ``used`` pattern only refills the values, when
-    the nonzero set of ``G`` is the one the layout holds (as many nonzeros,
-    and every kept entry nonzero); an exact cancellation makes the layout
-    afresh.  A pattern's first build keeps only ``used``, and the build
-    after it on the same pattern keeps the layout, so a pattern built once
-    (each point of a scan over chains) costs no kept memory.  A build that
-    keeps nothing drops the pairs before the entries are found, which need
-    the memory.
+    A fresh build forms the Gram over all pairs of used positions and finds
+    the nonzero entries in it.  A refill forms the Gram over the jumped
+    positions only and writes the three terms into the kept entries by
+    index.  It is taken when the jumped positions, the nonzero masks of that
+    Gram and of ``h_eff`` equal the layout's and no entry cancels; otherwise
+    the build is fresh.  A chain's jumps sit on disjoint positions (one
+    flip on the boundary site each), so each Gram entry is one product and
+    has the same bits in either Gram, and the dropped pairs add exact zeros
+    to ``sum_a L_a^dag L_a``: a refill returns the fresh build's bits.  A
+    pattern's first build keeps only ``used``, and a fresh build after it
+    on the same pattern keeps the layout if no entry cancelled, so a pattern
+    built once (each point of a scan over chains) costs no kept memory.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
@@ -216,35 +265,28 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     jumped = np.any(stack != 0, axis=0)
     # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
     used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
-    layout = getattr(slot, "layout", None)
-    keep = layout is not None and np.array_equal(layout.used, used)
-    if not keep:
-        if slot is not None:  # the old layout goes before the new one is made
-            keep = np.array_equal(getattr(slot, "used", None), used)
-            slot.layout, slot.used = None, used
-        layout = _Layout.of(used)
-    pos, row, col = layout.pos, layout.row, layout.col
     flat = stack.reshape(len(stack), n)
+    layout = getattr(slot, "layout", None)
+    if layout is not None and np.array_equal(layout.used, used) \
+            and np.array_equal(layout.jumped, jumped):
+        values = layout.refill(h, flat[:, layout.spots])
+        if values is not None:
+            del jumps, stack, flat  # build_liouvillian's stack is freed before the copies
+            return Liouvillian(layout.rows.copy(), layout.cols.copy(), values, d)
+    keep = slot is not None and np.array_equal(getattr(slot, "used", None), used)
+    if slot is not None:  # the old layout goes before the new entries are found
+        slot.layout, slot.used = None, used
+    pos = np.flatnonzero(used)  # positions i d + k, ascending
+    row, col = np.divmod(pos, d)
     if pos.size < n:
         flat = flat[:, pos]
     m = flat.T @ flat.conj()
-    if layout.pairs is None:  # after G: d^3 pairs when every pattern row is full
-        layout.pair()
-    terms = m.reshape(-1)[layout.pairs]
-    ldl = np.empty((d, d), dtype=complex)  # each part summed in the order of the pairs
-    ldl.real = np.bincount(layout.ldl_at, terms.real, n).reshape(d, d)
-    ldl.imag = np.bincount(layout.ldl_at, terms.imag, n).reshape(d, d)
-    del terms
-    if not keep:  # not kept through the entries below
-        layout.ldl_at = layout.pairs = None
-    h_eff = (h - 0.5j * ldl)[row, col]
-    diagonal = layout.diagonal
+    gram = m != 0 if keep else None
+    h_full = h - 0.5j * _ldl(m, *_pairs(row, col, d), d)
+    h_eff = h_full[row, col]
+    diagonal = row == col
     m[:, diagonal] -= 1j * h_eff[:, None]
     m[diagonal, :] += 1j * h_eff.conj()
-    if layout.take is not None and np.count_nonzero(m) == layout.take.size:
-        values = m.reshape(-1)[layout.take]
-        if values.all():  # the same nonzero set
-            return Liouvillian(layout.rows.copy(), layout.cols.copy(), values, d)
     a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
     values = m[a, b]
     del m  # the largest array of a collision build; the indices below need the memory
@@ -252,23 +294,42 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     order = np.argsort(rows * n + cols)
     rows, cols, values = rows[order], cols[order], values[order]
     if keep:
-        layout.take, layout.rows, layout.cols = (a * pos.size + b)[order], rows, cols
-        slot.layout = layout
-        rows, cols = rows.copy(), cols.copy()
+        slot.layout = _kept(used, jumped, pos, gram, h_full != 0, rows, cols)
+        if slot.layout is not None:
+            rows, cols = rows.copy(), cols.copy()
     return Liouvillian(rows, cols, values, d)
+
+
+def _kept(used, jumped, pos, gram, heff, rows, cols) -> _Layout | None:
+    """The layout of a fresh build's sorted entries, or None if it could miss a place.
+
+    ``gram`` is the nonzero mask of the Gram over the used positions ``pos``
+    and ``heff`` that of ``h_eff``.  A term is nonzero on the Gram's
+    nonzeros and on each pair of a position where ``h_eff`` is nonzero with
+    a diagonal position, on either side.  Counted so, once per kind of term,
+    these pairs are at least as many as the entries, and exactly as many
+    only when no entry cancelled and no Gram term meets an ``h_eff`` term
+    (no jump of a chain has a diagonal entry).  Otherwise no layout is kept.
+    """
+    d = used.shape[0]
+    terms = np.count_nonzero(gram) + 2 * d * np.count_nonzero(heff) \
+        - np.count_nonzero(heff.diagonal()) ** 2
+    if terms != rows.size:
+        return None
+    inside = np.flatnonzero(jumped.reshape(-1)[pos])  # the jumped positions among the used
+    return _Layout(used, jumped, pos[inside], gram[inside][:, inside], heff, rows, cols)
 
 
 def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian:
     """Assemble the Liouvillian of a boundary-driven chain.
 
-    Each thread keeps the index layout of its last d x d pattern from that
-    pattern's second build on, so the points of a sweep only fill values;
-    the generator's arrays are its own.
+    Each thread keeps the entries of its last d x d pattern from that
+    pattern's second build on, so the points of a sweep only refill their
+    values; the generator's arrays are its own.
     """
     _check_sides(baths)
-    h = build_hamiltonian(spec)
-    jumps = [L for b in baths for L in jump_ops(b, spec.n)]
-    return _assemble(h, jumps, _last)
+    return _assemble(build_hamiltonian(spec),
+                     np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex), _last)
 
 
 def _check_sides(baths: Sequence[BathSpec]) -> dict[str, BathSpec]:

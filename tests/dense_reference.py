@@ -11,6 +11,8 @@ time; ``Liouvillian.from_jumps`` must return the same bits.  ``kron_pauli_string
 is one Kronecker product of single-site Paulis, and ``kron_hamiltonian`` and
 ``kron_bond_energy`` sum such products, the way the package built Pauli strings
 and the chain terms before it wrote them from the basis bits.
+``rate_operators_matmul`` forms one bath's heat and work operators by products
+of the embedded couplings, as ``currents`` did before it used their bit flip.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from spinheat import ChainSpec, Liouvillian, kron_all, pauli
+from spinheat import BathSpec, ChainSpec, Liouvillian, kron_all, pauli
+from spinheat.bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
 
 
 def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -160,3 +163,25 @@ def kron_bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
     eps = eps + w_left * (fields[i - 1] / 2.0) * kron_pauli_string([("z", i)], n)
     eps = eps + w_right * (fields[i] / 2.0) * kron_pauli_string([("z", i + 1)], n)
     return eps
+
+
+def rate_operators_matmul(spec: ChainSpec, bath: BathSpec,
+                          h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``currents._rate_operators`` summed over coupling pairs by d x d matrix products."""
+    copy = bath_copy(bath, tail=CURRENT_TAIL, margin=CURRENT_MARGIN)
+    site = bath.boundary_site(spec.n)
+    pairs = []  # per coupling: bath operator, chain operator s and its commutator [s, h]
+    for b_op, kind in copy.couplings:
+        s = kron_pauli_string([(kind, site)], spec.n)
+        pairs.append((b_op, s, s @ h - h @ s))
+    o_q = np.zeros_like(h)
+    o_h = np.zeros_like(h)
+    gap = copy.energies[:, None] - copy.energies[None, :]
+    for b_k, s_k, c_k in pairs:
+        for b_l, s_l, c_l in pairs:
+            p_kl = copy.populations[:, None] * b_k * b_l.T
+            o_q += 2.0 * np.sum(p_kl * gap) * (s_k @ s_l)
+            o_h += np.sum(p_kl) * (s_k @ c_l - c_k @ s_l)  # the (k, l) term of [v, [v, h]]
+    scale = 0.5 * copy.prefactor ** 2
+    o_q *= scale
+    return o_q, -o_q - scale * o_h

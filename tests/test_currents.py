@@ -32,9 +32,11 @@ from spinheat import (
     work_rate_xxz_closed,
 )
 from spinheat.bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
+from spinheat.currents import _rate_operators
 from spinheat.lindblad import lindblad_action
 from spinheat.models import bond_energy, build_hamiltonian
 from spinheat.operators import site_op
+from dense_reference import rate_operators_matmul
 
 
 def joint_rates(spec, bath, rho):
@@ -309,6 +311,41 @@ def test_rate_operators_match_joint_space(
     q_ref, w_ref = joint_rates(spec, bath, rho)
     assert abs(heat_rate_general(spec, bath, rho) - q_ref) <= 1e-12
     assert abs(work_rate_general(spec, bath, rho) - w_ref) <= 1e-12
+
+
+@given(
+    kind=st.sampled_from(["xxz", "ising"]),
+    n=st.integers(2, 5),
+    alpha=st.floats(0.3, 2.0),
+    couplings=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
+    fields=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    bosonic=st.booleans(),
+    side=st.sampled_from(["L", "R"]),
+    beta=st.floats(0.8, 2.0),
+    energy=st.floats(0.6, 1.5),
+    rate=st.floats(0.2, 1.5),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rate_operators_from_the_bit_flip_match_the_matrix_products(
+    kind, n, alpha, couplings, fields, bosonic, side, beta, energy, rate, seed
+):
+    # the same sums in another order: within 1e-14 of the largest entry, and
+    # so are the rates of any Hermitian rho
+    spec = ChainSpec(kind=kind, n=n, alpha=alpha if kind == "xxz" else 0.0,
+                     bond_Delta=tuple(couplings[:n - 1]), field=tuple(fields[:n]))
+    if bosonic:
+        bath = BathSpec(side=side, kind="bosonic", beta=beta, omega=energy, g=rate)
+    else:
+        bath = BathSpec(side=side, beta=beta, h=energy, gamma=rate)
+    h = build_hamiltonian(spec)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(spec.dim,) * 2) + 1j * rng.normal(size=(spec.dim,) * 2)
+    rho = (a + a.conj().T) / 2
+    for got, expected in zip(_rate_operators(spec, bath, h), rate_operators_matmul(spec, bath, h)):
+        bound = 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= bound
+        assert abs(np.vdot(got.conj().T, rho) - np.vdot(expected.conj().T, rho)) \
+            <= bound * np.sum(np.abs(rho))
 
 
 @st.composite

@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinheat import (
     BathSpec,
@@ -251,7 +254,8 @@ def test_matrix_matches_kron_reference(n, kind, bath_kind):
 def assert_same_entries(liou, reference):
     assert liou.dim == reference.dim
     for name in ("rows", "cols", "values"):
-        assert np.array_equal(getattr(liou, name), getattr(reference, name)), name
+        got, expected = getattr(liou, name), getattr(reference, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -298,22 +302,27 @@ def in_new_thread(fn, *args):
 
 def builds_and_layouts(chains):
     """Each chain's generator, built in turn on one thread, with the layout kept after it
-    (None if none) and that layout's entry places."""
+    (None if none)."""
     built = []
     for spec, baths in chains:
         liou = build_liouvillian(spec, baths)
-        layout = lindblad._last.layout
-        built.append((liou, layout, None if layout is None else layout.take))
+        built.append((liou, lindblad._last.layout))
     return built
+
+
+def fresh_build(spec, baths):
+    return Liouvillian.from_jumps(build_hamiltonian(spec),
+                                  [L for b in baths for L in jump_ops(b, spec.n)])
 
 
 def test_builds_on_a_kept_layout_equal_fresh_builds():
     # a pattern's first build keeps no layout, its second in a row keeps one,
     # and the next points on that pattern refill it; a new pattern drops it.
-    # Without baths the entry of the coherence of two equal-energy states
-    # cancels exactly: the same pattern of h and jumps, and fewer nonzero
-    # entries (field 0.3, 0.3) or as many in other places (0.3, -0.3), so the
-    # entries are found afresh on the kept pair gather
+    # Without baths the entries of the populations cancel exactly, and the
+    # coherence of two equal-energy states too: the same pattern of h and
+    # jumps, and fewer nonzero entries (field 0.3, 0.3) or as many in other
+    # places (0.3, -0.3).  A build that cancels an entry keeps no layout, so
+    # these are all fresh
     spin = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.1),
             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.6)]
     xxz = ChainSpec(kind="xxz", n=3, alpha=0.8, field=(0.4, -0.3, 0.7), bond_Delta=(0.9, -1.1))
@@ -323,19 +332,138 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
               (xxz, spin), (pair, []), (replace(pair, field=(0.3, 0.3)), []),
               (replace(pair, field=(0.3, -0.3)), []), (pair, [])]
     built = in_new_thread(builds_and_layouts, chains)
-    for (spec, baths), (liou, *_) in zip(chains, built):
-        h = build_hamiltonian(spec)
-        assert_same_entries(liou, Liouvillian.from_jumps(h, [L for b in baths
-                                                             for L in jump_ops(b, spec.n)]))
-    assert [layout is not None for _, layout, _ in built] == \
-        [False, True, True, False, False, False, True, True, True]
-    same = [[built[k][i] is built[k - 1][i] for k in (2, 7, 8)] for i in (1, 2)]
-    assert same == [[True, True, True], [True, False, False]]
-    assert [liou.rows.size for liou, *_ in built[5:]] == [28, 26, 26, 28]
+    for (spec, baths), (liou, _) in zip(chains, built):
+        assert_same_entries(liou, fresh_build(spec, baths))
+    assert [layout is not None for _, layout in built] == \
+        [False, True, True, False, False, False, False, False, False]
+    assert built[2][1] is built[1][1]  # the third build refilled the second's layout
+    assert [liou.rows.size for liou, _ in built[5:]] == [28, 26, 26, 28]
     # the generator's index arrays are its own: rewriting them leaves the layout alone
-    liou, layout, _ = built[-1]
+    liou, layout = built[2]
     liou.rows[:] = 0
     assert not np.array_equal(layout.rows, liou.rows)
+
+
+# general jumps with no diagonal entry, so that a Gram entry or an h_eff
+# entry cancels on one build and not on the other, or a jump appears where
+# none was on the same used pattern: (h, jumps) of the two builds that make a
+# layout, then of the build after them
+SHIFT = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # |1><0| + |2><1| + |0><2|
+REFUSED = {
+    "gram": (np.diag([0.2, 0.7]), [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [-1, 0]])],
+             np.diag([0.2, 0.7]), [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [-2, 0]])]),
+    # sum_a L_a^dag L_a is 1 at (1, 2), so h_eff[1, 2] = h[1, 2] - 0.5i
+    "h_eff": (np.array([[0.2, 0, 0], [0, 0.7, 0.5j], [0, -0.5j, 0.4]]),
+              [np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]]), np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])],
+              np.array([[0.2, 0, 0], [0, 0.7, 0.3j], [0, -0.3j, 0.4]]),
+              [np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]]), np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])]),
+    "jumped": (np.full((3, 3), 0.3) + np.diag([0.1, 0.4, 0.7]), [SHIFT],
+               np.full((3, 3), 0.3) + np.diag([0.1, 0.4, 0.7]), [SHIFT, np.eye(3, k=1)]),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_a_refill_is_taken_only_on_the_nonzero_set_of_its_layout(case):
+    # a Gram entry that cancelled when the layout was made (gram), an h_eff
+    # entry that did (h_eff), or a new jumped position (jumped): the build
+    # after the layout is fresh and keeps its own layout
+    h_made, jumps_made, h, jumps = REFUSED[case]
+
+    def builds():
+        slot = threading.local()
+        lindblad._assemble(h_made, jumps_made, slot)
+        lindblad._assemble(h_made, jumps_made, slot)
+        made = slot.layout
+        return made, lindblad._assemble(h, jumps, slot), slot.layout
+
+    made, liou, after = in_new_thread(builds)
+    assert made is not None and after is not None and after is not made
+    assert_same_entries(liou, Liouvillian.from_jumps(h, jumps))
+
+
+def test_a_gram_term_meeting_an_h_eff_term_keeps_no_layout():
+    # a jump with a diagonal entry puts a Gram term and an h_eff term in one
+    # entry, so the terms counted once per kind outnumber the entries
+    h, jumps = np.array([[0.2, 0.3], [0.3, 0.7]]), [np.array([[1, 1], [2, 1]])]
+
+    def builds():
+        slot = threading.local()
+        built = [lindblad._assemble(h, jumps, slot) for _ in range(3)]
+        return built, slot.layout
+
+    built, layout = in_new_thread(builds)
+    assert layout is None
+    for liou in built:
+        assert_same_entries(liou, Liouvillian.from_jumps(h, jumps))
+
+
+def test_a_refill_builds_less_than_the_gram_of_the_used_positions():
+    # xxz n=5 with spin baths: 192 used positions, 64 of them jumped; the
+    # Gram of the used positions alone is 192^2 complex entries (0.56 MiB)
+    spec = ChainSpec(kind="xxz", n=5, alpha=1.1, bond_Delta=(0.3, -0.8, 1.1, 0.5))
+    baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
+             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
+
+    def peak():
+        for _ in range(3):  # the second build keeps a layout, the first refill places the terms
+            build_liouvillian(spec, baths)
+        layout = lindblad._last.layout
+        tracemalloc.start()
+        try:
+            liou = build_liouvillian(spec, baths)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lindblad._last.layout is layout is not None  # a refill
+        assert_same_entries(liou, fresh_build(spec, baths))
+        return top
+
+    assert in_new_thread(peak) < 0.3 * 2 ** 20
+
+
+SITES = st.integers(2, 5)
+VALUES = st.sampled_from([0.0, 0.3, -0.3, 0.5, 1.0])  # few values, so that entries cancel
+
+
+@st.composite
+def chains_in_a_row(draw):
+    """Two chains of one kind and size between the same kinds of baths, or none."""
+    kind, n = draw(st.sampled_from(["xxz", "ising"])), draw(SITES)
+    sides = draw(st.sampled_from([(), ("L",), ("R",), ("L", "R")]))
+    bath_kind = draw(st.sampled_from(["spin", "f", "bosonic"]))
+
+    def chain():
+        alpha = draw(st.sampled_from([0.5, 1.0])) if kind == "xxz" else 0.0
+        spec = ChainSpec(kind=kind, n=n, alpha=alpha,
+                         field=tuple(draw(VALUES) for _ in range(n)),
+                         bond_Delta=tuple(draw(VALUES) for _ in range(n - 1)))
+        baths = []
+        for side in sides:
+            if bath_kind == "spin":
+                baths.append(BathSpec(side=side, beta=draw(st.sampled_from([0.5, 1.0])),
+                                      h=draw(st.sampled_from([0.7, -0.4])), gamma=1.0))
+            elif bath_kind == "f":
+                baths.append(BathSpec(side=side, f=draw(st.sampled_from([-1.0, 0.0, 0.4, 1.0])),
+                                      gamma=draw(st.sampled_from([0.5, 1.0]))))
+            else:
+                baths.append(BathSpec(side=side, kind="bosonic", beta=1.0,
+                                      omega=draw(st.sampled_from([1.0, 1.3])), g=0.4))
+        return spec, baths
+
+    return chain(), chain()
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains_in_a_row())
+def test_builds_in_a_row_equal_fresh_builds(pair):
+    # three builds of a chain make a layout and refill it, the other chain
+    # refills or misses it, and the first comes back; exact cancellations
+    # (equal fields, zero couplings, missing baths) force fresh builds
+    first, second = pair
+    order = [first, first, first, second, second, first]
+    built = in_new_thread(lambda: [build_liouvillian(*chain) for chain in order])
+    for chain, liou in zip(order, built):
+        assert_same_entries(liou, fresh_build(*chain))
 
 
 def test_threads_building_in_turn_keep_their_own_layouts():
