@@ -124,11 +124,9 @@ class Liouvillian:
         ``((i, k), (j, l))`` and matrix entries correspond one to one, so the
         generator is zero off the pairs of positions where some jump, ``h_eff``
         or the identity is nonzero.  ``G`` is one matrix product over those
-        positions.  ``sum_a L_a^dag L_a`` is gathered from the diagonal blocks of
-        ``G``, the pairs of positions in one pattern row, by one ``np.bincount``
-        of each part over all such pairs with the rows ascending, so each of
-        its entries sums its terms in row order.  The two ``h_eff`` terms are
-        added after it, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
+        positions, ``sum_a L_a^dag L_a`` is summed from it in pattern-row order
+        (``_pairs``), and the two ``h_eff`` terms are added after the Gram
+        entry, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
         It keeps nothing: ``build_liouvillian`` keeps the entries of the last
@@ -148,13 +146,11 @@ class Liouvillian:
 
 
 def _pairs(row: np.ndarray, col: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the terms of ``sum_a L_a^dag L_a`` go and where they are in a Gram.
+    """The terms of ``sum_a L_a^dag L_a`` in the Gram ``G`` of the ascending positions ``(row, col)``.
 
-    ``row`` and ``col`` are the parts of ascending positions ``i d + k``, and
-    the Gram is over those positions.  ``(sum_a L_a^dag L_a)[i, j] = sum_k
-    G[(k, j), (k, i)]``: one add over the pairs ``(p, q)`` of positions in
-    one pattern row ``k``, ``p`` and then ``q`` ascending.  Returns each
-    term's flat place ``i d + j`` and its flat place ``q npos + p`` in ``G``.
+    ``(sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]`` adds over the pairs
+    ``(p, q)`` of positions in pattern row ``k``, ``p`` and then ``q`` ascending.
+    Returns each term's flat place ``i d + j`` and its flat place ``q npos + p`` in ``G``.
     """
     bounds = np.searchsorted(row, np.arange(d + 1))
     width = np.diff(bounds)[row]  # positions in the pattern row of each position
@@ -174,18 +170,15 @@ def _ldl(gram: np.ndarray, at: np.ndarray, pairs: np.ndarray, d: int) -> np.ndar
 
 @dataclass
 class _Layout:
-    """The sorted entries of one chain pattern and the places a refill takes their values from.
+    """The sorted entries ``rows``, ``cols`` of one chain pattern and where a refill takes their values.
 
-    It is made from a fresh build in which no entry cancelled.  ``used`` and
-    ``jumped`` are the build's patterns, ``spots`` the jumped positions
-    ``i d + k``, and ``gram`` and ``heff`` the nonzero masks of the Gram
-    ``g`` of the jumped positions and of ``h_eff``, which with ``jumped`` fix
-    the pairs of positions where a term is nonzero; ``rows`` and ``cols``
-    are the entries.  The first refill adds ``ldl_at`` and ``pairs``, which
-    gather ``sum_a L_a^dag L_a`` from ``g``, and the places of the terms:
-    entry ``at[0]`` takes ``g`` at the flat place ``take[0]``, then entry
-    ``at[1]`` subtracts ``i h_eff`` and entry ``at[2]`` adds ``i conj(h_eff)``
-    at the flat places ``take[1]`` and ``take[2]``, the order of the fresh build.
+    ``used`` and ``jumped`` are the patterns of the fresh build it was made
+    from, ``spots`` the jumped positions ``i d + k``, and ``gram`` and
+    ``heff`` the nonzero masks of the Gram ``g`` of the spots and of
+    ``h_eff``.  The first refill adds the pair gather of ``sum_a L_a^dag L_a``
+    from ``g`` and the places of the terms, in the fresh build's order: entry
+    ``at[0]`` takes ``g`` at the flat place ``take[0]``, entry ``at[1]``
+    subtracts ``i h_eff`` at ``take[1]``, entry ``at[2]`` adds ``i conj(h_eff)`` at ``take[2]``.
     """
 
     used: np.ndarray
@@ -201,8 +194,8 @@ class _Layout:
     take: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def refill(self, h: np.ndarray, flat: np.ndarray) -> np.ndarray | None:
-        """The values of the generator of ``h`` and the jumps ``flat`` at ``spots``, in the
-        order of ``rows`` and ``cols``, or None if its nonzero entries are not these."""
+        """The values at ``rows``, ``cols`` of the generator of ``h`` and the jumps ``flat`` at
+        ``spots``, or None if its nonzero entries are others."""
         d = h.shape[0]
         g = flat.T @ flat.conj()
         if not np.array_equal(g != 0, self.gram):
@@ -235,27 +228,24 @@ class _Layout:
         self.take = spot[a[both]] * self.spots.size + spot[b[both]], a[right], b[left]
 
 
-# Per thread, the pattern build_liouvillian built last (used) and, once a build of it
-# in a row has cancelled no entry, that pattern's layout (layout).
+# Per thread, the pattern build_liouvillian built last (used) and, from its second
+# build in a row on, that pattern's layout (layout).
 _last = threading.local()
 
 
 def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
               slot: threading.local | None) -> Liouvillian:
-    """``Liouvillian.from_jumps(h, jumps)``, refilled on the layout ``slot`` keeps if it has one.
+    """``Liouvillian.from_jumps(h, jumps)``, refilled on the layout ``slot`` keeps if it can be.
 
-    A fresh build forms the Gram over all pairs of used positions and finds
-    the nonzero entries in it.  A refill forms the Gram over the jumped
-    positions only and writes the three terms into the kept entries by
-    index.  It is taken when the jumped positions, the nonzero masks of that
-    Gram and of ``h_eff`` equal the layout's and no entry cancels; otherwise
-    the build is fresh.  A chain's jumps sit on disjoint positions (one
-    flip on the boundary site each), so each Gram entry is one product and
-    has the same bits in either Gram, and the dropped pairs add exact zeros
-    to ``sum_a L_a^dag L_a``: a refill returns the fresh build's bits.  A
-    pattern's first build keeps only ``used``, and a fresh build after it
-    on the same pattern keeps the layout if no entry cancelled, so a pattern
-    built once (each point of a scan over chains) costs no kept memory.
+    A fresh build forms the Gram of all used positions and finds the nonzero
+    entries in it.  A refill forms the Gram of the jumped positions only and
+    writes the terms into the kept entries; it is taken when the jumped
+    positions and the nonzero masks of that Gram and of ``h_eff`` are the
+    layout's and no entry cancels.  A chain's jumps sit on disjoint positions,
+    so each Gram entry is one product, and the pairs dropped from ``sum_a
+    L_a^dag L_a`` add exact zeros: a refill has the fresh build's bits.  A
+    pattern's first build keeps only ``used``, so a pattern built once keeps
+    no layout.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
@@ -301,15 +291,13 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
 
 
 def _kept(used, jumped, pos, gram, heff, rows, cols) -> _Layout | None:
-    """The layout of a fresh build's sorted entries, or None if it could miss a place.
+    """The layout of a fresh build's sorted entries, or None if a refill could miss a place.
 
-    ``gram`` is the nonzero mask of the Gram over the used positions ``pos``
-    and ``heff`` that of ``h_eff``.  A term is nonzero on the Gram's
-    nonzeros and on each pair of a position where ``h_eff`` is nonzero with
-    a diagonal position, on either side.  Counted so, once per kind of term,
-    these pairs are at least as many as the entries, and exactly as many
-    only when no entry cancelled and no Gram term meets an ``h_eff`` term
-    (no jump of a chain has a diagonal entry).  Otherwise no layout is kept.
+    ``gram`` and ``heff`` are the nonzero masks of the Gram of the used positions
+    ``pos`` and of ``h_eff``.  A term is nonzero on the Gram's nonzeros and on each
+    pair of a position where ``h_eff`` is nonzero with a diagonal position, either
+    way round.  Counted once per kind of term, these pairs equal the entries only
+    when no entry cancelled and no two kinds meet (no chain's jump has a diagonal entry).
     """
     d = used.shape[0]
     terms = np.count_nonzero(gram) + 2 * d * np.count_nonzero(heff) \

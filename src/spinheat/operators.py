@@ -30,15 +30,6 @@ _PAULI = {
 }
 
 
-def _columns(op: np.ndarray) -> tuple[int, np.ndarray]:
-    """Whether ``op`` flips the bit of its site, and its entries in the columns of bit 0 and 1."""
-    flip = int(op[0, 0] == 0 and op[1, 1] == 0)
-    return flip, op[[flip, 1 - flip], [0, 1]]
-
-
-_COLUMNS = {key: _columns(op) for key, op in _PAULI.items()}
-
-
 def _key(kind: str) -> str:
     key = kind.lower()
     if key not in _PAULI:
@@ -65,14 +56,10 @@ def op_at(op: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
 
 
 def _pauli_columns(terms: Sequence[tuple[str, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Pauli string ``(kind, 1-based site)`` on an ``n``-site chain, one entry per column.
-
-    Column ``c`` holds ``values[c]`` in row ``rows[c]``.  Site ``i`` is bit ``n - i``
-    of a basis index (site 1 is the first Kronecker factor); x, y, plus and minus
-    flip it, i and z keep it.  Each value is the product of the sites' factors
-    taken from site 1 on, as ``kron_all`` multiplies them, so a nonzero one has
-    its bits; plus and minus leave zeros in the columns they annihilate.
-    """
+    """The Pauli string ``(kind, 1-based site)`` on ``n`` sites: column ``c`` holds ``values[c]``
+    in row ``rows[c]``.  Site ``i`` is bit ``n - i`` of a basis index; x, y, plus and minus flip
+    it.  Each value multiplies the sites' factors from site 1 on, as ``kron_all`` does, so a
+    nonzero one has its bits."""
     kinds = ["i"] * n
     for kind, site in terms:
         if not 1 <= site <= n:
@@ -83,13 +70,13 @@ def _pauli_columns(terms: Sequence[tuple[str, int]], n: int) -> tuple[np.ndarray
     rows = cols.copy()
     values = None
     for i, kind in enumerate(kinds, start=1):
-        flip, entries = _COLUMNS[kind]
+        op = _PAULI[kind]
         if kind == "i":
-            factor = entries[0]
+            factor = op[0, 0]
         else:
-            bit = cols >> (n - i) & 1
+            flip, bit = int(op[0, 0] == 0), cols >> (n - i) & 1
             rows ^= flip << (n - i)
-            factor = entries[bit]
+            factor = op[bit ^ flip, bit]
         values = np.full(cols.size, factor) if values is None else values * factor
     return rows, values
 
