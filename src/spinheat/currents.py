@@ -120,7 +120,8 @@ def _rate_operators(
     scale = 0.5 * copy.prefactor ** 2
     o_q = np.diag(scale * np.einsum("kl,klj->j", c, pairs))
     diagonal = np.einsum("kl,klj->j", t, pairs)
-    o_h = (diagonal[:, None] + diagonal[None, :]) * h - 2.0 * ((u.T @ t) @ v) * h[np.ix_(flip, flip)]
+    sandwich = ((u.T @ t) @ v) * h[np.ix_(flip, flip)]  # sum_kl t_kl S_k h S_l
+    o_h = (diagonal[:, None] + diagonal[None, :]) * h - 2.0 * sandwich
     return o_q, -o_q - scale * o_h
 
 

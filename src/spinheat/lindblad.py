@@ -146,7 +146,7 @@ class Liouvillian:
 
 
 def _pairs(row: np.ndarray, col: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of ``sum_a L_a^dag L_a`` in the Gram ``G`` of the ascending positions ``(row, col)``.
+    """The terms of ``sum_a L_a^dag L_a`` in the Gram ``G`` of ascending positions ``(row, col)``.
 
     ``(sum_a L_a^dag L_a)[i, j] = sum_k G[(k, j), (k, i)]`` adds over the pairs
     ``(p, q)`` of positions in pattern row ``k``, ``p`` and then ``q`` ascending.
@@ -170,7 +170,7 @@ def _ldl(gram: np.ndarray, at: np.ndarray, pairs: np.ndarray, d: int) -> np.ndar
 
 @dataclass
 class _Layout:
-    """The sorted entries ``rows``, ``cols`` of one chain pattern and where a refill takes their values.
+    """The sorted entries ``rows``, ``cols`` of a chain pattern and where a refill finds their values.
 
     ``used`` and ``jumped`` are the patterns of the fresh build it was made
     from, ``spots`` the jumped positions ``i d + k``, and ``gram`` and
@@ -316,8 +316,9 @@ def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian
     values; the generator's arrays are its own.
     """
     _check_sides(baths)
-    return _assemble(build_hamiltonian(spec),
-                     np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex), _last)
+    return _assemble(build_hamiltonian(spec),  # the stack is this call's alone
+                     np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex),
+                     _last)
 
 
 def _check_sides(baths: Sequence[BathSpec]) -> dict[str, BathSpec]:

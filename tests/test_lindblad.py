@@ -349,14 +349,14 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
 # none was on the same used pattern: (h, jumps) of the two builds that make a
 # layout, then of the build after them
 SHIFT = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # |1><0| + |2><1| + |0><2|
+FAN = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]])  # |0><1| + |0><2|
+RAISE = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # |1><0|
 REFUSED = {
     "gram": (np.diag([0.2, 0.7]), [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [-1, 0]])],
              np.diag([0.2, 0.7]), [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [-2, 0]])]),
     # sum_a L_a^dag L_a is 1 at (1, 2), so h_eff[1, 2] = h[1, 2] - 0.5i
-    "h_eff": (np.array([[0.2, 0, 0], [0, 0.7, 0.5j], [0, -0.5j, 0.4]]),
-              [np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]]), np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])],
-              np.array([[0.2, 0, 0], [0, 0.7, 0.3j], [0, -0.3j, 0.4]]),
-              [np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]]), np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])]),
+    "h_eff": (np.array([[0.2, 0, 0], [0, 0.7, 0.5j], [0, -0.5j, 0.4]]), [FAN, RAISE],
+              np.array([[0.2, 0, 0], [0, 0.7, 0.3j], [0, -0.3j, 0.4]]), [FAN, RAISE]),
     "jumped": (np.full((3, 3), 0.3) + np.diag([0.1, 0.4, 0.7]), [SHIFT],
                np.full((3, 3), 0.3) + np.diag([0.1, 0.4, 0.7]), [SHIFT, np.eye(3, k=1)]),
 }
