@@ -98,21 +98,25 @@ def pauli_strings(draw):
     return n, [(draw(st.sampled_from(KINDS)), site) for site in sites]
 
 
+def assert_kronecker_equal(got, terms, n):
+    # the nonzero entries also keep their bits; only the signs of zeros may differ
+    expected = kron_pauli_string(terms, n)
+    assert np.array_equal(got, expected), (terms, n)
+    assert got[expected != 0].tobytes() == expected[expected != 0].tobytes(), (terms, n)
+
+
 @given(pauli_strings())
 def test_pauli_strings_from_the_basis_bits_equal_the_kronecker_products(drawn):
-    # the nonzero entries also keep their bits; only the signs of zeros may differ
     n, terms = drawn
     got = site_op(*terms[0], n) if len(terms) == 1 else two_site_op(*terms[0], *terms[1], n)
-    expected = kron_pauli_string(terms, n)
-    assert np.array_equal(got, expected)
-    assert got[expected != 0].tobytes() == expected[expected != 0].tobytes()
+    assert_kronecker_equal(got, terms, n)
 
 
 def test_every_single_site_pauli_equals_its_kronecker_product():
     for n in range(2, 7):
         for site in range(1, n + 1):
             for kind in KINDS:
-                assert np.array_equal(site_op(kind, site, n), kron_pauli_string([(kind, site)], n))
+                assert_kronecker_equal(site_op(kind, site, n), [(kind, site)], n)
 
 
 def test_two_site_op_equals_product_of_site_ops():
