@@ -17,15 +17,9 @@ from .currents import (
     closed_form_currents_3site,
     current_report,
     energy_current_closed_form_3site,
-    energy_inflow,
-    entropy_production,
     entropy_production_rate,
-    heat_rate_general,
-    heat_rate_xxz_closed,
     spin_current,
     von_neumann_entropy,
-    work_rate_general,
-    work_rate_xxz_closed,
 )
 from .linalg import (
     DimensionLimitError,
@@ -39,9 +33,7 @@ from .lindblad import (
     Liouvillian,
     bosonic_rates,
     build_liouvillian,
-    dissipator_action,
     jump_ops,
-    lindblad_action,
     unvec,
     vec,
 )
@@ -54,7 +46,7 @@ from .models import (
     build_hamiltonian,
     with_f,
 )
-from .operators import op_at, pauli, site_op, two_site_op
+from .operators import pauli, site_op, two_site_op
 from .ri import CollisionEngine, CycleLog, RIConfig, ri_fixed_point, ri_rates
 from .steady_state import SteadyState, solve_steady, steady_for
 
@@ -67,11 +59,8 @@ __all__ = [
     "bath_copy", "bath_f", "bath_n", "bond_energy", "bose_n_max",
     "bosonic_rates", "build_hamiltonian", "build_liouvillian",
     "classify_regime", "closed_form_currents_3site", "current_report",
-    "dissipator_action", "energy_current_closed_form_3site", "energy_inflow",
-    "entropy_production", "entropy_production_rate", "heat_rate_general",
-    "heat_rate_xxz_closed", "herm_expm", "jump_ops", "kron_all",
-    "lindblad_action", "op_at", "pauli",
-    "ri_fixed_point", "ri_rates", "site_op", "solve_steady", "spin_current",
-    "steady_for", "trace_distance", "two_site_op", "unvec", "vec",
-    "von_neumann_entropy", "with_f", "work_rate_general", "work_rate_xxz_closed",
+    "energy_current_closed_form_3site", "entropy_production_rate", "herm_expm",
+    "jump_ops", "kron_all", "pauli", "ri_fixed_point", "ri_rates", "site_op",
+    "solve_steady", "spin_current", "steady_for", "trace_distance", "two_site_op",
+    "unvec", "vec", "von_neumann_entropy", "with_f",
 ]

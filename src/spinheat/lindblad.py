@@ -1,4 +1,4 @@
-"""Lindblad dissipators and the vectorized Liouvillian.
+"""Jump operators and the vectorized Liouvillian.
 
 Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``A``, so ``vec([[a, b], [c, d]]) = (a, c, b, d)`` and
@@ -77,27 +77,6 @@ def jump_ops(b: BathSpec, n_sites: int) -> list[np.ndarray]:
     return [math.sqrt(g_minus + g_plus) * site_op("x", site, n_sites)]
 
 
-def dissipator_action(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """Apply ``sum_k L rho L^dag - {L^dag L, rho} / 2`` for the given jumps."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for L in jumps:
-        LdL = L.conj().T @ L
-        out += L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
-    return out
-
-
-def lindblad_action(spec: ChainSpec, baths: Sequence[BathSpec], rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation for the given chain and baths."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (spec.dim, spec.dim):
-        raise ValueError(f"state shape {rho.shape} does not match a {spec.n}-site chain")
-    _check_sides(baths)
-    h = build_hamiltonian(spec)
-    jumps = [L for b in baths for L in jump_ops(b, spec.n)]
-    return -1j * (h @ rho - rho @ h) + dissipator_action(jumps, rho)
-
-
 @dataclass(frozen=True)
 class Liouvillian:
     """Nonzero entries of the column-stacked generator, ``vec(rho_dot) = L vec(rho)``.
@@ -137,7 +116,11 @@ class Liouvillian:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``L v`` for a vector ``v`` of length ``dim^2``, summed row by row."""
-        terms = self.values * np.asarray(v, dtype=complex)[self.cols]
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (self.dim * self.dim,):
+            raise ValueError(f"vector of shape {v.shape} is not a stacked "
+                             f"{self.dim} x {self.dim} matrix")
+        terms = self.values * v[self.cols]
         out = np.zeros(self.dim * self.dim, dtype=complex)
         if self.rows.size:  # one sum from the first entry of each row
             starts = np.flatnonzero(np.r_[True, self.rows[1:] != self.rows[:-1]])

@@ -2,8 +2,7 @@
 
 A Pauli string on the chain is written from the basis bits: each column of
 it holds one entry, in the row that flips the bits of its x, y, plus and minus
-sites.  ``op_at`` embeds any operator by one ``kron_all`` product over the
-tensor factors.
+sites.
 
 Layout convention used across the package: tensor factors are ordered
 ``[left bath] (x) [site 1] (x) ... (x) [site N] (x) [right bath]``, with
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import check_dense_dim, kron_all
+from .linalg import check_dense_dim
 
 _PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -40,19 +39,6 @@ def _key(kind: str) -> str:
 def pauli(kind: str) -> np.ndarray:
     """Fresh copy of a single-site operator: i, x, y, z, plus, minus."""
     return _PAULI[_key(kind)].copy()
-
-
-def op_at(op: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
-    """Embed ``op`` at factor ``slot`` (0-based) of a space with factor dims ``dims``."""
-    op = np.asarray(op, dtype=complex)
-    dims = [int(d) for d in dims]
-    if not 0 <= slot < len(dims):
-        raise ValueError(f"slot {slot} out of range for {len(dims)} factors")
-    if op.shape != (dims[slot], dims[slot]):
-        raise ValueError(f"operator shape {op.shape} does not fit factor of dim {dims[slot]}")
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[slot] = op
-    return kron_all(factors)
 
 
 def _pauli_columns(terms: Sequence[tuple[str, int]], n: int) -> tuple[np.ndarray, np.ndarray]:

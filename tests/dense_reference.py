@@ -1,4 +1,4 @@
-"""Dense references for the block-wise kernels: the d^2 x d^2 builder and the exponential.
+"""Dense references for the block-wise kernels, the generator's action and the boundary rates.
 
 ``liouvillian_matrix`` writes the whole generator into one ``d^2 x d^2``
 buffer, the way the package did before it kept only the nonzero entries.  The
@@ -13,6 +13,18 @@ is one Kronecker product of single-site Paulis, and ``kron_hamiltonian`` and
 and the chain terms before it wrote them from the basis bits.
 ``rate_operators_matmul`` forms one bath's heat and work operators by products
 of the embedded couplings, as ``currents`` did before it used their bit flip.
+
+The package keeps one generator (``Liouvillian.from_jumps``) and one rate path
+(``currents._rate_operators``, read by ``current_report``); the rest are
+independent references that only the tests call.  ``op_at`` embeds an operator
+at one tensor factor by a ``kron_all`` product.  ``dissipator_action`` and
+``lindblad_action`` apply the master equation as d x d matrix products, and
+``energy_inflow`` is one side's ``Tr(H D_side(rho))`` from them, which must equal
+that side's heat plus work (De Chiara et al., NJP 20, 113024 (2018)).
+``heat_rate_xxz_closed`` and ``work_rate_xxz_closed`` are the boundary rates of
+xxz chains with spin baths in closed form, from a few boundary expectations
+(``_boundary_expectations``).  ``heat_work`` reads one bath's ``(qdot, wdot)``
+off ``currents._rate_operators`` as ``current_report`` does.
 """
 
 from __future__ import annotations
@@ -21,8 +33,22 @@ from typing import Sequence
 
 import numpy as np
 
-from spinheat import BathSpec, ChainSpec, Liouvillian, kron_all, pauli
+from spinheat import (
+    BathSpec,
+    ChainSpec,
+    Liouvillian,
+    bath_f,
+    build_hamiltonian,
+    jump_ops,
+    kron_all,
+    pauli,
+    site_op,
+    two_site_op,
+)
 from spinheat.bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
+from spinheat.currents import _density, _rate_operators
+from spinheat.linalg import expectation
+from spinheat.lindblad import _check_sides
 
 
 def liouvillian_matrix(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -185,3 +211,103 @@ def rate_operators_matmul(spec: ChainSpec, bath: BathSpec,
     scale = 0.5 * copy.prefactor ** 2
     o_q *= scale
     return o_q, -o_q - scale * o_h
+
+
+def op_at(op: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
+    """Embed ``op`` at factor ``slot`` (0-based) of a space with factor dims ``dims``."""
+    op = np.asarray(op, dtype=complex)
+    dims = [int(d) for d in dims]
+    if not 0 <= slot < len(dims):
+        raise ValueError(f"slot {slot} out of range for {len(dims)} factors")
+    if op.shape != (dims[slot], dims[slot]):
+        raise ValueError(f"operator shape {op.shape} does not fit factor of dim {dims[slot]}")
+    factors = [np.eye(d, dtype=complex) for d in dims]
+    factors[slot] = op
+    return kron_all(factors)
+
+
+def dissipator_action(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """Apply ``sum_k L rho L^dag - {L^dag L, rho} / 2`` for the given jumps."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(rho)
+    for L in jumps:
+        LdL = L.conj().T @ L
+        out += L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
+    return out
+
+
+def lindblad_action(spec: ChainSpec, baths: Sequence[BathSpec], rho: np.ndarray) -> np.ndarray:
+    """Right-hand side of the master equation for the given chain and baths."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (spec.dim, spec.dim):
+        raise ValueError(f"state shape {rho.shape} does not match a {spec.n}-site chain")
+    _check_sides(baths)
+    h = build_hamiltonian(spec)
+    jumps = [L for b in baths for L in jump_ops(b, spec.n)]
+    return -1j * (h @ rho - rho @ h) + dissipator_action(jumps, rho)
+
+
+def heat_work(spec: ChainSpec, bath: BathSpec, state) -> tuple[float, float]:
+    """One bath's ``(qdot, wdot)``, ``Tr(O_q rho)`` and ``Tr(O_w rho)``, as ``current_report``
+    reads them."""
+    rho = _density(state, spec)
+    q, w = (expectation(op, rho) for op in _rate_operators(spec, bath, build_hamiltonian(spec)))
+    return q, w
+
+
+def energy_inflow(spec: ChainSpec, bath: BathSpec, state) -> float:
+    """Energy current into the chain from one side, ``Tr(H_s D_side(rho))``.
+
+    Needs only the reduced dynamics, so it works for f-only baths too.
+    """
+    d = dissipator_action(jump_ops(bath, spec.n), _density(state))
+    return expectation(build_hamiltonian(spec), d)
+
+
+def _boundary_expectations(spec: ChainSpec, bath: BathSpec, rho: np.ndarray):
+    n = spec.n
+    if bath.side == "L":
+        edge, inner, bond = 1, 2, 0
+    else:
+        edge, inner, bond = n, n - 1, n - 2
+    z_edge = expectation(site_op("z", edge, n), rho)
+    z_inner = expectation(site_op("z", inner, n), rho)
+    zz = expectation(two_site_op("z", edge, "z", inner, n), rho)
+    hop = expectation(
+        two_site_op("x", edge, "x", inner, n) + two_site_op("y", edge, "y", inner, n), rho
+    )
+    return z_edge, z_inner, zz, hop, spec.bond_couplings[bond]
+
+
+def heat_rate_xxz_closed(spec: ChainSpec, bath: BathSpec, state) -> float:
+    """Boundary heat rate ``2 gamma h_bath (f - <z_edge>)`` for spin baths on xxz."""
+    if spec.kind != "xxz" or bath.kind != "spin":
+        raise ValueError("closed form applies to xxz chains with spin baths")
+    if not bath.decomposable:
+        raise ValueError("heat rate needs the bath's (beta, h)")
+    z_edge = expectation(site_op("z", bath.boundary_site(spec.n), spec.n), _density(state))
+    return 2.0 * bath.gamma * bath.h * (bath_f(bath) - z_edge)
+
+
+def work_rate_xxz_closed(spec: ChainSpec, bath: BathSpec, state) -> float:
+    """Boundary work rate for spin baths on xxz chains, in closed form.
+
+    Derived by evaluating the switching-work trace formula for the
+    flip-flop coupling: a field mismatch term, minus the heat rate, plus
+    boundary-bond terms.
+    """
+    if spec.kind != "xxz" or bath.kind != "spin":
+        raise ValueError("closed form applies to xxz chains with spin baths")
+    if not bath.decomposable:
+        raise ValueError("work rate needs the bath's (beta, h)")
+    rho = _density(state)
+    f = bath_f(bath)
+    gamma = bath.gamma
+    z_edge, z_inner, zz, hop, coupling = _boundary_expectations(spec, bath, rho)
+    h_site = spec.site_fields[bath.boundary_site(spec.n) - 1]
+    out = 2.0 * h_site * gamma * (f - z_edge)
+    out -= 2.0 * bath.h * gamma * (f - z_edge)
+    out -= 2.0 * gamma * (spec.alpha * hop + coupling * zz)
+    out -= 2.0 * gamma * coupling * zz
+    out += 4.0 * gamma * coupling * f * z_inner
+    return out

@@ -15,7 +15,6 @@ from spinheat import (
     HermiticityError,
     herm_expm,
     kron_all,
-    op_at,
     trace_distance,
 )
 from spinheat.linalg import (
@@ -24,7 +23,7 @@ from spinheat.linalg import (
     hermitize,
     svd_kernel,
 )
-from dense_reference import blocks_of, dense_expm, sparsity, whole
+from dense_reference import blocks_of, dense_expm, op_at, sparsity, whole
 from test_ri import partial_trace  # test-side reference, kept next to JointEngine
 
 SZ = np.diag([1.0, -1.0]).astype(complex)

@@ -22,14 +22,18 @@ from spinheat import (
     build_hamiltonian,
     Liouvillian,
     build_liouvillian,
-    dissipator_action,
     jump_ops,
-    lindblad_action,
     unvec,
     vec,
 )
 from spinheat import lindblad
-from dense_reference import dense, from_jumps_reference, liouvillian_matrix
+from dense_reference import (
+    dense,
+    dissipator_action,
+    from_jumps_reference,
+    lindblad_action,
+    liouvillian_matrix,
+)
 
 
 def random_hermitian(rng, d):
@@ -568,3 +572,11 @@ def test_apply_skips_empty_rows():
     assert liou.rows.tolist() == [1, 2]
     rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
     assert np.allclose(unvec(liou.apply(vec(rho))), -1j * (h @ rho - rho @ h), atol=1e-15)
+
+
+@pytest.mark.parametrize("length", [63, 100])
+def test_apply_rejects_a_vector_of_another_length(length):
+    spec = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5)
+    liou = build_liouvillian(spec, [BathSpec(side="L", f=0.3), BathSpec(side="R", f=-0.2)])
+    with pytest.raises(ValueError, match="stacked 8 x 8 matrix"):
+        liou.apply(np.ones(length))

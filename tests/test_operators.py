@@ -16,13 +16,12 @@ from spinheat import (
     RIConfig,
     bond_energy,
     current_report,
-    op_at,
     pauli,
     site_op,
     steady_for,
     two_site_op,
 )
-from dense_reference import kron_pauli_string
+from dense_reference import kron_pauli_string, op_at
 
 KINDS = ("i", "x", "y", "z", "plus", "minus")
 

@@ -14,23 +14,19 @@ from spinheat import (
     BathSpec,
     ChainSpec,
     CollisionEngine,
-    Liouvillian,
     RIConfig,
     TruncationError,
     build_hamiltonian,
     herm_expm,
-    lindblad_action,
-    op_at,
     pauli,
     ri_fixed_point,
     ri_rates,
-    solve_steady,
     trace_distance,
 )
 from spinheat.bathops import RI_MARGIN, RI_TAIL, bath_copy
 from spinheat.linalg import KERNEL_TOL
 from spinheat.cli import build_bath, build_chain, load_config
-from dense_reference import dense, dense_expm
+from dense_reference import dense, dense_expm, lindblad_action, op_at
 from test_steady_state import run_fresh
 
 XXZ3 = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.0, delta=1.0)

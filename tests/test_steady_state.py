@@ -26,7 +26,6 @@ from spinheat import (
     build_hamiltonian,
     build_liouvillian,
     jump_ops,
-    lindblad_action,
     ri_fixed_point,
     solve_steady,
     steady_for,
@@ -36,7 +35,15 @@ from spinheat import (
 from spinheat import steady_state
 from spinheat.linalg import components, svd_kernel
 from spinheat.steady_state import HERMITICITY_BOUND, _Plan
-from dense_reference import blocks_of, dense, from_dense, liouvillian_matrix, sparsity, whole
+from dense_reference import (
+    blocks_of,
+    dense,
+    from_dense,
+    lindblad_action,
+    liouvillian_matrix,
+    sparsity,
+    whole,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
