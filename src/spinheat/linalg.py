@@ -1,19 +1,19 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra shared by the other modules.
 
-Everything downstream (Hamiltonians, Liouvillians, collision maps) is built
-from the handful of primitives in this module: the one Kronecker product
-``kron_all``, which checks the dense cap before it allocates, Hermitian
-matrix exponentials per connected component, so that exact zeros keep
-conserved blocks (each block is checked for finiteness and Hermiticity on
-its own), SVD-based null spaces of block-diagonal matrices and the
-connected components of a list of nonzero entries.  The steady-state solver
-splits its generator into those components and uses ``svd_kernel`` on the
-factors of the stacked blocks only where its bordered LU is refused: for a
-stationary coherence, two stationary states in one block, or an
-ill-conditioned kernel.
-All matrices are plain complex numpy arrays; no sparse backend is provided,
-and any request whose linear dimension exceeds ``MAX_DENSE_DIM`` is rejected
-up front.
+``check_dense_dim`` enforces the cap ``MAX_DENSE_DIM`` before the chain
+operators, the generator and the collision units allocate.  The Hamiltonian
+and every Pauli string are written from the basis bits (``models``,
+``operators``), so the one Kronecker product ``kron_all`` and the Hermitian
+exponential ``herm_expm`` serve only the collision engine's joint space of
+chain and units (``ri``); ``herm_expm`` works one connected component at a
+time, so that exact zeros keep conserved blocks (each block is checked for
+finiteness and Hermiticity on its own).  The steady-state solver splits its
+generator into the connected ``components`` of its entries and uses
+``svd_kernel`` on the factors of the stacked blocks only where its bordered
+LU is refused: for a stationary coherence, two stationary states in one
+block, or an ill-conditioned kernel.  ``expectation`` reads the rates and
+``trace_distance`` compares collision fixed points.  All matrices are plain
+complex numpy arrays; no sparse backend is provided.
 """
 
 from __future__ import annotations

@@ -82,14 +82,26 @@ class Liouvillian:
     """Nonzero entries of the column-stacked generator, ``vec(rho_dot) = L vec(rho)``.
 
     Entry ``e`` is ``L[rows[e], cols[e]] = values[e]``; the entries are sorted
-    by row, then column, and every other entry of the ``dim^2 x dim^2``
-    matrix is zero.
+    by row, then column, each once, and every other entry of the ``dim^2 x dim^2``
+    matrix is zero.  Entries that break this raise ValueError.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     dim: int  # Hilbert-space dimension; L acts on vectors of length dim^2
+
+    def __post_init__(self):
+        rows, cols, n = self.rows, self.cols, self.dim * self.dim
+        if not all(isinstance(x, np.ndarray) and x.shape == (rows.size,)
+                   for x in (rows, cols, self.values)):
+            raise ValueError("rows, cols and values must be 1-D arrays of one length")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError(f"an entry lies outside the {n} x {n} generator")
+        keys = rows * n
+        keys += cols  # in place: a refill's peak is its values and index copies
+        if not (keys[1:] > keys[:-1]).all():
+            raise ValueError("entries must be sorted by row, then column, each once")
 
     @classmethod
     def from_jumps(cls, h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> Liouvillian:
@@ -108,9 +120,9 @@ class Liouvillian:
         entry, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
-        It keeps nothing: ``build_liouvillian`` keeps the entries of the last
-        pattern per thread, once it is built twice, and refills them
-        (``_Layout``).
+        It keeps nothing: ``build_liouvillian`` keeps the entries of every term
+        of the last pattern per thread from its second build on, refills them
+        and drops those that cancel (``_Layout``).
         """
         return _assemble(h, jumps, None)
 
@@ -153,53 +165,49 @@ def _ldl(gram: np.ndarray, at: np.ndarray, pairs: np.ndarray, d: int) -> np.ndar
 
 @dataclass
 class _Layout:
-    """The sorted entries ``rows``, ``cols`` of a chain pattern and where a refill finds their values.
+    """The sorted entries ``rows``, ``cols`` of every term of a chain pattern and where a refill
+    finds their values.
 
-    ``used`` and ``jumped`` are the patterns of the fresh build it was made
-    from, ``spots`` the jumped positions ``i d + k``, and ``gram`` and
-    ``heff`` the nonzero masks of the Gram ``g`` of the spots and of
-    ``h_eff``.  The first refill adds the pair gather of ``sum_a L_a^dag L_a``
-    from ``g`` and the places of the terms, in the fresh build's order: entry
-    ``at[0]`` takes ``g`` at the flat place ``take[0]``, entry ``at[1]``
-    subtracts ``i h_eff`` at ``take[1]``, entry ``at[2]`` adds ``i conj(h_eff)`` at ``take[2]``.
+    ``jumped`` is the pattern of the jumped positions, ``spots`` those positions
+    ``i d + k``, and ``gram`` and ``heff`` the nonzero masks of the Gram ``g`` of
+    the spots and of ``h_eff``.  They fix the entries, whether or not their terms
+    cancel: the pairs of positions of a Gram nonzero, and of an ``h_eff`` nonzero
+    and a diagonal position, either way round.  The first refill finds the
+    ``places`` (``place``), so a pattern built twice and then left pays nothing.
     """
 
-    used: np.ndarray
     jumped: np.ndarray
     spots: np.ndarray
     gram: np.ndarray
     heff: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    ldl_at: np.ndarray | None = None
-    pairs: np.ndarray | None = None
-    at: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    take: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    places: tuple | None = None
 
     def refill(self, h: np.ndarray, flat: np.ndarray) -> np.ndarray | None:
         """The values at ``rows``, ``cols`` of the generator of ``h`` and the jumps ``flat`` at
-        ``spots``, or None if its nonzero entries are others."""
+        ``spots``, or None if a nonzero mask moved."""
         d = h.shape[0]
         g = flat.T @ flat.conj()
         if not np.array_equal(g != 0, self.gram):
             return None
-        if self.pairs is None:
-            self.ldl_at, self.pairs = _pairs(*np.divmod(self.spots, d), d)
-        h_eff = h - 0.5j * _ldl(g, self.ldl_at, self.pairs, d)
+        ldl_at, pairs, at, take = self.places or self.place()
+        h_eff = h - 0.5j * _ldl(g, ldl_at, pairs, d)
         if not np.array_equal(h_eff != 0, self.heff):
             return None
-        if self.at is None:
-            self.place()
         values = np.zeros(self.rows.size, dtype=complex)
-        values[self.at[0]] = g.reshape(-1)[self.take[0]]
+        values[at[0]] = g.reshape(-1)[take[0]]
         del g
-        np.subtract.at(values, self.at[1], (1j * h_eff).reshape(-1)[self.take[1]])
-        np.add.at(values, self.at[2], (1j * h_eff.conj()).reshape(-1)[self.take[2]])
-        return values if values.all() else None  # or an entry cancelled
+        np.subtract.at(values, at[1], (1j * h_eff).reshape(-1)[take[1]])
+        np.add.at(values, at[2], (1j * h_eff.conj()).reshape(-1)[take[2]])
+        return values
 
-    def place(self) -> None:
-        """Find ``at`` and ``take`` from the entries' positions ``(i d + k, j d + l)``."""
-        d = self.used.shape[0]
+    def place(self) -> tuple:
+        """The pair gather of ``sum_a L_a^dag L_a`` from ``g`` (``_pairs``) and the places of the
+        terms, in the fresh build's order: entry ``at[0]`` takes ``g`` at the flat place ``take[0]``,
+        entry ``at[1]`` subtracts ``i h_eff`` at ``take[1]``, entry ``at[2]`` adds ``i conj(h_eff)``
+        at ``take[2]``; found from the entries' positions ``(i d + k, j d + l)`` and kept."""
+        d = self.jumped.shape[0]
         j, i = np.divmod(self.rows, d)  # row i + d j, column k + d l
         l, k = np.divmod(self.cols, d)
         a, b = i * d + k, j * d + l
@@ -207,12 +215,13 @@ class _Layout:
         spot[self.spots] = np.arange(self.spots.size)
         both = np.flatnonzero((spot[a] >= 0) & (spot[b] >= 0))
         right, left = np.flatnonzero(j == l), np.flatnonzero(i == k)
-        self.at = both, right, left
-        self.take = spot[a[both]] * self.spots.size + spot[b[both]], a[right], b[left]
+        self.places = (*_pairs(*np.divmod(self.spots, d), d), (both, right, left),
+                       (spot[a[both]] * self.spots.size + spot[b[both]], a[right], b[left]))
+        return self.places
 
 
-# Per thread, the pattern build_liouvillian built last (used) and, from its second
-# build in a row on, that pattern's layout (layout).
+# Per thread, the used positions of the pattern build_liouvillian built last afresh
+# (used) and, from that pattern's second build in a row on, its layout (layout).
 _last = threading.local()
 
 
@@ -220,15 +229,16 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
               slot: threading.local | None) -> Liouvillian:
     """``Liouvillian.from_jumps(h, jumps)``, refilled on the layout ``slot`` keeps if it can be.
 
-    A fresh build forms the Gram of all used positions and finds the nonzero
-    entries in it.  A refill forms the Gram of the jumped positions only and
-    writes the terms into the kept entries; it is taken when the jumped
-    positions and the nonzero masks of that Gram and of ``h_eff`` are the
-    layout's and no entry cancels.  A chain's jumps sit on disjoint positions,
-    so each Gram entry is one product, and the pairs dropped from ``sum_a
-    L_a^dag L_a`` add exact zeros: a refill has the fresh build's bits.  A
-    pattern's first build keeps only ``used``, so a pattern built once keeps
-    no layout.
+    A fresh build forms the Gram of all used positions and keeps its nonzero
+    entries.  A pattern's first build keeps only ``used``; its second in a row
+    takes every term's entry (``_Layout``) and keeps them.  A refill forms the
+    Gram of the jumped positions only and writes the terms into the kept
+    entries; it is taken when the jumped positions and the nonzero masks of
+    that Gram and of ``h_eff`` are the layout's, which fix the entries and
+    their terms.  A chain's jumps sit on disjoint positions, so each Gram
+    entry is one product, and the pairs dropped from ``sum_a L_a^dag L_a``
+    add exact zeros: a refill has the fresh build's bits.  Entries whose
+    terms cancel to zero are dropped from every build.
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
@@ -236,16 +246,15 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     check_dense_dim(n)
     stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
     jumped = np.any(stack != 0, axis=0)
-    # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
-    used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
     flat = stack.reshape(len(stack), n)
     layout = getattr(slot, "layout", None)
-    if layout is not None and np.array_equal(layout.used, used) \
-            and np.array_equal(layout.jumped, jumped):
+    if layout is not None and np.array_equal(layout.jumped, jumped):
         values = layout.refill(h, flat[:, layout.spots])
         if values is not None:
             del jumps, stack, flat  # build_liouvillian's stack is freed before the copies
-            return Liouvillian(layout.rows.copy(), layout.cols.copy(), values, d)
+            return _nonzero(layout.rows, layout.cols, values, d)
+    # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
+    used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
     keep = slot is not None and np.array_equal(getattr(slot, "used", None), used)
     if slot is not None:  # the old layout goes before the new entries are found
         slot.layout, slot.used = None, used
@@ -260,35 +269,29 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     diagonal = row == col
     m[:, diagonal] -= 1j * h_eff[:, None]
     m[diagonal, :] += 1j * h_eff.conj()
-    a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
+    if keep:  # every term's entry: a Gram nonzero, or an h_eff nonzero and a diagonal position
+        on = h_eff != 0
+        a, b = np.nonzero(gram | (on[:, None] & diagonal) | (diagonal[:, None] & on))
+    else:
+        a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
     values = m[a, b]
     del m  # the largest array of a collision build; the indices below need the memory
     rows, cols = row[a] + d * row[b], col[a] + d * col[b]
     order = np.argsort(rows * n + cols)
     rows, cols, values = rows[order], cols[order], values[order]
-    if keep:
-        slot.layout = _kept(used, jumped, pos, gram, h_full != 0, rows, cols)
-        if slot.layout is not None:
-            rows, cols = rows.copy(), cols.copy()
-    return Liouvillian(rows, cols, values, d)
-
-
-def _kept(used, jumped, pos, gram, heff, rows, cols) -> _Layout | None:
-    """The layout of a fresh build's sorted entries, or None if a refill could miss a place.
-
-    ``gram`` and ``heff`` are the nonzero masks of the Gram of the used positions
-    ``pos`` and of ``h_eff``.  A term is nonzero on the Gram's nonzeros and on each
-    pair of a position where ``h_eff`` is nonzero with a diagonal position, either
-    way round.  Counted once per kind of term, these pairs equal the entries only
-    when no entry cancelled and no two kinds meet (no chain's jump has a diagonal entry).
-    """
-    d = used.shape[0]
-    terms = np.count_nonzero(gram) + 2 * d * np.count_nonzero(heff) \
-        - np.count_nonzero(heff.diagonal()) ** 2
-    if terms != rows.size:
-        return None
+    if not keep:
+        return Liouvillian(rows, cols, values, d)
     inside = np.flatnonzero(jumped.reshape(-1)[pos])  # the jumped positions among the used
-    return _Layout(used, jumped, pos[inside], gram[inside][:, inside], heff, rows, cols)
+    slot.layout = _Layout(jumped, pos[inside], gram[inside][:, inside], h_full != 0, rows, cols)
+    return _nonzero(rows, cols, values, d)
+
+
+def _nonzero(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int) -> Liouvillian:
+    """The generator of the entries whose value is nonzero, on index arrays of its own."""
+    nonzero = values != 0
+    if nonzero.all():
+        return Liouvillian(rows.copy(), cols.copy(), values, d)
+    return Liouvillian(rows[nonzero], cols[nonzero], values[nonzero], d)
 
 
 def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian:

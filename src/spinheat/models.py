@@ -67,6 +67,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.kind not in CHAIN_KINDS:
             raise ValueError(f"chain kind must be one of {CHAIN_KINDS}, got {self.kind!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"the number of sites must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("the chain needs at least 2 sites")
         check_dense_dim(4 ** self.n)  # 4^n <= MAX_DENSE_DIM: chains of 2 to 6 sites

@@ -325,8 +325,8 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
     # Without baths the entries of the populations cancel exactly, and the
     # coherence of two equal-energy states too: the same pattern of h and
     # jumps, and fewer nonzero entries (field 0.3, 0.3) or as many in other
-    # places (0.3, -0.3).  A build that cancels an entry keeps no layout, so
-    # these are all fresh
+    # places (0.3, -0.3).  The layout holds every term's entry, so these
+    # refill it and drop the entries that cancel
     spin = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.1),
             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.6)]
     xxz = ChainSpec(kind="xxz", n=3, alpha=0.8, field=(0.4, -0.3, 0.7), bond_Delta=(0.9, -1.1))
@@ -339,7 +339,7 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
     for (spec, baths), (liou, _) in zip(chains, built):
         assert_same_entries(liou, fresh_build(spec, baths))
     assert [layout is not None for _, layout in built] == \
-        [False, True, True, False, False, False, False, False, False]
+        [False, True, True, False, False, False, True, True, True]
     assert built[2][1] is built[1][1]  # the third build refilled the second's layout
     assert [liou.rows.size for liou, _ in built[5:]] == [28, 26, 26, 28]
     # the generator's index arrays are its own: rewriting them leaves the layout alone
@@ -385,19 +385,22 @@ def test_a_refill_is_taken_only_on_the_nonzero_set_of_its_layout(case):
     assert_same_entries(liou, Liouvillian.from_jumps(h, jumps))
 
 
-def test_a_gram_term_meeting_an_h_eff_term_keeps_no_layout():
+def test_a_gram_term_meeting_an_h_eff_term_keeps_a_layout():
     # a jump with a diagonal entry puts a Gram term and an h_eff term in one
-    # entry, so the terms counted once per kind outnumber the entries
+    # entry: the second build keeps a layout and the third refills it
     h, jumps = np.array([[0.2, 0.3], [0.3, 0.7]]), [np.array([[1, 1], [2, 1]])]
 
     def builds():
         slot = threading.local()
-        built = [lindblad._assemble(h, jumps, slot) for _ in range(3)]
-        return built, slot.layout
+        built = []
+        for _ in range(3):
+            built.append(lindblad._assemble(h, jumps, slot))
+            built.append(getattr(slot, "layout", None))
+        return built
 
-    built, layout = in_new_thread(builds)
-    assert layout is None
-    for liou in built:
+    first, none, second, kept, third, after = in_new_thread(builds)
+    assert none is None and kept is not None and after is kept
+    for liou in (first, second, third):
         assert_same_entries(liou, Liouvillian.from_jumps(h, jumps))
 
 
@@ -462,12 +465,14 @@ def chains_in_a_row(draw):
 def test_builds_in_a_row_equal_fresh_builds(pair):
     # three builds of a chain make a layout and refill it, the other chain
     # refills or misses it, and the first comes back; exact cancellations
-    # (equal fields, zero couplings, missing baths) force fresh builds
+    # (equal fields, zero couplings, missing baths) are dropped from the layout's entries
     first, second = pair
     order = [first, first, first, second, second, first]
-    built = in_new_thread(lambda: [build_liouvillian(*chain) for chain in order])
-    for chain, liou in zip(order, built):
+    built = in_new_thread(builds_and_layouts, order)
+    for chain, (liou, _) in zip(order, built):
         assert_same_entries(liou, fresh_build(*chain))
+    # each chain's second build in a row keeps a layout, and the third refills it
+    assert built[1][1] is not None and built[2][1] is built[1][1] and built[4][1] is not None
 
 
 def test_threads_building_in_turn_keep_their_own_layouts():
@@ -572,6 +577,35 @@ def test_apply_skips_empty_rows():
     assert liou.rows.tolist() == [1, 2]
     rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
     assert np.allclose(unvec(liou.apply(vec(rho))), -1j * (h @ rho - rho @ h), atol=1e-15)
+
+
+MALFORMED = {"shuffled": "sorted by row, then column, each once",
+             "repeated": "sorted by row, then column, each once",
+             "negative": "outside the 16 x 16 generator",
+             "out of range": "outside the 16 x 16 generator",
+             "lengths": "1-D arrays of one length"}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_liouvillian_rejects_malformed_entries(case):
+    # unchecked, a shuffled copy applies other values than the sorted generator
+    # (and solve_steady calls it non-Hermitian), and a negative column wraps round
+    liou = build_liouvillian(ChainSpec(kind="xxz", n=2, alpha=1.0),
+                             [BathSpec(side="L", f=0.3), BathSpec(side="R", f=-0.2)])
+    rows, cols, values = liou.rows.copy(), liou.cols.copy(), liou.values.copy()
+    if case == "shuffled":
+        order = np.random.default_rng(1).permutation(rows.size)
+        rows, cols, values = rows[order], cols[order], values[order]
+    elif case == "repeated":
+        rows, cols, values = np.r_[rows, rows[-1]], np.r_[cols, cols[-1]], np.r_[values, 1.0]
+    elif case == "negative":
+        cols[0] = -1
+    elif case == "out of range":
+        rows[-1] = 16
+    else:
+        values = values[:-1]
+    with pytest.raises(ValueError, match=MALFORMED[case]):
+        Liouvillian(rows, cols, values, liou.dim)
 
 
 @pytest.mark.parametrize("length", [63, 100])

@@ -146,6 +146,10 @@ def test_chain_validation():
         ChainSpec(kind="xy", n=3)
     with pytest.raises(ValueError):
         ChainSpec(kind="xxz", n=1)
+    for n in (2.5, 3.0, True):  # 2.5 and 3.0 gave dim 5.66 and 8.0
+        with pytest.raises(ValueError, match="number of sites must be an integer"):
+            ChainSpec(kind="xxz", n=n, alpha=1.0)
+    assert ChainSpec(kind="xxz", n=np.int64(3)).dim == 8
     with pytest.raises(ValueError):
         ChainSpec(kind="xxz", n=3, field=(1.0, 2.0))
     with pytest.raises(ValueError):
