@@ -2,11 +2,13 @@
 
 Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``A``, so ``vec([[a, b], [c, d]]) = (a, c, b, d)`` and
-``vec(A X B) = (B^T kron A) vec(X)``.  ``Liouvillian.from_jumps`` is the one
-superoperator builder: it builds this generator, and the collision map's of
-``ri``, from the nonzero patterns of the d x d Hamiltonian and jumps, and
-keeps only the generator's nonzero entries, as (row, column, value) triples
-sorted by row, then column.  Conserved quantities leave most of the ``d^4``
+``vec(A X B) = (B^T kron A) vec(X)``.  ``Liouvillian.from_jumps`` builds a
+generator afresh (the collision map's of ``ri``, and the tests' reference);
+``build_liouvillian`` builds a chain's into a layout of its entries kept per
+thread from a pattern's first build.  Both work from the nonzero patterns of
+the d x d Hamiltonian and jumps, and keep only the generator's nonzero
+entries, as (row, column, value) triples sorted by row, then column, with the
+same bits.  Conserved quantities leave most of the ``d^4``
 entries zero (6144 of 1048576 for an xxz chain of 5 sites with spin baths,
 922 of 4096 for the collision map of one of 3 sites with spin units), and
 only the nonzero ones are kept.
@@ -120,11 +122,31 @@ class Liouvillian:
         entry, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
-        It keeps nothing: ``build_liouvillian`` keeps the entries of every term
-        of the last pattern per thread from its second build on, refills them
-        and drops those that cancel (``_Layout``).
+        It keeps nothing.  Its Gram spans these used positions, where a chain
+        build's spans the jumped ones: a collision map's Kraus operators
+        overlap, and a Gram of their jumped positions alone rounds mirror
+        entries apart (by 2e-14 to 3e-14 on small xxz maps, over ``solve_steady``'s
+        bound of 1e-14).
         """
-        return _assemble(h, jumps, None)
+        h, flat, jumped = _stack(h, jumps)
+        d = h.shape[0]
+        # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
+        used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
+        pos = np.flatnonzero(used)  # positions i d + k, ascending
+        row, col = np.divmod(pos, d)
+        if pos.size < d * d:
+            flat = flat[:, pos]
+        m = flat.T @ flat.conj()
+        h_eff = (h - 0.5j * _ldl(m, *_pairs(row, col, d), d))[row, col]
+        diagonal = row == col
+        m[:, diagonal] -= 1j * h_eff[:, None]
+        m[diagonal, :] += 1j * h_eff.conj()
+        a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
+        values = m[a, b]
+        del m  # the largest array of a collision build; the indices below need the memory
+        rows, cols = row[a] + d * row[b], col[a] + d * col[b]
+        order = np.argsort(rows * (d * d) + cols)
+        return cls(rows[order], cols[order], values[order], d)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``L v`` for a vector ``v`` of length ``dim^2``, summed row by row."""
@@ -138,6 +160,17 @@ class Liouvillian:
             starts = np.flatnonzero(np.r_[True, self.rows[1:] != self.rows[:-1]])
             out[self.rows[starts]] = np.add.reduceat(terms, starts)
         return out
+
+
+def _stack(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``h`` as a complex matrix, the jumps as the rows of an ``(A, d^2)`` array and their
+    d x d nonzero pattern."""
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    check_dense_dim(d * d)
+    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
+    return h, stack.reshape(len(stack), d * d), np.any(stack != 0, axis=0)
 
 
 def _pairs(row: np.ndarray, col: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,127 +196,88 @@ def _ldl(gram: np.ndarray, at: np.ndarray, pairs: np.ndarray, d: int) -> np.ndar
     return ldl
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Layout:
-    """The sorted entries ``rows``, ``cols`` of every term of a chain pattern and where a refill
-    finds their values.
+    """The sorted entries ``rows``, ``cols`` of every term of a chain pattern and where each
+    term's value goes.
 
     ``jumped`` is the pattern of the jumped positions, ``spots`` those positions
-    ``i d + k``, and ``gram`` and ``heff`` the nonzero masks of the Gram ``g`` of
-    the spots and of ``h_eff``.  They fix the entries, whether or not their terms
-    cancel: the pairs of positions of a Gram nonzero, and of an ``h_eff`` nonzero
-    and a diagonal position, either way round.  The first refill finds the
-    ``places`` (``place``), so a pattern built twice and then left pays nothing.
+    ``i d + k`` and ``pairs`` the gather of ``sum_a L_a^dag L_a`` from their Gram
+    ``g`` (``_pairs``); ``gram`` and ``heff`` are the nonzero masks of ``g`` and
+    of ``h_eff``.  They fix the entries, whether or not their terms cancel: the
+    pairs of positions of a Gram nonzero, and of an ``h_eff`` nonzero and a
+    diagonal position, either way round.  Entry ``at[0]`` takes ``g`` at the
+    flat place ``take[0]``, entry ``at[1]`` subtracts ``i h_eff`` at ``take[1]``
+    and entry ``at[2]`` adds ``i conj(h_eff)`` there, in this order, as in
+    ``Liouvillian.from_jumps``.
     """
 
     jumped: np.ndarray
     spots: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
     gram: np.ndarray
     heff: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    places: tuple | None = None
+    at: list[np.ndarray]
+    take: tuple[np.ndarray, np.ndarray]
 
-    def refill(self, h: np.ndarray, flat: np.ndarray) -> np.ndarray | None:
-        """The values at ``rows``, ``cols`` of the generator of ``h`` and the jumps ``flat`` at
-        ``spots``, or None if a nonzero mask moved."""
-        d = h.shape[0]
-        g = flat.T @ flat.conj()
-        if not np.array_equal(g != 0, self.gram):
-            return None
-        ldl_at, pairs, at, take = self.places or self.place()
-        h_eff = h - 0.5j * _ldl(g, ldl_at, pairs, d)
-        if not np.array_equal(h_eff != 0, self.heff):
-            return None
-        values = np.zeros(self.rows.size, dtype=complex)
-        values[at[0]] = g.reshape(-1)[take[0]]
-        del g
-        np.subtract.at(values, at[1], (1j * h_eff).reshape(-1)[take[1]])
-        np.add.at(values, at[2], (1j * h_eff.conj()).reshape(-1)[take[2]])
-        return values
-
-    def place(self) -> tuple:
-        """The pair gather of ``sum_a L_a^dag L_a`` from ``g`` (``_pairs``) and the places of the
-        terms, in the fresh build's order: entry ``at[0]`` takes ``g`` at the flat place ``take[0]``,
-        entry ``at[1]`` subtracts ``i h_eff`` at ``take[1]``, entry ``at[2]`` adds ``i conj(h_eff)``
-        at ``take[2]``; found from the entries' positions ``(i d + k, j d + l)`` and kept."""
-        d = self.jumped.shape[0]
-        j, i = np.divmod(self.rows, d)  # row i + d j, column k + d l
-        l, k = np.divmod(self.cols, d)
-        a, b = i * d + k, j * d + l
-        spot = np.full(d * d, -1)  # each jumped position's place among the spots
-        spot[self.spots] = np.arange(self.spots.size)
-        both = np.flatnonzero((spot[a] >= 0) & (spot[b] >= 0))
-        right, left = np.flatnonzero(j == l), np.flatnonzero(i == k)
-        self.places = (*_pairs(*np.divmod(self.spots, d), d), (both, right, left),
-                       (spot[a[both]] * self.spots.size + spot[b[both]], a[right], b[left]))
-        return self.places
+    @classmethod
+    def of(cls, jumped: np.ndarray, spots: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
+           gram: np.ndarray, heff: np.ndarray) -> _Layout:
+        """The layout of these masks: each term's entry key ``row d^2 + col``, the entries from
+        one sort of the keys, and each term's place among them."""
+        d = jumped.shape[0]
+        p, q = np.nonzero(gram)
+        on = np.repeat(np.flatnonzero(heff), d)  # each h_eff nonzero with each diagonal position
+        diagonal = np.tile(np.arange(d) * (d + 1), on.size // d)
+        # a term at the positions a = i d + k and b = j d + l is entry (i + d j, k + d l)
+        i, k = np.divmod(np.concatenate([spots[p], on, diagonal]), d)
+        j, l = np.divmod(np.concatenate([spots[q], diagonal, on]), d)
+        entries, at = np.unique((i + d * j) * (d * d) + k + d * l, return_inverse=True)
+        rows, cols = np.divmod(entries, d * d)
+        return cls(jumped, spots, pairs, gram, heff, rows, cols,
+                   np.split(at, [p.size, p.size + on.size]), (p * spots.size + q, on))
 
 
-# Per thread, the used positions of the pattern build_liouvillian built last afresh
-# (used) and, from that pattern's second build in a row on, its layout (layout).
+# Per thread, the layout of the pattern build_liouvillian built last.
 _last = threading.local()
 
 
-def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
-              slot: threading.local | None) -> Liouvillian:
-    """``Liouvillian.from_jumps(h, jumps)``, refilled on the layout ``slot`` keeps if it can be.
+def _chain(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
+           slot: threading.local) -> Liouvillian:
+    """``Liouvillian.from_jumps(h, jumps)`` for a chain, written into the layout ``slot`` keeps.
 
-    A fresh build forms the Gram of all used positions and keeps its nonzero
-    entries.  A pattern's first build keeps only ``used``; its second in a row
-    takes every term's entry (``_Layout``) and keeps them.  A refill forms the
-    Gram of the jumped positions only and writes the terms into the kept
-    entries; it is taken when the jumped positions and the nonzero masks of
-    that Gram and of ``h_eff`` are the layout's, which fix the entries and
-    their terms.  A chain's jumps sit on disjoint positions, so each Gram
-    entry is one product, and the pairs dropped from ``sum_a L_a^dag L_a``
-    add exact zeros: a refill has the fresh build's bits.  Entries whose
-    terms cancel to zero are dropped from every build.
+    The Gram is formed over the jumped positions only.  When the jumped
+    pattern, or the nonzero mask of that Gram or of ``h_eff``, is not the
+    layout's, the layout of these masks (``_Layout.of``) replaces it first, so
+    a pattern's first build keeps one.  A chain's jumps are real and sit on
+    disjoint positions, so each Gram entry is one product, and the pairs
+    dropped from ``sum_a L_a^dag L_a`` add exact zeros: a build has
+    ``from_jumps``' bits.  Entries whose terms cancel to zero are dropped.
     """
-    h = np.asarray(h, dtype=complex)
+    h, flat, jumped = _stack(h, jumps)
+    del jumps  # build_liouvillian's stack goes with flat, before the copies below
     d = h.shape[0]
-    n = d * d
-    check_dense_dim(n)
-    stack = np.asarray(jumps, dtype=complex).reshape(-1, d, d)
-    jumped = np.any(stack != 0, axis=0)
-    flat = stack.reshape(len(stack), n)
     layout = getattr(slot, "layout", None)
-    if layout is not None and np.array_equal(layout.jumped, jumped):
-        values = layout.refill(h, flat[:, layout.spots])
-        if values is not None:
-            del jumps, stack, flat  # build_liouvillian's stack is freed before the copies
-            return _nonzero(layout.rows, layout.cols, values, d)
-    # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
-    used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
-    keep = slot is not None and np.array_equal(getattr(slot, "used", None), used)
-    if slot is not None:  # the old layout goes before the new entries are found
-        slot.layout, slot.used = None, used
-    pos = np.flatnonzero(used)  # positions i d + k, ascending
-    row, col = np.divmod(pos, d)
-    if pos.size < n:
-        flat = flat[:, pos]
-    m = flat.T @ flat.conj()
-    gram = m != 0 if keep else None
-    h_full = h - 0.5j * _ldl(m, *_pairs(row, col, d), d)
-    h_eff = h_full[row, col]
-    diagonal = row == col
-    m[:, diagonal] -= 1j * h_eff[:, None]
-    m[diagonal, :] += 1j * h_eff.conj()
-    if keep:  # every term's entry: a Gram nonzero, or an h_eff nonzero and a diagonal position
-        on = h_eff != 0
-        a, b = np.nonzero(gram | (on[:, None] & diagonal) | (diagonal[:, None] & on))
-    else:
-        a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
-    values = m[a, b]
-    del m  # the largest array of a collision build; the indices below need the memory
-    rows, cols = row[a] + d * row[b], col[a] + d * col[b]
-    order = np.argsort(rows * n + cols)
-    rows, cols, values = rows[order], cols[order], values[order]
-    if not keep:
-        return Liouvillian(rows, cols, values, d)
-    inside = np.flatnonzero(jumped.reshape(-1)[pos])  # the jumped positions among the used
-    slot.layout = _Layout(jumped, pos[inside], gram[inside][:, inside], h_full != 0, rows, cols)
-    return _nonzero(rows, cols, values, d)
+    same = layout is not None and np.array_equal(layout.jumped, jumped)
+    spots = layout.spots if same else np.flatnonzero(jumped)
+    pairs = layout.pairs if same else _pairs(*np.divmod(spots, d), d)
+    flat = flat[:, spots]
+    g = flat.T @ flat.conj()
+    del flat
+    h_eff = h - 0.5j * _ldl(g, *pairs, d)
+    gram, heff = g != 0, h_eff != 0
+    if not (same and np.array_equal(layout.gram, gram) and np.array_equal(layout.heff, heff)):
+        slot.layout = None  # the old layout goes before the new one is made
+        layout = slot.layout = _Layout.of(jumped, spots, pairs, gram, heff)
+    values = np.zeros(layout.rows.size, dtype=complex)
+    values[layout.at[0]] = g.reshape(-1)[layout.take[0]]
+    del g
+    np.subtract.at(values, layout.at[1], (1j * h_eff).reshape(-1)[layout.take[1]])
+    np.add.at(values, layout.at[2], (1j * h_eff.conj()).reshape(-1)[layout.take[1]])
+    del h_eff  # a refill's peak is the values and the index copies
+    return _nonzero(layout.rows, layout.cols, values, d)
 
 
 def _nonzero(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int) -> Liouvillian:
@@ -298,13 +292,13 @@ def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian
     """Assemble the Liouvillian of a boundary-driven chain.
 
     Each thread keeps the entries of its last d x d pattern from that
-    pattern's second build on, so the points of a sweep only refill their
+    pattern's first build on, so the points of a sweep only write their
     values; the generator's arrays are its own.
     """
     _check_sides(baths)
-    return _assemble(build_hamiltonian(spec),  # the stack is this call's alone
-                     np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex),
-                     _last)
+    return _chain(build_hamiltonian(spec),  # the stack is this call's alone
+                  np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex),
+                  _last)
 
 
 def _check_sides(baths: Sequence[BathSpec]) -> dict[str, BathSpec]:

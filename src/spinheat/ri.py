@@ -63,8 +63,11 @@ class RIConfig:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError("cycle duration tau must be finite and positive")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if self.n_max is not None:
+            if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)):
+                raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
+            if self.n_max < 1:
+                raise ValueError("n_max must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -320,8 +320,8 @@ def fresh_build(spec, baths):
 
 
 def test_builds_on_a_kept_layout_equal_fresh_builds():
-    # a pattern's first build keeps no layout, its second in a row keeps one,
-    # and the next points on that pattern refill it; a new pattern drops it.
+    # a pattern's first build keeps a layout, and the next points on that
+    # pattern refill it; a new pattern replaces it.
     # Without baths the entries of the populations cancel exactly, and the
     # coherence of two equal-energy states too: the same pattern of h and
     # jumps, and fewer nonzero entries (field 0.3, 0.3) or as many in other
@@ -338,9 +338,8 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
     built = in_new_thread(builds_and_layouts, chains)
     for (spec, baths), (liou, _) in zip(chains, built):
         assert_same_entries(liou, fresh_build(spec, baths))
-    assert [layout is not None for _, layout in built] == \
-        [False, True, True, False, False, False, True, True, True]
-    assert built[2][1] is built[1][1]  # the third build refilled the second's layout
+    assert all(layout is not None for _, layout in built)
+    assert built[2][1] is built[1][1] is built[0][1]  # the first build's layout, refilled
     assert [liou.rows.size for liou, _ in built[5:]] == [28, 26, 26, 28]
     # the generator's index arrays are its own: rewriting them leaves the layout alone
     liou, layout = built[2]
@@ -350,8 +349,8 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
 
 # general jumps with no diagonal entry, so that a Gram entry or an h_eff
 # entry cancels on one build and not on the other, or a jump appears where
-# none was on the same used pattern: (h, jumps) of the two builds that make a
-# layout, then of the build after them
+# none was on the same used pattern: (h, jumps) of the build that makes a
+# layout, then of the build after it
 SHIFT = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # |1><0| + |2><1| + |0><2|
 FAN = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]])  # |0><1| + |0><2|
 RAISE = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # |1><0|
@@ -375,10 +374,9 @@ def test_a_refill_is_taken_only_on_the_nonzero_set_of_its_layout(case):
 
     def builds():
         slot = threading.local()
-        lindblad._assemble(h_made, jumps_made, slot)
-        lindblad._assemble(h_made, jumps_made, slot)
+        lindblad._chain(h_made, jumps_made, slot)
         made = slot.layout
-        return made, lindblad._assemble(h, jumps, slot), slot.layout
+        return made, lindblad._chain(h, jumps, slot), slot.layout
 
     made, liou, after = in_new_thread(builds)
     assert made is not None and after is not None and after is not made
@@ -387,19 +385,19 @@ def test_a_refill_is_taken_only_on_the_nonzero_set_of_its_layout(case):
 
 def test_a_gram_term_meeting_an_h_eff_term_keeps_a_layout():
     # a jump with a diagonal entry puts a Gram term and an h_eff term in one
-    # entry: the second build keeps a layout and the third refills it
+    # entry: the first build keeps a layout and the next two refill it
     h, jumps = np.array([[0.2, 0.3], [0.3, 0.7]]), [np.array([[1, 1], [2, 1]])]
 
     def builds():
         slot = threading.local()
         built = []
         for _ in range(3):
-            built.append(lindblad._assemble(h, jumps, slot))
+            built.append(lindblad._chain(h, jumps, slot))
             built.append(getattr(slot, "layout", None))
         return built
 
-    first, none, second, kept, third, after = in_new_thread(builds)
-    assert none is None and kept is not None and after is kept
+    first, kept, second, refilled, third, after = in_new_thread(builds)
+    assert kept is not None and refilled is kept and after is kept
     for liou in (first, second, third):
         assert_same_entries(liou, Liouvillian.from_jumps(h, jumps))
 
@@ -412,7 +410,7 @@ def test_a_refill_builds_less_than_the_gram_of_the_used_positions():
              BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
 
     def peak():
-        for _ in range(3):  # the second build keeps a layout, the first refill places the terms
+        for _ in range(3):  # the first build keeps a layout, the next ones refill it
             build_liouvillian(spec, baths)
         layout = lindblad._last.layout
         tracemalloc.start()
@@ -471,8 +469,9 @@ def test_builds_in_a_row_equal_fresh_builds(pair):
     built = in_new_thread(builds_and_layouts, order)
     for chain, (liou, _) in zip(order, built):
         assert_same_entries(liou, fresh_build(*chain))
-    # each chain's second build in a row keeps a layout, and the third refills it
-    assert built[1][1] is not None and built[2][1] is built[1][1] and built[4][1] is not None
+    # each chain's first build in a row keeps a layout, and the next ones refill it
+    assert built[0][1] is not None and built[1][1] is built[0][1]
+    assert built[2][1] is built[0][1] and built[4][1] is not None
 
 
 def test_threads_building_in_turn_keep_their_own_layouts():

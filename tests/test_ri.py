@@ -210,6 +210,10 @@ def test_config_validation():
     for tau in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             RIConfig(tau=tau)
+    for n_max in (0, 2.5, 3.0, True, "3"):  # a Fock cutoff is a positive integer
+        with pytest.raises(ValueError):
+            RIConfig(tau=5e-3, n_max=n_max)
+    assert RIConfig(tau=5e-3, n_max=np.int64(3)).n_max == 3
 
 
 def test_cycle_preserves_trace_and_hermiticity():
