@@ -115,7 +115,7 @@ def _rate_operators(
     c, t = 2.0 * np.sum(p * gap, axis=(2, 3)), np.sum(p, axis=(2, 3))
     # S_k holds v_k[j] in row flip[j] of column j; u_k[j] = v_k[flip[j]]
     site = bath.boundary_site(spec.n)
-    columns = [_pauli_columns([(kind, site)], spec.n) for _, kind in copy.couplings]
+    columns = [_pauli_columns(((kind, site),), spec.n) for _, kind in copy.couplings]
     flip = columns[0][0]
     v = np.array([values for _, values in columns])
     u = v[:, flip]

@@ -4,11 +4,12 @@ Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``A``, so ``vec([[a, b], [c, d]]) = (a, c, b, d)`` and
 ``vec(A X B) = (B^T kron A) vec(X)``.  ``Liouvillian.from_jumps`` builds a
 generator afresh (the collision map's of ``ri``, and the tests' reference);
-``build_liouvillian`` builds a chain's into a layout of its entries kept per
-thread from a pattern's first build.  Both work from the nonzero patterns of
-the d x d Hamiltonian and jumps, and keep only the generator's nonzero
-entries, as (row, column, value) triples sorted by row, then column, with the
-same bits.  Conserved quantities leave most of the ``d^4``
+``build_liouvillian`` builds a chain's into a layout of its entries that
+each thread keeps, from a pattern's first build, for its ``KEPT_PATTERNS``
+latest patterns (``_Recent``, which keeps the solver's plans too).  Both work
+from the nonzero patterns of the d x d Hamiltonian and jumps, and keep only
+the generator's nonzero entries, as (row, column, value) triples sorted by
+row, then column, with the same bits.  Conserved quantities leave most of the ``d^4``
 entries zero (6144 of 1048576 for an xxz chain of 5 sites with spin baths,
 922 of 4096 for the collision map of one of 3 sites with spin units), and
 only the nonzero ones are kept.
@@ -240,18 +241,41 @@ class _Layout:
                    np.split(at, [p.size, p.size + on.size]), (p * spots.size + q, on))
 
 
-# Per thread, the layout of the pattern build_liouvillian built last.
-_last = threading.local()
+# Patterns a thread keeps: the layouts of its most recent builds, and the plans of its solves.
+KEPT_PATTERNS = 8
 
 
-def _chain(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
-           slot: threading.local) -> Liouvillian:
-    """``Liouvillian.from_jumps(h, jumps)`` for a chain, written into the layout ``slot`` keeps.
+class _Recent(threading.local):
+    """Per thread, what is kept for the ``KEPT_PATTERNS`` latest patterns, the latest first:
+    ``find`` moves the first entry that passes its test to the front, ``add`` drops the oldest."""
 
-    The Gram is formed over the jumped positions only.  When the jumped
-    pattern, or the nonzero mask of that Gram or of ``h_eff``, is not the
-    layout's, the layout of these masks (``_Layout.of``) replaces it first, so
-    a pattern's first build keeps one.  A chain's jumps are real and sit on
+    def __init__(self):
+        self.entries = []
+
+    def find(self, test):
+        for k, entry in enumerate(self.entries):
+            if test(entry):
+                self.entries.insert(0, self.entries.pop(k))
+                return entry
+        return None
+
+    def add(self, entry):
+        self.entries.insert(0, entry)
+        del self.entries[KEPT_PATTERNS:]
+        return entry
+
+
+_layouts = _Recent()
+
+
+def _chain(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray, kept: _Recent) -> Liouvillian:
+    """``Liouvillian.from_jumps(h, jumps)`` for a chain, written into a layout ``kept`` holds.
+
+    The Gram is formed over the jumped positions only, whose spots and pairs
+    a kept layout of the same jumped pattern lends.  When no kept layout has
+    this jumped pattern and the nonzero masks of that Gram and of ``h_eff``,
+    the layout of these masks (``_Layout.of``) is made and kept, so a
+    pattern's first build keeps one.  A chain's jumps are real and sit on
     disjoint positions, so each Gram entry is one product, and the pairs
     dropped from ``sum_a L_a^dag L_a`` add exact zeros: a build has
     ``from_jumps``' bits.  Entries whose terms cancel to zero are dropped.
@@ -259,18 +283,18 @@ def _chain(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     h, flat, jumped = _stack(h, jumps)
     del jumps  # build_liouvillian's stack goes with flat, before the copies below
     d = h.shape[0]
-    layout = getattr(slot, "layout", None)
-    same = layout is not None and np.array_equal(layout.jumped, jumped)
-    spots = layout.spots if same else np.flatnonzero(jumped)
-    pairs = layout.pairs if same else _pairs(*np.divmod(spots, d), d)
+    same = next((entry for entry in kept.entries if np.array_equal(entry.jumped, jumped)), None)
+    spots = np.flatnonzero(jumped) if same is None else same.spots
+    pairs = _pairs(*np.divmod(spots, d), d) if same is None else same.pairs
     flat = flat[:, spots]
     g = flat.T @ flat.conj()
     del flat
     h_eff = h - 0.5j * _ldl(g, *pairs, d)
     gram, heff = g != 0, h_eff != 0
-    if not (same and np.array_equal(layout.gram, gram) and np.array_equal(layout.heff, heff)):
-        slot.layout = None  # the old layout goes before the new one is made
-        layout = slot.layout = _Layout.of(jumped, spots, pairs, gram, heff)
+    layout = kept.find(lambda entry: np.array_equal(entry.jumped, jumped)
+                       and np.array_equal(entry.gram, gram) and np.array_equal(entry.heff, heff))
+    if layout is None:
+        layout = kept.add(_Layout.of(jumped, spots, pairs, gram, heff))
     values = np.zeros(layout.rows.size, dtype=complex)
     values[layout.at[0]] = g.reshape(-1)[layout.take[0]]
     del g
@@ -291,14 +315,15 @@ def _nonzero(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int) -> 
 def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian:
     """Assemble the Liouvillian of a boundary-driven chain.
 
-    Each thread keeps the entries of its last d x d pattern from that
-    pattern's first build on, so the points of a sweep only write their
-    values; the generator's arrays are its own.
+    Each thread keeps the entries of its ``KEPT_PATTERNS`` most recent d x d
+    patterns from each one's first build on, so the points of a sweep, and
+    chains that come back to a pattern, only write their values; the
+    generator's arrays are its own.
     """
     _check_sides(baths)
     return _chain(build_hamiltonian(spec),  # the stack is this call's alone
                   np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex),
-                  _last)
+                  _layouts)
 
 
 def _check_sides(baths: Sequence[BathSpec]) -> dict[str, BathSpec]:

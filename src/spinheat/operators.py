@@ -13,7 +13,7 @@ bath factors present only on spaces that include them.  Site indices are
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
 
 import numpy as np
 
@@ -41,11 +41,13 @@ def pauli(kind: str) -> np.ndarray:
     return _PAULI[_key(kind)].copy()
 
 
-def _pauli_columns(terms: Sequence[tuple[str, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)  # a few chains' boundary strings: each point asks for them again
+def _pauli_columns(terms: tuple[tuple[str, int], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli string ``(kind, 1-based site)`` on ``n`` sites: column ``c`` holds ``values[c]``
     in row ``rows[c]``.  Site ``i`` is bit ``n - i`` of a basis index; x, y, plus and minus flip
     it.  Each value multiplies the sites' factors from site 1 on, as ``kron_all`` does, so a
-    nonzero one has its bits."""
+    nonzero one has its bits.  The arrays are shared by every call on the same terms, and
+    read-only."""
     kinds = ["i"] * n
     for kind, site in terms:
         if not 1 <= site <= n:
@@ -64,10 +66,11 @@ def _pauli_columns(terms: Sequence[tuple[str, int]], n: int) -> tuple[np.ndarray
             rows ^= flip << (n - i)
             factor = op[bit ^ flip, bit]
         values = np.full(cols.size, factor) if values is None else values * factor
+    rows.flags.writeable = values.flags.writeable = False
     return rows, values
 
 
-def _pauli_string(terms: Sequence[tuple[str, int]], n: int) -> np.ndarray:
+def _pauli_string(terms: tuple[tuple[str, int], ...], n: int) -> np.ndarray:
     """The dense Pauli string ``(kind, 1-based site)`` on an ``n``-site chain."""
     rows, values = _pauli_columns(terms, n)
     out = np.zeros((rows.size, rows.size), dtype=complex)
@@ -77,11 +80,11 @@ def _pauli_string(terms: Sequence[tuple[str, int]], n: int) -> np.ndarray:
 
 def site_op(kind: str, site: int, n: int) -> np.ndarray:
     """Pauli ``kind`` at 1-based ``site`` of an ``n``-site chain (dim 2^n)."""
-    return _pauli_string([(kind, site)], n)
+    return _pauli_string(((kind, site),), n)
 
 
 def two_site_op(kind_a: str, site_a: int, kind_b: str, site_b: int, n: int) -> np.ndarray:
     """Product of two single-site Paulis on distinct sites of an ``n``-site chain."""
     if site_a == site_b:
         raise ValueError("two_site_op expects distinct sites")
-    return _pauli_string([(kind_a, site_a), (kind_b, site_b)], n)
+    return _pauli_string(((kind_a, site_a), (kind_b, site_b)), n)

@@ -19,13 +19,14 @@ the components, where each entry goes in the stacks, the border rows, the
 probe right-hand sides and the stacks themselves) is a plan, built once per
 pattern: the points of a sweep and the two chains of a one-way check share
 one pattern and only refill the stacks (analyse once, factor many, as in
-sparse direct solvers).  Each thread keeps the plan of its last pattern,
-with its own copy of ``(dim, rows, cols)``; that plan and the stacks it has
-made are what stays alive, 0.8 MiB for an xxz chain of 5 sites and 7.8 MiB
-for one of 6, of which the real stack of the traced block (see below) takes
-0.48 and 6.5 MiB.  ``ri``
-solves its collision generators on a plan that is dropped on return, so a
-collision fixed point keeps nothing.
+sparse direct solvers).  Each thread keeps the plans of its
+``lindblad.KEPT_PATTERNS`` most recent patterns, each with its own copy of
+``(dim, rows, cols)``, so chains that come back to a pattern reuse its plan
+too; only the latest plan keeps its stacks.  A plan takes 0.8 MiB for an
+xxz chain of 5 sites and 7.8 MiB for one of 6, of which the real stack of
+the traced block (see below) takes 0.48 and 6.5 MiB.  ``ri`` solves its
+collision generators on a plan that is dropped on return, so a collision
+fixed point keeps nothing.
 
 Every block is solved by a trace-constrained ("bordered") LU, the direct
 method of QuTiP's ``steadystate`` (Johansson, Nation and Nori, CPC 184, 1234
@@ -83,14 +84,13 @@ the kernel mixture.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import KERNEL_TOL, KernelError, components, hermitize, svd_kernel
-from .lindblad import Liouvillian, build_liouvillian, unvec, vec
+from .lindblad import Liouvillian, _Recent, build_liouvillian, unvec, vec
 from .models import BathSpec, ChainSpec, bath_f
 
 # A kernel is only trusted when the first excluded singular value sits at
@@ -116,8 +116,7 @@ HERMITICITY_BOUND = 1e-14
 _ROOT_HALF = math.sqrt(0.5)
 _ROOT_TWO = math.sqrt(2.0)
 
-# Per thread, the plan of the last pattern solve_steady solved.
-_last = threading.local()
+_plans = _Recent()
 
 
 @dataclass(frozen=True)
@@ -602,14 +601,17 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     or stationarity beyond solver-noise bounds.
 
     The work that depends on the entry pattern alone is a ``_Plan``; each
-    thread keeps the plan of its last pattern, with its own copy of
-    ``(dim, rows, cols)``, and reuses it for a generator whose pattern
-    equals that copy.
+    thread keeps the plans of its ``KEPT_PATTERNS`` most recent patterns,
+    each with its own copy of ``(dim, rows, cols)``, and reuses one for a
+    generator whose pattern equals that copy.  Only the plan of the latest
+    solve keeps its stacks; another one's are made again on its next hit.
     """
-    plan = getattr(_last, "plan", None)
-    if plan is None or not plan.fits(liou):
-        _last.plan = None  # the old plan's stacks go before the new plan's are made
-        plan = _last.plan = _Plan(liou.dim, liou.rows.copy(), liou.cols.copy())
+    plan = _plans.find(lambda kept: kept.fits(liou))
+    if plan is None:
+        plan = _plans.add(_Plan(liou.dim, liou.rows.copy(), liou.cols.copy()))
+    for kept in _plans.entries[1:2]:  # the stacks of the plan before go before this one's are made
+        for g in kept.groups:
+            g.stack = None
     return _solve(liou, tol, plan, keep=True)
 
 
@@ -617,8 +619,8 @@ def _solve_once(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     """``solve_steady`` on a plan that is dropped on return, for ``ri``'s one-off generators.
 
     A collision generator can hold millions of entries; its plan, kept,
-    would stay alive through the next engine build, and the slot of
-    ``solve_steady`` keeps the plan of the thread's chain solves.
+    would stay alive through the next engine build, and ``solve_steady``
+    keeps the plans of the thread's chain solves.
     """
     return _solve(liou, tol, _Plan(liou.dim, liou.rows, liou.cols), keep=False)
 

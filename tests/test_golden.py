@@ -10,6 +10,7 @@ import json
 import pytest
 
 from golden.regenerate import CASES, HERE, OUTCOMES, changes, run_case
+from spinheat import lindblad, steady_state
 
 EXPECTED = json.loads(OUTCOMES.read_text())
 
@@ -39,6 +40,33 @@ def test_check_one_way_at_two_jobs_matches_the_golden_file():
     # the base and the inverted chains are solved in two threads, each on its own kept plan
     name = "check_one_way_json_eq16_flip_f"
     assert_golden(name, run_case(name, ("--jobs", "2")))
+
+
+# the cases that solve chains (ri-converge solves collision maps, which keep nothing)
+CHAIN_CASES = [name for name, (argv, _) in CASES.items()
+               if argv[0] in ("steady", "sweep", "check-one-way")]
+
+
+def test_cases_run_again_on_kept_patterns_match_the_golden_files(monkeypatch):
+    # every case runs twice in one thread, in the order a b a c b d c ...: each
+    # second run comes back after another case's first, and takes the layouts
+    # and plans its own first run kept
+    made = []
+    layout_of, plan = lindblad._Layout.of, steady_state._Plan
+    monkeypatch.setattr(lindblad._Layout, "of",
+                        classmethod(lambda cls, *masks: made.append(cls) or layout_of(*masks)))
+    monkeypatch.setattr(steady_state, "_Plan", lambda *pattern: made.append(plan) or plan(*pattern))
+    order = [CHAIN_CASES[0], *(name for pair in zip(CHAIN_CASES[1:], CHAIN_CASES) for name in pair),
+             CHAIN_CASES[-1]]
+    ran = set()
+    for name in order:
+        before = len(made)
+        outcome = run_case(name)
+        if name in ran:
+            assert_golden(name, outcome)
+            assert made[before:] == [], name
+        ran.add(name)
+    assert ran == set(CHAIN_CASES)
 
 
 def test_changes_reports_the_largest_change_per_column():

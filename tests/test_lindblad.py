@@ -305,12 +305,12 @@ def in_new_thread(fn, *args):
 
 
 def builds_and_layouts(chains):
-    """Each chain's generator, built in turn on one thread, with the layout kept after it
-    (None if none)."""
+    """Each chain's generator, built in turn on one thread, with the layout in front of the
+    kept ones after it."""
     built = []
     for spec, baths in chains:
         liou = build_liouvillian(spec, baths)
-        built.append((liou, lindblad._last.layout))
+        built.append((liou, lindblad._layouts.entries[0]))
     return built
 
 
@@ -321,7 +321,7 @@ def fresh_build(spec, baths):
 
 def test_builds_on_a_kept_layout_equal_fresh_builds():
     # a pattern's first build keeps a layout, and the next points on that
-    # pattern refill it; a new pattern replaces it.
+    # pattern refill it; a new pattern keeps one of its own.
     # Without baths the entries of the populations cancel exactly, and the
     # coherence of two equal-energy states too: the same pattern of h and
     # jumps, and fewer nonzero entries (field 0.3, 0.3) or as many in other
@@ -373,10 +373,10 @@ def test_a_refill_is_taken_only_on_the_nonzero_set_of_its_layout(case):
     h_made, jumps_made, h, jumps = REFUSED[case]
 
     def builds():
-        slot = threading.local()
-        lindblad._chain(h_made, jumps_made, slot)
-        made = slot.layout
-        return made, lindblad._chain(h, jumps, slot), slot.layout
+        kept = lindblad._Recent()
+        lindblad._chain(h_made, jumps_made, kept)
+        made = kept.entries[0]
+        return made, lindblad._chain(h, jumps, kept), kept.entries[0]
 
     made, liou, after = in_new_thread(builds)
     assert made is not None and after is not None and after is not made
@@ -389,11 +389,11 @@ def test_a_gram_term_meeting_an_h_eff_term_keeps_a_layout():
     h, jumps = np.array([[0.2, 0.3], [0.3, 0.7]]), [np.array([[1, 1], [2, 1]])]
 
     def builds():
-        slot = threading.local()
+        kept = lindblad._Recent()
         built = []
         for _ in range(3):
-            built.append(lindblad._chain(h, jumps, slot))
-            built.append(getattr(slot, "layout", None))
+            built.append(lindblad._chain(h, jumps, kept))
+            built.append(kept.entries[0])
         return built
 
     first, kept, second, refilled, third, after = in_new_thread(builds)
@@ -412,14 +412,14 @@ def test_a_refill_builds_less_than_the_gram_of_the_used_positions():
     def peak():
         for _ in range(3):  # the first build keeps a layout, the next ones refill it
             build_liouvillian(spec, baths)
-        layout = lindblad._last.layout
+        layout = lindblad._layouts.entries[0]
         tracemalloc.start()
         try:
             liou = build_liouvillian(spec, baths)
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert lindblad._last.layout is layout is not None  # a refill
+        assert lindblad._layouts.entries[0] is layout is not None  # a refill
         assert_same_entries(liou, fresh_build(spec, baths))
         return top
 
@@ -494,7 +494,7 @@ def test_threads_building_in_turn_keep_their_own_layouts():
     seen = {k: [] for k in range(len(chains))}
 
     def work(k):
-        for i in range(20):  # each pattern twice in a row, so a layout is kept and dropped
+        for i in range(20):  # each pattern twice in a row, in turn, on layouts kept together
             step.wait()
             seen[k].append(build_liouvillian(*chains[k][i // 2 % 2]))
 
@@ -522,9 +522,9 @@ def test_collision_builds_keep_no_layout():
 
     def layouts():
         build_liouvillian(spec, baths)
-        kept = build_liouvillian(spec, baths) and lindblad._last.layout
+        kept = build_liouvillian(spec, baths) and lindblad._layouts.entries[0]
         CollisionEngine(spec, baths, RIConfig(tau=1e-2))
-        return kept, lindblad._last.layout
+        return kept, lindblad._layouts.entries[0]
 
     kept, after = in_new_thread(layouts)
     assert kept is not None and after is kept

@@ -21,6 +21,7 @@ from spinheat import (
     steady_for,
     two_site_op,
 )
+from spinheat.operators import _pauli_columns
 from dense_reference import kron_pauli_string, op_at
 
 KINDS = ("i", "x", "y", "z", "plus", "minus")
@@ -125,6 +126,20 @@ def test_two_site_op_equals_product_of_site_ops():
                 assert np.array_equal(
                     two_site_op(a, i, b, j, n), site_op(a, i, n) @ site_op(b, j, n)
                 ), (a, i, b, j, n)
+
+
+def test_pauli_columns_are_kept_read_only():
+    # a string's columns are kept for the calls that ask for them again, so
+    # no caller may write to them; the dense strings made from them are fresh
+    terms = (("x", 1), ("z", 3))
+    rows, values = _pauli_columns(terms, 3)
+    assert _pauli_columns(terms, 3)[0] is rows
+    for array in (rows, values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    op = two_site_op("x", 1, "z", 3, 3)
+    op[:] = 0.0
+    assert_kronecker_equal(two_site_op("x", 1, "z", 3, 3), list(terms), 3)
 
 
 def test_disjoint_support_commutes():

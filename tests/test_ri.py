@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -417,6 +418,41 @@ def test_collision_generator_keeps_the_conserved_blocks():
     assert g.values.size < d ** 4
     state, _ = ri_fixed_point(XXZ3, SPIN_PAIR, RIConfig(tau=0.01))
     assert state.largest_block < d ** 2
+
+
+def collision_hermiticity_defects(seed: int = 64) -> list[float]:
+    """``max |L[r, c] - conj L[flip r, flip c]| / max |L|`` of the collision generators of six
+    random xxz chains of 2 or 3 sites between spin units, each at tau 1e-2 and 1.25e-3."""
+    rng = np.random.default_rng(seed)
+    defects = []
+    for _ in range(6):
+        n = int(rng.integers(2, 4))
+        spec = ChainSpec(kind="xxz", n=n, alpha=float(rng.uniform(0.5, 1.5)),
+                         bond_Delta=tuple(float(x) for x in rng.uniform(-1.0, 1.0, n - 1)),
+                         h=float(rng.uniform(-0.5, 0.5)))
+        baths = [BathSpec(side=side, beta=float(rng.uniform(0.5, 2.0)),
+                          h=float(rng.uniform(-1.0, 1.0)), gamma=float(rng.uniform(0.5, 1.5)))
+                 for side in "LR"]
+        for tau in (1e-2, 1.25e-3):
+            m = dense(CollisionEngine(spec, baths, RIConfig(tau=tau)).generator)
+            flip = np.arange(m.shape[0]).reshape(spec.dim, -1).ravel(order="F")  # |i><j| -> |j><i|
+            defects.append(float(np.max(np.abs(m - m[flip][:, flip].conj())) / np.max(np.abs(m))))
+    return defects
+
+
+def test_collision_generators_preserve_hermiticity_exactly():
+    # the fixed point at small tau rests on it: a Gram of the jumped
+    # positions alone rounds mirror entries apart by 2e-14 to 3e-14, over the
+    # solver's bound of 1e-14; the used-position Gram keeps them equal, here
+    # and in a process held to one BLAS thread
+    assert collision_hermiticity_defects() == [0.0] * 12
+    fields, _ = run_fresh(f"""if True:
+        import sys
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from test_ri import collision_hermiticity_defects
+        print(*collision_hermiticity_defects())
+    """, OPENBLAS_NUM_THREADS="1")
+    assert fields == ["0.0"] * 12
 
 
 def test_xxz_five_site_collision_fixed_point_in_small_memory():

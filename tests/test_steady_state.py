@@ -32,7 +32,8 @@ from spinheat import (
     unvec,
     vec,
 )
-from spinheat import steady_state
+from spinheat import lindblad, steady_state
+from spinheat.lindblad import KEPT_PATTERNS
 from spinheat.linalg import components, svd_kernel
 from spinheat.steady_state import HERMITICITY_BOUND, _Plan
 from dense_reference import (
@@ -564,7 +565,7 @@ def test_lus_of_the_blocks_a_faithful_state_does_not_certify(chain, factored):
     assert sizes == factored
     # the kept plan has made the matrices of the factored blocks only: the
     # real stack of a block that is its own adjoint, the complex one of a pair
-    made = [(g.stack.shape[-1], g.stack.dtype.kind) for g in steady_state._last.plan.groups
+    made = [(g.stack.shape[-1], g.stack.dtype.kind) for g in steady_state._plans.entries[0].groups
             if g.stack is not None for _ in g.idx]
     assert sorted(made) == factored
 
@@ -802,8 +803,10 @@ def test_one_svd_per_adjoint_pair(monkeypatch):
     assert np.max(np.abs(state.rho - rho)) < 1e-12
 
 
-def run_fresh(code: str) -> tuple[list[str], float]:
+def run_fresh(code: str, **env: str) -> tuple[list[str], float]:
     """Run ``code`` in a fresh interpreter: the fields it prints and its peak resident set in MiB.
+
+    The interpreter's environment is this process's with ``env`` set on it.
 
     The peak is the child's own ``VmHWM``.  Its ``ru_maxrss`` would not do:
     Linux carries the high-water mark of the process that starts the child
@@ -811,7 +814,7 @@ def run_fresh(code: str) -> tuple[list[str], float]:
     """
     probe = code + ('\nprint(next(line.split()[1] for line in open("/proc/self/status")'
                     ' if line.startswith("VmHWM:")))\n')
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -961,9 +964,9 @@ def test_solves_in_sequence_match_fresh_solves(chains):
 def test_new_values_on_the_kept_pattern_reuse_its_plan():
     spec = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5, h=0.1)
     solve_steady(build_liouvillian(spec, SPIN_PAIR))
-    plan = steady_state._last.plan
+    plan = steady_state._plans.entries[0]
     solve_steady(build_liouvillian(replace(spec, Delta=0.7, h=0.3), SPIN_PAIR))
-    assert steady_state._last.plan is plan
+    assert steady_state._plans.entries[0] is plan
 
 
 @pytest.mark.parametrize("bad", ["nan", "hermiticity"])
@@ -971,7 +974,7 @@ def test_values_are_checked_on_a_kept_plan(bad):
     liou = build_liouvillian(ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5), SPIN_PAIR)
     expected = in_new_thread(solve_outcome, liou)
     solve_steady(liou)
-    plan = steady_state._last.plan
+    plan = steady_state._plans.entries[0]
     values = liou.values.copy()
     if bad == "nan":
         values[values.size // 2] = np.nan
@@ -981,7 +984,7 @@ def test_values_are_checked_on_a_kept_plan(bad):
         match = "does not preserve Hermiticity"
     with pytest.raises(ValueError, match=match):
         solve_steady(Liouvillian(liou.rows, liou.cols, values, liou.dim))
-    assert steady_state._last.plan is plan
+    assert steady_state._plans.entries[0] is plan
     assert solve_outcome(liou) == expected
 
 
@@ -1034,7 +1037,7 @@ def test_threads_solving_in_turn_match_the_serial_solves():
         for i in range(20):
             step.wait()
             seen[k].append(solve_outcome(lious[k][i % 2]))
-            plans[k].add(id(steady_state._last.plan))
+            plans[k].add(id(steady_state._plans.entries[0]))
 
     workers = [threading.Thread(target=work, args=(k,)) for k in seen]
     interval = sys.getswitchinterval()
@@ -1055,6 +1058,88 @@ def test_threads_solving_in_turn_match_the_serial_solves():
 def test_collision_fixed_point_leaves_the_kept_plan_alone():
     liou = build_liouvillian(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.5), SPIN_PAIR)
     solve_steady(liou)
-    plan = steady_state._last.plan
+    plan = steady_state._plans.entries[0]
     ri_fixed_point(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.5), SPIN_PAIR, RIConfig(tau=0.05))
-    assert steady_state._last.plan is plan
+    assert steady_state._plans.entries[0] is plan
+
+
+# -- the layouts and plans of a thread's most recent patterns -----------------------
+
+
+def patterns(scale):
+    """Chains on twelve patterns, their values scaled by ``scale``: xxz and ising chains of
+    2 to 4 sites, each between spin baths and between bosonic baths."""
+    chains = []
+    for n in (2, 3, 4):
+        xxz = ChainSpec(kind="xxz", n=n, alpha=scale, Delta=0.5 * scale, h=0.1 * scale)
+        ising = ChainSpec(kind="ising", n=n, field=tuple(scale * (0.3 + 0.25 * i) for i in range(n)),
+                          bond_Delta=tuple(scale * (0.8 + 0.1 * i) for i in range(n - 1)))
+        chains += [(xxz, SPIN_PAIR), (xxz, BOSON_PAIR), (ising, SPIN_PAIR), (ising, BOSON_PAIR)]
+    return chains
+
+
+def visit(chains):
+    """Build and solve each chain in turn on this thread: its generator, ``solve_outcome``, and
+    the layout and the plan then in front of the kept ones."""
+    seen = []
+    for spec, baths in chains:
+        liou = build_liouvillian(spec, baths)
+        outcome = solve_outcome(liou)
+        seen.append((liou, outcome, lindblad._layouts.entries[0], steady_state._plans.entries[0]))
+    return seen
+
+
+def assert_fresh(chains, seen):
+    """Every build has the bits of ``from_jumps`` and every solve those of a thread's first."""
+    for (spec, baths), (liou, outcome, *_) in zip(chains, seen):
+        fresh = Liouvillian.from_jumps(build_hamiltonian(spec),
+                                       [L for b in baths for L in jump_ops(b, spec.n)])
+        for name in ("rows", "cols", "values"):
+            assert getattr(liou, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert outcome == in_new_thread(solve_outcome, liou)
+
+
+def test_chains_that_come_back_to_a_pattern_reuse_its_layout_and_plan():
+    # A, B, C, then A, B, C on new values: each comes back to the layout and
+    # the plan it kept, behind the two others
+    chains = patterns(1.0)[1:4] + patterns(1.3)[1:4]
+    seen = in_new_thread(visit, chains)
+    assert_fresh(chains, seen)
+    for (*_, layout, plan), (*_, again, plan_again) in zip(seen[:3], seen[3:]):
+        assert again is layout and plan_again is plan
+    assert len({id(layout) for *_, layout, _ in seen}) == 3
+    assert len({id(plan) for *_, plan in seen}) == 3
+
+
+def test_a_loop_over_more_patterns_than_are_kept_finds_none():
+    # the oldest pattern drops out as each new one comes: on a loop over one
+    # more than are kept, every pattern has dropped out when it comes back
+    chains = patterns(1.0)[:KEPT_PATTERNS + 1]
+    chains += patterns(1.3)[:KEPT_PATTERNS + 1]
+
+    def loop():
+        return visit(chains), len(lindblad._layouts.entries), len(steady_state._plans.entries)
+
+    seen, layouts, plans = in_new_thread(loop)
+    assert (layouts, plans) == (KEPT_PATTERNS, KEPT_PATTERNS)
+    assert_fresh(chains, seen)
+    assert len({id(layout) for *_, layout, _ in seen}) == len(chains)
+    assert len({id(plan) for *_, plan in seen}) == len(chains)
+
+
+def test_a_plan_behind_the_front_drops_its_stacks_and_makes_them_again():
+    a, b = patterns(1.0)[4], patterns(1.0)[9]  # xxz n=3 with spin baths, n=4 with bosonic ones
+
+    def solves():
+        first = visit([a, b])
+        plan = first[0][3]
+        dropped = [g.stack for g in plan.groups]
+        again = visit([a])
+        return first + again, dropped, [g.stack is not None for g in plan.groups]
+
+    seen, dropped, made = in_new_thread(solves)
+    assert dropped == [None] * len(dropped)
+    assert seen[2][3] is seen[0][3] and any(made)
+    assert seen[2][1] == seen[0][1]
+    assert_fresh([a, b, a], seen)
+
