@@ -2,14 +2,16 @@
 
 Vectorization is column-stacking: ``vec(A)`` concatenates the columns of
 ``A``, so ``vec([[a, b], [c, d]]) = (a, c, b, d)`` and
-``vec(A X B) = (B^T kron A) vec(X)``.  ``Liouvillian.from_jumps`` builds a
-generator afresh (the collision map's of ``ri``, and the tests' reference);
-``build_liouvillian`` builds a chain's into a layout of its entries that
-each thread keeps, from a pattern's first build, for its ``KEPT_PATTERNS``
-latest patterns (``_Recent``, which keeps the solver's plans too).  Both work
-from the nonzero patterns of the d x d Hamiltonian and jumps, and keep only
-the generator's nonzero entries, as (row, column, value) triples sorted by
-row, then column, with the same bits.  Conserved quantities leave most of the ``d^4``
+``vec(A X B) = (B^T kron A) vec(X)``.  One assembly (``_assemble``) writes
+every generator from the nonzero patterns of the d x d Hamiltonian and jumps:
+a jump Gram, the layout of its terms (``_Layout``: each term's entry, from
+one sort of their keys) and a scatter of the term values into the entries.
+``build_liouvillian`` writes a chain's into a layout that each thread keeps,
+from a pattern's first build, for its ``KEPT_PATTERNS`` latest patterns
+(``_Recent``, which keeps the solver's plans too); ``Liouvillian.from_jumps``
+(the collision map's of ``ri``) keeps nothing.  Both keep only the
+generator's nonzero entries, as (row, column, value) triples sorted by row,
+then column.  Conserved quantities leave most of the ``d^4``
 entries zero (6144 of 1048576 for an xxz chain of 5 sites with spin baths,
 922 of 4096 for the collision map of one of 3 sites with spin units), and
 only the nonzero ones are kept.
@@ -114,40 +116,18 @@ class Liouvillian:
         Entry ``(i + d j, k + d l)`` is
         ``G[(i, k), (j, l)] - i h_eff[i, k] [j = l] + i conj(h_eff[j, l]) [i = k]``
         with the jump Gram ``G[(i, k), (j, l)] = sum_a L_a[i, k] conj(L_a[j, l])``
-        and ``h_eff = h - (i/2) sum_a L_a^dag L_a``.  Pairs of positions
-        ``((i, k), (j, l))`` and matrix entries correspond one to one, so the
-        generator is zero off the pairs of positions where some jump, ``h_eff``
-        or the identity is nonzero.  ``G`` is one matrix product over those
-        positions, ``sum_a L_a^dag L_a`` is summed from it in pattern-row order
-        (``_pairs``), and the two ``h_eff`` terms are added after the Gram
-        entry, as in the dense ``conj(L) kron L`` layout.  Up to round-off, which
+        and ``h_eff = h - (i/2) sum_a L_a^dag L_a``.  Up to round-off, which
         ``solve_steady`` checks, it preserves Hermiticity:
         ``L[flip r, flip c] = conj L[r, c]`` with ``flip: |i><j| -> |j><i|``.
-        It keeps nothing.  Its Gram spans these used positions, where a chain
-        build's spans the jumped ones: a collision map's Kraus operators
+        It is ``build_liouvillian``'s assembly (``_assemble``) with two
+        differences: it keeps nothing, and its Gram spans the used positions,
+        where some jump, ``h`` or the identity is nonzero, where a chain
+        build's spans the jumped ones.  A collision map's Kraus operators
         overlap, and a Gram of their jumped positions alone rounds mirror
-        entries apart (by 2e-14 to 3e-14 on small xxz maps, over ``solve_steady``'s
-        bound of 1e-14).
+        entries apart (by 2e-14 to 3e-14 on small xxz maps, over
+        ``solve_steady``'s bound of 1e-14).
         """
-        h, flat, jumped = _stack(h, jumps)
-        d = h.shape[0]
-        # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
-        used = jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool)
-        pos = np.flatnonzero(used)  # positions i d + k, ascending
-        row, col = np.divmod(pos, d)
-        if pos.size < d * d:
-            flat = flat[:, pos]
-        m = flat.T @ flat.conj()
-        h_eff = (h - 0.5j * _ldl(m, *_pairs(row, col, d), d))[row, col]
-        diagonal = row == col
-        m[:, diagonal] -= 1j * h_eff[:, None]
-        m[diagonal, :] += 1j * h_eff.conj()
-        a, b = np.nonzero(m)  # m[a, b] is L[row[a] + d row[b], col[a] + d col[b]]
-        values = m[a, b]
-        del m  # the largest array of a collision build; the indices below need the memory
-        rows, cols = row[a] + d * row[b], col[a] + d * col[b]
-        order = np.argsort(rows * (d * d) + cols)
-        return cls(rows[order], cols[order], values[order], d)
+        return _assemble(h, jumps, None)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``L v`` for a vector ``v`` of length ``dim^2``, summed row by row."""
@@ -199,18 +179,18 @@ def _ldl(gram: np.ndarray, at: np.ndarray, pairs: np.ndarray, d: int) -> np.ndar
 
 @dataclass(frozen=True)
 class _Layout:
-    """The sorted entries ``rows``, ``cols`` of every term of a chain pattern and where each
-    term's value goes.
+    """The sorted entries ``rows``, ``cols`` of every term of a generator's pattern and where
+    each term's value goes.
 
-    ``jumped`` is the pattern of the jumped positions, ``spots`` those positions
-    ``i d + k`` and ``pairs`` the gather of ``sum_a L_a^dag L_a`` from their Gram
-    ``g`` (``_pairs``); ``gram`` and ``heff`` are the nonzero masks of ``g`` and
-    of ``h_eff``.  They fix the entries, whether or not their terms cancel: the
-    pairs of positions of a Gram nonzero, and of an ``h_eff`` nonzero and a
-    diagonal position, either way round.  Entry ``at[0]`` takes ``g`` at the
-    flat place ``take[0]``, entry ``at[1]`` subtracts ``i h_eff`` at ``take[1]``
-    and entry ``at[2]`` adds ``i conj(h_eff)`` there, in this order, as in
-    ``Liouvillian.from_jumps``.
+    ``jumped`` is the pattern of the jumped positions, ``spots`` the positions
+    ``i d + k`` the Gram ``g`` spans and ``pairs`` the gather of ``sum_a L_a^dag
+    L_a`` from it (``_pairs``); ``gram`` and ``heff`` are the nonzero masks of
+    ``g`` and of ``h_eff``.  They fix the entries, whether or not their terms
+    cancel: the pairs of positions of a Gram nonzero, and of an ``h_eff``
+    nonzero and a diagonal position, either way round.  Entry ``at[0]`` takes
+    the Gram's nonzeros in row-major order, ``g[gram]``, at the flat places
+    ``take[0]``; entry ``at[1]`` subtracts ``i h_eff`` at ``take[1]`` and entry
+    ``at[2]`` adds ``i conj(h_eff)`` there, in this order.
     """
 
     jumped: np.ndarray
@@ -229,16 +209,23 @@ class _Layout:
         """The layout of these masks: each term's entry key ``row d^2 + col``, the entries from
         one sort of the keys, and each term's place among them."""
         d = jumped.shape[0]
+        # the positions a = i d + k and b = j d + l of a term give entry (i + d j, k + d l),
+        # whose key is key(a) + d key(b) with key(i d + k) = i d^2 + k
+        key = spots // d * (d * d) + spots % d
         p, q = np.nonzero(gram)
-        on = np.repeat(np.flatnonzero(heff), d)  # each h_eff nonzero with each diagonal position
-        diagonal = np.tile(np.arange(d) * (d + 1), on.size // d)
-        # a term at the positions a = i d + k and b = j d + l is entry (i + d j, k + d l)
-        i, k = np.divmod(np.concatenate([spots[p], on, diagonal]), d)
-        j, l = np.divmod(np.concatenate([spots[q], diagonal, on]), d)
-        entries, at = np.unique((i + d * j) * (d * d) + k + d * l, return_inverse=True)
+        gram_keys = key[p] + d * key[q]
+        take = p * spots.size + q
+        del p, q  # on a collision map, each as long as the Gram's nonzeros
+        on = np.flatnonzero(heff)  # each h_eff nonzero with each diagonal position
+        on_key, diagonal_key = (on // d * (d * d) + on % d)[:, None], np.arange(d) * (d * d + 1)
+        keys = np.concatenate([gram_keys, (on_key + d * diagonal_key).ravel(),
+                               (diagonal_key + d * on_key).ravel()])
+        del gram_keys
+        entries, at = np.unique(keys, return_inverse=True)
+        del keys
         rows, cols = np.divmod(entries, d * d)
         return cls(jumped, spots, pairs, gram, heff, rows, cols,
-                   np.split(at, [p.size, p.size + on.size]), (p * spots.size + q, on))
+                   np.split(at, [take.size, take.size + on.size * d]), (take, np.repeat(on, d)))
 
 
 # Patterns a thread keeps: the layouts of its most recent builds, and the plans of its solves.
@@ -268,35 +255,53 @@ class _Recent(threading.local):
 _layouts = _Recent()
 
 
-def _chain(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray, kept: _Recent) -> Liouvillian:
-    """``Liouvillian.from_jumps(h, jumps)`` for a chain, written into a layout ``kept`` holds.
+def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
+              kept: _Recent | None) -> Liouvillian:
+    """The generator of ``h`` and ``jumps`` (see ``Liouvillian.from_jumps``), written through
+    the layout of its terms (``_Layout``), which ``kept`` holds, if given.
 
-    The Gram is formed over the jumped positions only, whose spots and pairs
-    a kept layout of the same jumped pattern lends.  When no kept layout has
-    this jumped pattern and the nonzero masks of that Gram and of ``h_eff``,
-    the layout of these masks (``_Layout.of``) is made and kept, so a
-    pattern's first build keeps one.  A chain's jumps are real and sit on
-    disjoint positions, so each Gram entry is one product, and the pairs
-    dropped from ``sum_a L_a^dag L_a`` add exact zeros: a build has
-    ``from_jumps``' bits.  Entries whose terms cancel to zero are dropped.
+    A chain build (``kept`` given) forms the Gram over the jumped positions
+    only, whose spots and pairs a kept layout of the same jumped pattern
+    lends.  When no kept layout has this jumped pattern and the nonzero masks
+    of that Gram and of ``h_eff``, the layout of these masks (``_Layout.of``)
+    is made and kept, so a pattern's first build keeps one.  A chain's jumps
+    are real and sit on disjoint positions, so each Gram entry is one
+    product, and the pairs dropped from ``sum_a L_a^dag L_a`` add exact zeros:
+    a build has the bits of one over the used positions.  Without ``kept``
+    (``from_jumps``) the Gram spans the used positions, and the layout is
+    made and dropped.  A new layout takes the Gram's nonzeros by its mask,
+    and the Gram goes before the layout is made; a kept one takes them by
+    their flat places.  Entries whose terms cancel to zero are dropped.
     """
     h, flat, jumped = _stack(h, jumps)
     del jumps  # build_liouvillian's stack goes with flat, before the copies below
     d = h.shape[0]
-    same = next((entry for entry in kept.entries if np.array_equal(entry.jumped, jumped)), None)
-    spots = np.flatnonzero(jumped) if same is None else same.spots
+    if kept is None:  # sum_a L_a^dag L_a is zero wherever the union pattern's U^T U is
+        spots = np.flatnonzero(jumped | (jumped.T @ jumped) | (h != 0) | np.eye(d, dtype=bool))
+        same = None
+    else:
+        same = next((entry for entry in kept.entries if np.array_equal(entry.jumped, jumped)), None)
+        spots = np.flatnonzero(jumped) if same is None else same.spots
     pairs = _pairs(*np.divmod(spots, d), d) if same is None else same.pairs
-    flat = flat[:, spots]
+    if spots.size < d * d:
+        flat = flat[:, spots]
     g = flat.T @ flat.conj()
     del flat
     h_eff = h - 0.5j * _ldl(g, *pairs, d)
     gram, heff = g != 0, h_eff != 0
-    layout = kept.find(lambda entry: np.array_equal(entry.jumped, jumped)
-                       and np.array_equal(entry.gram, gram) and np.array_equal(entry.heff, heff))
+    layout = None if kept is None else kept.find(
+        lambda entry: np.array_equal(entry.jumped, jumped) and np.array_equal(entry.gram, gram)
+        and np.array_equal(entry.heff, heff))
+    take = slice(None)
     if layout is None:
-        layout = kept.add(_Layout.of(jumped, spots, pairs, gram, heff))
+        g = g[gram]  # row-major, as _Layout.of orders the Gram terms; the Gram itself goes
+        layout = _Layout.of(jumped, spots, pairs, gram, heff)
+        if kept is not None:
+            kept.add(layout)
+    else:
+        take = layout.take[0]
     values = np.zeros(layout.rows.size, dtype=complex)
-    values[layout.at[0]] = g.reshape(-1)[layout.take[0]]
+    values[layout.at[0]] = g.reshape(-1)[take]
     del g
     np.subtract.at(values, layout.at[1], (1j * h_eff).reshape(-1)[layout.take[1]])
     np.add.at(values, layout.at[2], (1j * h_eff.conj()).reshape(-1)[layout.take[1]])
@@ -321,9 +326,9 @@ def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian
     generator's arrays are its own.
     """
     _check_sides(baths)
-    return _chain(build_hamiltonian(spec),  # the stack is this call's alone
-                  np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex),
-                  _layouts)
+    return _assemble(build_hamiltonian(spec),  # the stack is this call's alone
+                     np.array([L for b in baths for L in jump_ops(b, spec.n)], dtype=complex),
+                     _layouts)
 
 
 def _check_sides(baths: Sequence[BathSpec]) -> dict[str, BathSpec]:

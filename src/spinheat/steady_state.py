@@ -390,18 +390,13 @@ def _probe_norms(groups: list[_Group]) -> np.ndarray:
     return np.sqrt(sum((np.abs(g.rhs[..., 1:]) ** 2).sum(axis=(0, 1)) for g in groups))
 
 
-def _factor(plan: _Plan, values: np.ndarray, groups: list[_Group], x: np.ndarray,
-            keep: bool) -> bool:
+def _factor(plan: _Plan, values: np.ndarray, groups: list[_Group], x: np.ndarray) -> bool:
     """Bordered LUs of ``groups`` on ``values`` into the rows of ``x``; False if one is singular.
 
     A real stack solves ``T^dag B T y = T^dag e`` and writes ``x = T y``.
-    Unless the plan is kept, the groups' gathers go before the LUs, which
-    need the memory, and their stacks after the last LU.
+    The stacks stay with the plan: a kept plan refills them on its next solve.
     """
     plan.gather(values, groups)
-    if not keep:
-        for g in groups:
-            g.sel = g.pos = g.fill = None
     for g in groups:
         g.stack[g.held, g.first] = g.traced
         try:
@@ -413,9 +408,6 @@ def _factor(plan: _Plan, values: np.ndarray, groups: list[_Group], x: np.ndarray
             y = y.reshape(-1, y.shape[-1])
             y = (y[lo] * alpha + 1j * (y[hi] * beta)).reshape(*g.idx.shape, -1)
         x[g.idx] = y
-    if not keep:
-        for g in groups:
-            g.stack = None
     return True
 
 
@@ -447,7 +439,7 @@ def _accept(liou: Liouvillian, tol: float, plan: _Plan, x: np.ndarray, scale: fl
                        min_eig=min_eig, solver="bordered", largest_block=plan.largest)
 
 
-def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyState | None:
+def _bordered(liou: Liouvillian, tol: float, plan: _Plan) -> SteadyState | None:
     """Steady state from one bordered LU per block, or None when not trusted.
 
     In ``B``, each of the blocks (see ``components``) that holds diagonal
@@ -512,7 +504,7 @@ def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyS
     dim = liou.dim
     n = dim * dim
     x = np.zeros((n, 1 + PROBES), dtype=complex)  # a mirror block is never solved: its rows stay 0
-    if not _factor(plan, liou.values, plan.factored, x, keep):
+    if not _factor(plan, liou.values, plan.factored, x):
         return None
     magnitude = np.abs(liou.values)
     scale = float(np.sqrt(np.bincount(liou.cols, magnitude ** 2, n).max()))
@@ -525,17 +517,15 @@ def _bordered(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyS
         state = _accept(liou, tol, plan, x, scale, cond)
         if state is not None and state.min_eig > GAP_FACTOR * cond * np.finfo(float).eps:
             return state
-        if not _factor(plan, liou.values, plan.deferred, x, keep):
+        if not _factor(plan, liou.values, plan.deferred, x):
             return None
     return _accept(liou, tol, plan, x, scale, _condition(x[:, 1:], plan.probe_norms, column_sums))
 
 
-def _solve(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyState:
+def _solve(liou: Liouvillian, tol: float, plan: _Plan) -> SteadyState:
     """The numeric pass of ``solve_steady`` over ``liou.values`` on the plan of its pattern.
 
-    Unless the plan is kept, its mirror index is freed before the LUs, which
-    need the memory.  The SVD path gathers each block afresh, in the basis
-    ``|i><j|``.
+    The SVD path gathers each block afresh, in the basis ``|i><j|``.
     """
     values = liou.values
     if not np.isfinite(values).all():
@@ -547,9 +537,7 @@ def _solve(liou: Liouvillian, tol: float, plan: _Plan, keep: bool) -> SteadyStat
     if np.abs(defect).max(initial=0.0) > HERMITICITY_BOUND * np.abs(values).max(initial=0.0):
         raise ValueError("generator does not preserve Hermiticity")
     del defect
-    if not keep:  # the LUs need the memory
-        plan.at = plan.lone = None
-    state = _bordered(liou, tol, plan, keep)
+    state = _bordered(liou, tol, plan)
     if state is not None:
         return state
     factors = []
@@ -612,17 +600,18 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
     for kept in _plans.entries[1:2]:  # the stacks of the plan before go before this one's are made
         for g in kept.groups:
             g.stack = None
-    return _solve(liou, tol, plan, keep=True)
+    return _solve(liou, tol, plan)
 
 
 def _solve_once(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
-    """``solve_steady`` on a plan that is dropped on return, for ``ri``'s one-off generators.
+    """``solve_steady`` on a plan that nobody keeps, for ``ri``'s one-off generators.
 
     A collision generator can hold millions of entries; its plan, kept,
     would stay alive through the next engine build, and ``solve_steady``
-    keeps the plans of the thread's chain solves.
+    keeps the plans of the thread's chain solves.  The plan shares the
+    generator's index arrays and goes, with its stacks, on return.
     """
-    return _solve(liou, tol, _Plan(liou.dim, liou.rows, liou.cols), keep=False)
+    return _solve(liou, tol, _Plan(liou.dim, liou.rows, liou.cols))
 
 
 def steady_for(spec: ChainSpec, baths: Sequence[BathSpec], tol: float = KERNEL_TOL) -> SteadyState:

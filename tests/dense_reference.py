@@ -5,17 +5,22 @@ buffer, the way the package did before it kept only the nonzero entries.  The
 tests hold the entry-wise builder and the block solve against it, through
 ``dense``, ``from_dense``, ``sparsity`` and ``blocks_of``.  ``dense_expm``
 exponentiates a whole Hermitian matrix by one ``eigh``, the reference for the
-component-wise ``herm_expm``.  ``from_jumps_reference`` is the entry-wise
-builder as it was when it gathered ``sum_a L_a^dag L_a`` one pattern row at a
-time; ``Liouvillian.from_jumps`` must return the same bits.  ``kron_pauli_string``
-is one Kronecker product of single-site Paulis, and ``kron_hamiltonian`` and
-``kron_bond_energy`` sum such products, the way the package built Pauli strings
-and the chain terms before it wrote them from the basis bits.
+component-wise ``herm_expm``.  ``from_jumps_reference`` is the fresh
+entry-wise build as the package made it before it had one assembly: the Gram
+of the used positions with ``h_eff`` written into it, ``np.nonzero`` and one
+argsort, with ``sum_a L_a^dag L_a`` gathered one pattern row at a time.  It
+shares no code with that assembly, and ``Liouvillian.from_jumps`` and
+``build_liouvillian`` must return its bits.  ``mp_steady_state`` solves a
+chain in 60-digit arithmetic, for states where the full SVD's own rounding
+passes a bound.  ``kron_pauli_string`` is one Kronecker product of
+single-site Paulis, and ``kron_hamiltonian`` and ``kron_bond_energy`` sum such
+products, the way the package built Pauli strings and the chain terms before
+it wrote them from the basis bits.
 ``rate_operators_matmul`` forms one bath's heat and work operators by products
 of the embedded couplings, as ``currents`` did before it used their bit flip.
 
-The package keeps one generator (``Liouvillian.from_jumps``) and one rate path
-(``currents._rate_operators``, read by ``current_report``); the rest are
+The package keeps one generator assembly (``lindblad._assemble``) and one rate
+path (``currents._rate_operators``, read by ``current_report``); the rest are
 independent references that only the tests call.  ``op_at`` embeds an operator
 at one tensor factor by a ``kron_all`` product.  ``dissipator_action`` and
 ``lindblad_action`` apply the master equation as d x d matrix products, and
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from spinheat import (
@@ -107,6 +113,109 @@ def from_jumps_reference(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray
     rows, cols = row[a] + d * row[b], col[a] + d * col[b]
     order = np.argsort(rows * n + cols)
     return Liouvillian(rows[order], cols[order], values[order], d)
+
+
+def mp_steady_state(spec: ChainSpec, baths: Sequence[BathSpec]) -> np.ndarray:
+    """A chain's steady state in 60-digit arithmetic, rounded to complex128.
+
+    ``h`` and the jumps are taken as exact, and each generator entry is
+    written from their nonzeros by the entry formula of
+    ``Liouvillian.from_jumps``, in mpmath.  The blocks are the connected
+    components of the pattern ``kron(J, J) | kron(I, E) | kron(E, I)`` of the
+    jumped positions ``J`` and of ``h_eff``'s possible nonzeros ``E``; only
+    those that hold a diagonal entry ``|i><i|`` can carry trace.  Each such
+    block's kernel comes from a Gauss-Jordan elimination with partial
+    pivoting, whose pivots below ``1e-30`` of the block's largest entry
+    count as zero.  The state is the projection of ``vec(I)`` onto the
+    kernel, hermitized and trace-normalized, as ``solve_steady`` returns it.
+    """
+    h = build_hamiltonian(spec)
+    d = spec.dim
+    with mpmath.workdps(60):
+        jumps = [{(i, k): mpmath.mpc(L[i, k]) for i, k in zip(*np.nonzero(L))}
+                 for b in baths for L in jump_ops(b, spec.n)]
+        h_eff = {(i, k): mpmath.mpc(h[i, k]) for i, k in zip(*np.nonzero(h))}
+        half = mpmath.mpc(0, 0.5)
+        for jump in jumps:  # h_eff = h - (i/2) sum_a L_a^dag L_a
+            for (row, i), a in jump.items():
+                for (other, k), b in jump.items():
+                    if other == row:
+                        h_eff[i, k] = h_eff.get((i, k), 0) - half * mpmath.conj(a) * b
+        jumped, possible = np.zeros((d, d), dtype=bool), np.zeros((d, d), dtype=bool)
+        for key in (key for jump in jumps for key in jump):
+            jumped[key] = True
+        for key in h_eff:
+            possible[key] = True
+        eye = np.eye(d, dtype=bool)
+        linked = np.kron(jumped, jumped) | np.kron(eye, possible) | np.kron(possible, eye)
+        linked |= linked.T
+
+        def entry(r, c):  # L[i + d j, k + d l]
+            (j, i), (l, k) = divmod(r, d), divmod(c, d)
+            value = sum((jump.get((i, k), 0) * mpmath.conj(jump.get((j, l), 0)) for jump in jumps),
+                        mpmath.mpc(0))
+            if j == l:
+                value -= 1j * h_eff.get((i, k), 0)
+            if i == k:
+                value += 1j * mpmath.conj(h_eff.get((j, l), 0))
+            return value
+
+        v = [mpmath.mpc(0)] * (d * d)
+        seen = np.zeros(d * d, dtype=bool)
+        for start in range(0, d * d, d + 1):
+            if seen[start]:
+                continue
+            block, todo, seen[start] = [], [start], True
+            while todo:
+                r = todo.pop()
+                block.append(r)
+                for c in np.flatnonzero(linked[r] & ~seen):
+                    seen[c] = True
+                    todo.append(int(c))
+            block.sort()
+            kernel = _mp_kernel([[entry(r, c) if linked[r, c] else mpmath.mpc(0) for c in block]
+                                 for r in block])
+            target = [mpmath.mpc(1 if r % (d + 1) == 0 else 0) for r in block]
+            for x in kernel:  # orthonormal: the projection is sum_x (x^dag t) x
+                weight = mpmath.fsum(mpmath.conj(a) * t for a, t in zip(x, target))
+                for place, a in zip(block, x):
+                    v[place] += weight * a
+        rho = np.array([[complex(v[i + d * j]) for j in range(d)] for i in range(d)])
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def _mp_kernel(m: list[list]) -> list[list]:
+    """An orthonormal basis of the kernel of the square mpmath matrix ``m`` (a list of rows)."""
+    size = len(m)
+    tiny = mpmath.mpf("1e-30") * max(abs(a) for row in m for a in row)
+    rows, pivots = [row[:] for row in m], []
+    for c in range(size):  # Gauss-Jordan: reduced row echelon form
+        top = len(pivots)
+        if top == size:
+            break
+        p = max(range(top, size), key=lambda i: abs(rows[i][c]))
+        if abs(rows[p][c]) <= tiny:
+            continue
+        rows[top], rows[p] = rows[p], rows[top]
+        rows[top] = [a / rows[top][c] for a in rows[top]]
+        for i in range(size):
+            if i != top and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(size) if c not in pivots):
+        x = [mpmath.mpc(0)] * size
+        x[free] = mpmath.mpc(1)
+        for row, c in enumerate(pivots):
+            x[c] = -rows[row][free]
+        for y in basis:  # Gram-Schmidt
+            overlap = mpmath.fsum(mpmath.conj(b) * a for a, b in zip(x, y))
+            x = [a - overlap * b for a, b in zip(x, y)]
+        norm = mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in x))
+        basis.append([a / norm for a in x])
+    return basis
 
 
 def dense(liou: Liouvillian) -> np.ndarray:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -50,3 +52,26 @@ def test_exports_resolve_and_cover_the_readme():
         for alias in node.names
     }
     assert imported and imported <= set(names)
+
+
+def test_test_and_benchmark_imports_are_declared():
+    # a module the tests or the benchmark import is the standard library's,
+    # the package, one of their own or a declared dependency, so that
+    # installing the package with its test extra runs them
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+    files = [path for top in ("tests", "bench") for path in (ROOT / top).rglob("*.py")]
+    local = {path.stem for path in files} | {path.parent.name for path in files}
+    imported = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    allowed = set(sys.stdlib_module_names) | {"spinheat"} | local | declared
+    assert {"mpmath", "hypothesis", "numpy"} <= imported
+    assert sorted(imported - allowed) == []

@@ -27,6 +27,7 @@ from spinheat import (
     vec,
 )
 from spinheat import lindblad
+from spinheat.cli import build_bath, build_chain, load_config
 from dense_reference import (
     dense,
     dissipator_action,
@@ -276,6 +277,15 @@ def test_builder_sums_the_jump_gram_as_the_row_loop_did(d):
         assert_same_entries(Liouvillian.from_jumps(h, stack), from_jumps_reference(h, stack))
 
 
+SPIN_UNITS = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
+              BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
+
+
+def ising_boson_n2():
+    cfg = load_config("ising_boson_n2", None)
+    return build_chain(cfg), [build_bath(cfg, side) for side in "LR"]
+
+
 def test_builder_sums_a_kraus_stack_as_the_row_loop_did(monkeypatch):
     built = []
     original = Liouvillian.from_jumps.__func__
@@ -286,13 +296,18 @@ def test_builder_sums_a_kraus_stack_as_the_row_loop_did(monkeypatch):
         return liou
 
     monkeypatch.setattr(Liouvillian, "from_jumps", classmethod(capture))
-    spec = ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7, h=0.3)
-    baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
-             BathSpec(side="R", beta=2.0, h=-0.4, gamma=0.8)]
-    CollisionEngine(spec, baths, RIConfig(tau=1e-2))
-    (h, stack, liou), = built
-    assert stack.shape == (16, 4, 4)  # one Kraus operator per in and out level of two units
-    assert_same_entries(liou, from_jumps_reference(h, stack))
+    # one Kraus operator per in and out level of the two units: 2 x 2 spin levels
+    # in and out, or 22 x 11 bosonic ones
+    for chain, tau, count in [
+        ((ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7, h=0.3), SPIN_UNITS), 1e-2, 16),
+        ((ChainSpec(kind="xxz", n=3, alpha=1.0, bond_Delta=(0.3, 0.5)), SPIN_UNITS), 1e-2, 16),
+        (ising_boson_n2(), 5e-3, 58564),
+    ]:
+        CollisionEngine(*chain, RIConfig(tau=tau))
+        (h, stack, liou), = built
+        built.clear()
+        assert stack.shape == (count, chain[0].dim, chain[0].dim)
+        assert_same_entries(liou, from_jumps_reference(h, stack))
 
 
 def in_new_thread(fn, *args):
@@ -315,8 +330,8 @@ def builds_and_layouts(chains):
 
 
 def fresh_build(spec, baths):
-    return Liouvillian.from_jumps(build_hamiltonian(spec),
-                                  [L for b in baths for L in jump_ops(b, spec.n)])
+    return from_jumps_reference(build_hamiltonian(spec),
+                                [L for b in baths for L in jump_ops(b, spec.n)])
 
 
 def test_builds_on_a_kept_layout_equal_fresh_builds():
@@ -374,13 +389,13 @@ def test_a_refill_is_taken_only_on_the_nonzero_set_of_its_layout(case):
 
     def builds():
         kept = lindblad._Recent()
-        lindblad._chain(h_made, jumps_made, kept)
+        lindblad._assemble(h_made, jumps_made, kept)
         made = kept.entries[0]
-        return made, lindblad._chain(h, jumps, kept), kept.entries[0]
+        return made, lindblad._assemble(h, jumps, kept), kept.entries[0]
 
     made, liou, after = in_new_thread(builds)
     assert made is not None and after is not None and after is not made
-    assert_same_entries(liou, Liouvillian.from_jumps(h, jumps))
+    assert_same_entries(liou, from_jumps_reference(h, jumps))
 
 
 def test_a_gram_term_meeting_an_h_eff_term_keeps_a_layout():
@@ -392,14 +407,14 @@ def test_a_gram_term_meeting_an_h_eff_term_keeps_a_layout():
         kept = lindblad._Recent()
         built = []
         for _ in range(3):
-            built.append(lindblad._chain(h, jumps, kept))
+            built.append(lindblad._assemble(h, jumps, kept))
             built.append(kept.entries[0])
         return built
 
     first, kept, second, refilled, third, after = in_new_thread(builds)
     assert kept is not None and refilled is kept and after is kept
     for liou in (first, second, third):
-        assert_same_entries(liou, Liouvillian.from_jumps(h, jumps))
+        assert_same_entries(liou, from_jumps_reference(h, jumps))
 
 
 def test_a_refill_builds_less_than_the_gram_of_the_used_positions():
@@ -487,9 +502,7 @@ def test_threads_building_in_turn_keep_their_own_layouts():
                (ChainSpec(kind="ising", n=3, field=(0.3, 0.7, -0.4), bond_Delta=(0.8, 1.1)), spin)],
               [(ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.7), spin),
                (ChainSpec(kind="xxz", n=4, alpha=1.0, Delta=0.7), boson)]]
-    expected = [[Liouvillian.from_jumps(build_hamiltonian(spec),
-                                        [L for b in baths for L in jump_ops(b, spec.n)])
-                 for spec, baths in pair] for pair in chains]
+    expected = [[fresh_build(spec, baths) for spec, baths in pair] for pair in chains]
     step = threading.Barrier(len(chains), timeout=60)
     seen = {k: [] for k in range(len(chains))}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,6 +27,7 @@ from spinheat import (
 )
 from spinheat.bathops import RI_MARGIN, RI_TAIL, bath_copy
 from spinheat.linalg import KERNEL_TOL
+from spinheat.steady_state import _solve_once
 from spinheat.cli import build_bath, build_chain, load_config
 from dense_reference import dense, dense_expm, lindblad_action, op_at
 from test_steady_state import run_fresh
@@ -483,6 +485,29 @@ def test_ising_boson_n2_collision_fixed_point_in_small_memory():
     """)
     assert fields == ["1"]
     assert peak_mib < 90
+
+
+def test_xxz_six_site_collision_build_frees_its_gram_before_the_layout():
+    # every position is used, so the Gram is 4096^2 complex entries (256 MiB),
+    # 15% of them nonzero: the build gathers those and lets the Gram go before
+    # it makes the layout, and the one-off solve, whose plan keeps its stacks,
+    # stays under the build's peak.  tracemalloc's peaks are those of the
+    # arrays alone, whatever the host's heap does
+    spec = ChainSpec(kind="xxz", n=6, alpha=1.0, bond_Delta=(0.3, 0.5, 0.7, 0.5, 0.3))
+    baths = [BathSpec(side="L", beta=1.0, h=0.7, gamma=1.0),
+             BathSpec(side="R", beta=2.0, h=-0.4, gamma=1.0)]
+    tracemalloc.start()
+    try:
+        engine = CollisionEngine(spec, baths, RIConfig(tau=1e-2))
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        state = _solve_once(engine.generator)
+        solve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.largest_block == 924
+    assert build < 320 * 2 ** 20
+    assert solve < build
 
 
 def iterate(engine, tol=1e-13, consecutive=3, max_cycles=200_000):
