@@ -348,8 +348,10 @@ def point_config(
     spec = build_chain(cfg)
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     if parameter in ("f_L", "f_R"):
-        side = parameter[-1]
-        baths = [with_f(b, float(value)) if b.side == side else b for b in baths]
+        try:
+            baths = [with_f(b, float(value)) if b.side == parameter[-1] else b for b in baths]
+        except ValueError as exc:
+            raise ConfigError(f"cannot sweep {parameter} to {float(value)!r}: {exc}") from None
     require_decomposable(baths)
     return spec, baths
 

@@ -1,9 +1,9 @@
 """Dense complex linear algebra shared by the other modules.
 
 ``check_dense_dim`` enforces the cap ``MAX_DENSE_DIM`` before the chain
-operators, the generator and the collision units allocate.  The Hamiltonian
-and every Pauli string are written from the basis bits (``models``,
-``operators``), so the one Kronecker product ``kron_all`` and the Hermitian
+operators, the generator and the collision units allocate.  Every Pauli
+string, those the Hamiltonian sums included, is written from the basis bits
+in ``operators``, so the one Kronecker product ``kron_all`` and the Hermitian
 exponential ``herm_expm`` serve only the collision engine's joint space of
 chain and units (``ri``); ``herm_expm`` works one connected component at a
 time, so that exact zeros keep conserved blocks (each block is checked for

@@ -188,9 +188,9 @@ class _Layout:
     ``g`` and of ``h_eff``.  They fix the entries, whether or not their terms
     cancel: the pairs of positions of a Gram nonzero, and of an ``h_eff``
     nonzero and a diagonal position, either way round.  Entry ``at[0]`` takes
-    the Gram's nonzeros in row-major order, ``g[gram]``, at the flat places
-    ``take[0]``; entry ``at[1]`` subtracts ``i h_eff`` at ``take[1]`` and entry
-    ``at[2]`` adds ``i conj(h_eff)`` there, in this order.
+    the Gram's nonzeros in row-major order, ``g[gram]``; entry ``at[1]``
+    subtracts ``i h_eff`` at the flat places ``take`` and entry ``at[2]`` adds
+    ``i conj(h_eff)`` there, in this order.
     """
 
     jumped: np.ndarray
@@ -201,7 +201,7 @@ class _Layout:
     rows: np.ndarray
     cols: np.ndarray
     at: list[np.ndarray]
-    take: tuple[np.ndarray, np.ndarray]
+    take: np.ndarray
 
     @classmethod
     def of(cls, jumped: np.ndarray, spots: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
@@ -214,18 +214,18 @@ class _Layout:
         key = spots // d * (d * d) + spots % d
         p, q = np.nonzero(gram)
         gram_keys = key[p] + d * key[q]
-        take = p * spots.size + q
         del p, q  # on a collision map, each as long as the Gram's nonzeros
         on = np.flatnonzero(heff)  # each h_eff nonzero with each diagonal position
         on_key, diagonal_key = (on // d * (d * d) + on % d)[:, None], np.arange(d) * (d * d + 1)
         keys = np.concatenate([gram_keys, (on_key + d * diagonal_key).ravel(),
                                (diagonal_key + d * on_key).ravel()])
+        terms = gram_keys.size
         del gram_keys
         entries, at = np.unique(keys, return_inverse=True)
         del keys
         rows, cols = np.divmod(entries, d * d)
         return cls(jumped, spots, pairs, gram, heff, rows, cols,
-                   np.split(at, [take.size, take.size + on.size * d]), (take, np.repeat(on, d)))
+                   np.split(at, [terms, terms + on.size * d]), np.repeat(on, d))
 
 
 # Patterns a thread keeps: the layouts of its most recent builds, and the plans of its solves.
@@ -269,9 +269,9 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     product, and the pairs dropped from ``sum_a L_a^dag L_a`` add exact zeros:
     a build has the bits of one over the used positions.  Without ``kept``
     (``from_jumps``) the Gram spans the used positions, and the layout is
-    made and dropped.  A new layout takes the Gram's nonzeros by its mask,
-    and the Gram goes before the layout is made; a kept one takes them by
-    their flat places.  Entries whose terms cancel to zero are dropped.
+    made and dropped.  Every build takes the Gram's nonzeros by its mask, and
+    the Gram goes before a layout is looked up or made.  Entries whose terms
+    cancel to zero are dropped.
     """
     h, flat, jumped = _stack(h, jumps)
     del jumps  # build_liouvillian's stack goes with flat, before the copies below
@@ -289,22 +289,19 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     del flat
     h_eff = h - 0.5j * _ldl(g, *pairs, d)
     gram, heff = g != 0, h_eff != 0
+    g = g[gram]  # row-major, as _Layout.of orders the Gram terms; the Gram itself goes
     layout = None if kept is None else kept.find(
         lambda entry: np.array_equal(entry.jumped, jumped) and np.array_equal(entry.gram, gram)
         and np.array_equal(entry.heff, heff))
-    take = slice(None)
     if layout is None:
-        g = g[gram]  # row-major, as _Layout.of orders the Gram terms; the Gram itself goes
         layout = _Layout.of(jumped, spots, pairs, gram, heff)
         if kept is not None:
             kept.add(layout)
-    else:
-        take = layout.take[0]
     values = np.zeros(layout.rows.size, dtype=complex)
-    values[layout.at[0]] = g.reshape(-1)[take]
+    values[layout.at[0]] = g
     del g
-    np.subtract.at(values, layout.at[1], (1j * h_eff).reshape(-1)[layout.take[1]])
-    np.add.at(values, layout.at[2], (1j * h_eff.conj()).reshape(-1)[layout.take[1]])
+    np.subtract.at(values, layout.at[1], (1j * h_eff).reshape(-1)[layout.take])
+    np.add.at(values, layout.at[2], (1j * h_eff.conj()).reshape(-1)[layout.take])
     del h_eff  # a refill's peak is the values and the index copies
     return _nonzero(layout.rows, layout.cols, values, d)
 

@@ -1,6 +1,7 @@
 """Chain and bath parameter bundles, Hamiltonians, bond energy operators.
 
-Two chain families are supported:
+Two chain families are supported, both sums of the Pauli strings of
+``operators``, the one module that maps a site to its basis bit:
 
 * ``xxz``: nearest-neighbour hopping plus anisotropic zz coupling,
   ``sum_i alpha (x_i x_{i+1} + y_i y_{i+1}) + D_{i,i+1} z_i z_{i+1}``
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import check_dense_dim
+from .operators import _pauli_columns
 
 CHAIN_KINDS = ("xxz", "ising")
 BATH_KINDS = ("spin", "bosonic")
@@ -212,29 +214,26 @@ def _chain_terms(spec: ChainSpec, bonds: list[tuple[int, int, float]],
     """Sum of bond terms ``(i, j, D)`` and field terms ``(i, c)``, added in the order given.
 
     A bond adds ``alpha (x_i x_j + y_i y_j) + D z_i z_j`` (xxz) or ``(D/2)
-    z_i z_j`` (ising), a field ``c z_i``, sites 1-based.  The terms come from
-    the basis bits: site ``i`` is bit ``n - i`` of a basis index (site 1 is
-    the first Kronecker factor), with ``z_i = +1`` where it is 0, and ``x_i
-    x_j + y_i y_j`` is 2 between two states that differ by flipping an
-    antiparallel pair.  Every term is an exact product added into zeros, in
-    the same order as a sum of Kronecker products would add it, so the
-    result has the bits of that sum.
+    z_i z_j`` (ising), a field ``c z_i``, sites 1-based, each read from its
+    Pauli strings (``operators``).  Every term is an exact product added into
+    zeros, in the same order as a sum of Kronecker products would add it, so
+    the result has the bits of that sum.
     """
     n, dim = spec.n, spec.dim
     states = np.arange(dim)
-    z = 1.0 - 2.0 * (states >> (n - np.arange(1, n + 1))[:, None] & 1)  # z[i - 1] = z_i
     diagonal = np.zeros(dim)
     h_mat = np.zeros((dim, dim), dtype=complex)
     for i, j, coupling in bonds:
-        zz = z[i - 1] * z[j - 1]
+        zz = _pauli_columns((("z", i), ("z", j)), n)[1].real
         if spec.kind == "ising":
             diagonal += (coupling / 2.0) * zz
             continue
         diagonal += coupling * zz
-        flip = states[zz < 0]
-        h_mat[flip, flip ^ (1 << (n - i) | 1 << (n - j))] += 2.0 * spec.alpha
+        flip, xx = _pauli_columns((("x", i), ("x", j)), n)
+        yy = _pauli_columns((("y", i), ("y", j)), n)[1]
+        h_mat[flip, states] += spec.alpha * (xx + yy).real
     for i, c in fields:
-        diagonal += c * z[i - 1]
+        diagonal += c * _pauli_columns((("z", i),), n)[1].real
     h_mat[states, states] += diagonal
     return h_mat
 

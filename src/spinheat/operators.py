@@ -1,8 +1,8 @@
 """Pauli matrices and their embedding into tensor-product spaces.
 
-A Pauli string on the chain is written from the basis bits: each column of
-it holds one entry, in the row that flips the bits of its x, y, plus and minus
-sites.
+Sites meet basis bits here alone (site ``i`` of ``n`` is bit ``n - i``): each
+column of a Pauli string holds one entry, in the row that flips the bits of
+its x, y, plus and minus sites, and every chain operator reads these strings.
 
 Layout convention used across the package: tensor factors are ordered
 ``[left bath] (x) [site 1] (x) ... (x) [site N] (x) [right bath]``, with
@@ -41,13 +41,14 @@ def pauli(kind: str) -> np.ndarray:
     return _PAULI[_key(kind)].copy()
 
 
-@functools.lru_cache(maxsize=64)  # a few chains' boundary strings: each point asks for them again
+# every string chains of 2 to 6 sites ask for: per n, 3(n - 1) + n Hamiltonian terms (+1 for the
+# 1-3 bond at n = 3), x/y/plus/minus at both ends, 2(n - 1) spin-current pairs; 6n + 3, 136 in all
+@functools.lru_cache(maxsize=136)
 def _pauli_columns(terms: tuple[tuple[str, int], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli string ``(kind, 1-based site)`` on ``n`` sites: column ``c`` holds ``values[c]``
-    in row ``rows[c]``.  Site ``i`` is bit ``n - i`` of a basis index; x, y, plus and minus flip
-    it.  Each value multiplies the sites' factors from site 1 on, as ``kron_all`` does, so a
-    nonzero one has its bits.  The arrays are shared by every call on the same terms, and
-    read-only."""
+    in row ``rows[c]``, which flips the x, y, plus and minus sites' bits.  Each value multiplies
+    the sites' factors from site 1 on, as ``kron_all`` does, so a nonzero one has its bits.  The
+    arrays are shared by every call on the same terms, and read-only."""
     kinds = ["i"] * n
     for kind, site in terms:
         if not 1 <= site <= n:

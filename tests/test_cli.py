@@ -20,6 +20,7 @@ from spinheat.cli import (
     COLUMNS,
     ConfigError,
     PRESETS,
+    SWEEPABLE,
     build_bath,
     build_chain,
     build_parser,
@@ -304,6 +305,23 @@ def test_f_sweep_writes_the_driving_and_keeps_beta(tmp_path, capsys):
     for r in rows:
         assert r["error"] == ""
         assert abs(float(r["f_L"]) - float(r["value"])) <= 1e-15
+
+
+@pytest.mark.parametrize("command", ["sweep", "check-one-way"])
+@pytest.mark.parametrize("parameter, bath, lo, hi, reason", [
+    ("f_R", {"beta": "2", "h": "-0.5"}, "0", "1", "cannot sweep f_R to 1.0: a (beta, h) bath"),
+    ("f_L", {"beta": "0", "h": "1"}, "-0.5", "0.5", "cannot sweep f_L to -0.5: an infinite-"),
+    ("f_L", {"kind": "bosonic", "beta": "1", "omega": "1", "g": "0.5"}, "-0.5", "0.5",
+     "cannot sweep f_L to -0.5: with_f applies to spin baths"),
+], ids=["f_of_one", "infinite_temperature", "bosonic"])
+def test_an_f_sweep_the_bath_cannot_take_is_a_config_error(tmp_path, capsys, command, parameter,
+                                                          bath, lo, hi, reason):
+    cfg = dict(XXZ3, sweep={"parameter": parameter, "from": lo, "to": hi, "points": "3"},
+               inversion={"kind": "identity"})
+    cfg[f"bath_{parameter[-1]}"] = bath
+    code, out, err = run_cli([command, "--config", write_ini(tmp_path / "f.ini", cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {reason}")
 
 
 @pytest.mark.parametrize("parameter, section, pin, reason", [
@@ -644,7 +662,9 @@ _BAD = st.one_of(st.sampled_from(["abc", "1,,2", "1e", "--", "0x1"]),  # malform
 
 @st.composite
 def valid_sections(draw):
-    """A configuration every subcommand accepts, each solve small (n <= 4, n_max <= 8)."""
+    """A configuration with small solves (n <= 4, n_max <= 8).  Every subcommand accepts it,
+    except a sweep of a parameter that the chain or a bath refuses at some point: alpha on an
+    ising chain, delta beside n != 3, an f the bath cannot take (|f| = 1, a bosonic bath)."""
     n = draw(st.integers(2, 4))
     if draw(st.booleans()):
         model = {"kind": "xxz", "n": n, "alpha": draw(_NUMBERS), "Delta": draw(_NUMBERS),
@@ -662,12 +682,19 @@ def valid_sections(draw):
                                         "h": draw(_NUMBERS),
                                         "gamma": draw(st.sampled_from(["1", "0.5"]))}
     if draw(st.sampled_from([True, True, True, False])):  # check-one-way runs without
-        parameter = draw(st.sampled_from(["alpha", "gamma"] if model["kind"] == "xxz"
-                                         else ["gamma"]))
-        model.pop(parameter, None)
-        for side in "LR":
-            sections[f"bath_{side}"].pop(parameter, None)
-        sections["sweep"] = {"parameter": parameter, "from": "0.5", "to": "1.5",
+        # every sweepable name, and an f every other time: each of its points meets with_f
+        parameter = draw(st.one_of(st.sampled_from(list(SWEEPABLE)),
+                                   st.sampled_from(["f_L", "f_R"])))
+        if SWEEPABLE[parameter] is not None:  # the key sweep_grid refuses beside the sweep
+            section, key = SWEEPABLE[parameter]
+            sections[section].pop(key, None)
+        if parameter == "gamma":
+            for side in "LR":
+                sections[f"bath_{side}"].pop("gamma", None)
+        model.pop({"Delta": "bond_Delta", "delta": "bond_Delta", "h": "field"}.get(parameter), None)
+        lo, hi = ("0.5", "1.5") if parameter not in ("f_L", "f_R") else (
+            draw(st.sampled_from(["-1", "-0.5"])), draw(st.sampled_from(["0.5", "1"])))
+        sections["sweep"] = {"parameter": parameter, "from": lo, "to": hi,
                              "points": draw(st.sampled_from(["2", "3"]))}
     sections["ri"] = {"taus": draw(st.sampled_from(["1e-2,5e-3,2.5e-3", "0.1,0.05,0.02"])),
                       "n_max": draw(st.sampled_from(["4", "8"]))}

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from spinheat import (
     current_report,
     pauli,
     site_op,
+    spin_current,
     steady_for,
     two_site_op,
 )
@@ -140,6 +143,38 @@ def test_pauli_columns_are_kept_read_only():
     op = two_site_op("x", 1, "z", 3, 3)
     op[:] = 0.0
     assert_kronecker_equal(two_site_op("x", 1, "z", 3, 3), list(terms), 3)
+
+
+def test_the_strings_of_every_chain_fit_the_kept_columns():
+    # one thread asks for every string chains of 2 to 6 sites use: the Hamiltonian's terms,
+    # the boundary jumps and couplings, every bond's energy and spin current; none is dropped
+    _pauli_columns.cache_clear()
+    spin = [BathSpec(side="L", beta=1.0, h=0.8), BathSpec(side="R", beta=2.0, h=-0.5)]
+    bosonic = [BathSpec(side=side, kind="bosonic", beta=1.0, omega=1.0, g=0.4) for side in "LR"]
+    for n in range(2, 7):
+        field = tuple(0.1 * (i + 1) for i in range(n))
+        xxz = ChainSpec(kind="xxz", n=n, alpha=1.0, Delta=0.5, field=field)
+        ising = ChainSpec(kind="ising", n=n, Delta=0.5, field=field,
+                          Delta13=0.3 if n == 3 else 0.0)
+        for spec, baths in itertools.product((xxz, ising), (spin, bosonic)):
+            assert np.isfinite(current_report(spec, baths, steady_for(spec, baths)).f_energy)
+        for bond in range(1, n):
+            bond_energy(xxz, bond)
+            spin_current(xxz, np.eye(1 << n) / (1 << n), bond)
+    info = _pauli_columns.cache_info()
+    assert info.misses == info.currsize == info.maxsize
+
+
+def test_only_operators_maps_sites_to_basis_bits():
+    # a shift is how a site becomes a bit of a basis index; every other module reads the
+    # Pauli strings instead of writing that rule again
+    package = Path(__file__).resolve().parents[1] / "src" / "spinheat"
+    shifting = sorted(
+        path.name for path in package.glob("*.py") if path.name != "operators.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, (ast.LShift, ast.RShift)))
+    assert shifting == []
 
 
 def test_disjoint_support_commutes():
