@@ -11,7 +11,7 @@ from a pattern's first build, for its ``KEPT_PATTERNS`` latest patterns
 (``_Recent``, which keeps the solver's plans too); ``Liouvillian.from_jumps``
 (the collision map's of ``ri``) keeps nothing.  Both keep only the
 generator's nonzero entries, as (row, column, value) triples sorted by row,
-then column.  Conserved quantities leave most of the ``d^4``
+then column, on read-only indices.  Conserved quantities leave most of the ``d^4``
 entries zero (6144 of 1048576 for an xxz chain of 5 sites with spin baths,
 922 of 4096 for the collision map of one of 3 sites with spin units), and
 only the nonzero ones are kept.
@@ -86,9 +86,10 @@ def jump_ops(b: BathSpec, n_sites: int) -> list[np.ndarray]:
 class Liouvillian:
     """Nonzero entries of the column-stacked generator, ``vec(rho_dot) = L vec(rho)``.
 
-    Entry ``e`` is ``L[rows[e], cols[e]] = values[e]``; the entries are sorted
-    by row, then column, each once, and every other entry of the ``dim^2 x dim^2``
-    matrix is zero.  Entries that break this raise ValueError.
+    Entry ``e`` is ``L[rows[e], cols[e]] = values[e]``; the entries are sorted by row, then
+    column, each once, and every other entry of the ``dim^2 x dim^2`` matrix is zero.
+    Entries that break this raise ValueError.  Once checked, ``rows`` and ``cols`` are
+    read-only (a view is copied first) and may be shared; ``values`` stay writable.
     """
 
     rows: np.ndarray
@@ -104,9 +105,13 @@ class Liouvillian:
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
             raise ValueError(f"an entry lies outside the {n} x {n} generator")
         keys = rows * n
-        keys += cols  # in place: a refill's peak is its values and index copies
+        keys += cols  # in place: a refill's peak is its values and these keys
         if not (keys[1:] > keys[:-1]).all():
             raise ValueError("entries must be sorted by row, then column, each once")
+        for name in ("rows", "cols"):  # a view is copied: a write to its base would reach a plan
+            index = getattr(self, name)
+            object.__setattr__(self, name, index := index if index.base is None else index.copy())
+            index.flags.writeable = False
 
     @classmethod
     def from_jumps(cls, h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray) -> Liouvillian:
@@ -302,16 +307,11 @@ def _assemble(h: np.ndarray, jumps: Sequence[np.ndarray] | np.ndarray,
     del g
     np.subtract.at(values, layout.at[1], (1j * h_eff).reshape(-1)[layout.take])
     np.add.at(values, layout.at[2], (1j * h_eff.conj()).reshape(-1)[layout.take])
-    del h_eff  # a refill's peak is the values and the index copies
-    return _nonzero(layout.rows, layout.cols, values, d)
-
-
-def _nonzero(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int) -> Liouvillian:
-    """The generator of the entries whose value is nonzero, on index arrays of its own."""
+    del h_eff  # before the filter below copies the entries
     nonzero = values != 0
-    if nonzero.all():
-        return Liouvillian(rows.copy(), cols.copy(), values, d)
-    return Liouvillian(rows[nonzero], cols[nonzero], values[nonzero], d)
+    if nonzero.all():  # the generator shares the layout's index arrays
+        return Liouvillian(layout.rows, layout.cols, values, d)
+    return Liouvillian(layout.rows[nonzero], layout.cols[nonzero], values[nonzero], d)
 
 
 def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian:
@@ -320,7 +320,7 @@ def build_liouvillian(spec: ChainSpec, baths: Sequence[BathSpec]) -> Liouvillian
     Each thread keeps the entries of its ``KEPT_PATTERNS`` most recent d x d
     patterns from each one's first build on, so the points of a sweep, and
     chains that come back to a pattern, only write their values; the
-    generator's arrays are its own.
+    generators of a pattern share its read-only index arrays.
     """
     _check_sides(baths)
     return _assemble(build_hamiltonian(spec),  # the stack is this call's alone

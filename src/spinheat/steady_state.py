@@ -20,13 +20,13 @@ probe right-hand sides and the stacks themselves) is a plan, built once per
 pattern: the points of a sweep and the two chains of a one-way check share
 one pattern and only refill the stacks (analyse once, factor many, as in
 sparse direct solvers).  Each thread keeps the plans of its
-``lindblad.KEPT_PATTERNS`` most recent patterns, each with its own copy of
-``(dim, rows, cols)``, so chains that come back to a pattern reuse its plan
-too; only the latest plan keeps its stacks.  A plan takes 0.8 MiB for an
-xxz chain of 5 sites and 7.8 MiB for one of 6, of which the real stack of
-the traced block (see below) takes 0.48 and 6.5 MiB.  ``ri`` solves its
-collision generators on a plan that is dropped on return, so a collision
-fixed point keeps nothing.
+``lindblad.KEPT_PATTERNS`` most recent patterns, each on the read-only index
+arrays of its first generator, so chains that come back to a pattern reuse
+its plan too; only the latest plan keeps its stacks.  A plan takes 0.7 MiB
+for an xxz chain of 5 sites and 7.4 MiB for one of 6, of which the real
+stack of the traced block (see below) takes 0.48 and 6.5 MiB.  ``ri`` solves
+its collision generators on a plan that is dropped on return, so a
+collision fixed point keeps nothing.
 
 Every block is solved by a trace-constrained ("bordered") LU, the direct
 method of QuTiP's ``steadystate`` (Johansson, Nation and Nori, CPC 184, 1234
@@ -590,13 +590,13 @@ def solve_steady(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
 
     The work that depends on the entry pattern alone is a ``_Plan``; each
     thread keeps the plans of its ``KEPT_PATTERNS`` most recent patterns,
-    each with its own copy of ``(dim, rows, cols)``, and reuses one for a
-    generator whose pattern equals that copy.  Only the plan of the latest
+    each on the read-only index arrays of its first generator, and reuses one
+    for a generator of an equal pattern.  Only the plan of the latest
     solve keeps its stacks; another one's are made again on its next hit.
     """
     plan = _plans.find(lambda kept: kept.fits(liou))
     if plan is None:
-        plan = _plans.add(_Plan(liou.dim, liou.rows.copy(), liou.cols.copy()))
+        plan = _plans.add(_Plan(liou.dim, liou.rows, liou.cols))
     for kept in _plans.entries[1:2]:  # the stacks of the plan before go before this one's are made
         for g in kept.groups:
             g.stack = None
@@ -608,8 +608,8 @@ def _solve_once(liou: Liouvillian, tol: float = KERNEL_TOL) -> SteadyState:
 
     A collision generator can hold millions of entries; its plan, kept,
     would stay alive through the next engine build, and ``solve_steady``
-    keeps the plans of the thread's chain solves.  The plan shares the
-    generator's index arrays and goes, with its stacks, on return.
+    keeps the plans of the thread's chain solves.  The plan goes, with its
+    stacks, on return.
     """
     return _solve(liou, tol, _Plan(liou.dim, liou.rows, liou.cols))
 

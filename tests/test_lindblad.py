@@ -356,10 +356,14 @@ def test_builds_on_a_kept_layout_equal_fresh_builds():
     assert all(layout is not None for _, layout in built)
     assert built[2][1] is built[1][1] is built[0][1]  # the first build's layout, refilled
     assert [liou.rows.size for liou, _ in built[5:]] == [28, 26, 26, 28]
-    # the generator's index arrays are its own: rewriting them leaves the layout alone
-    liou, layout = built[2]
-    liou.rows[:] = 0
-    assert not np.array_equal(layout.rows, liou.rows)
+    # the builds on a kept layout hold its index arrays, which no one can rewrite
+    for liou, layout in built[:3]:
+        assert liou.rows is layout.rows and liou.cols is layout.cols
+    with pytest.raises(ValueError, match="read-only"):
+        built[2][0].rows[:] = 0
+    # a build whose entries cancel holds arrays of its own, read-only too
+    liou, layout = built[6]
+    assert liou.rows.size < layout.rows.size and not liou.rows.flags.writeable
 
 
 # general jumps with no diagonal entry, so that a Gram entry or an h_eff
@@ -618,6 +622,33 @@ def test_liouvillian_rejects_malformed_entries(case):
         values = values[:-1]
     with pytest.raises(ValueError, match=MALFORMED[case]):
         Liouvillian(rows, cols, values, liou.dim)
+
+
+def hand_built():
+    liou = build_liouvillian(ChainSpec(kind="xxz", n=2, alpha=1.0),
+                             [BathSpec(side="L", f=0.3), BathSpec(side="R", f=-0.2)])
+    return Liouvillian(liou.rows.copy(), liou.cols.copy(), liou.values.copy(), liou.dim)
+
+
+GENERATORS = {
+    "builder": lambda: build_liouvillian(ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5),
+                                         [BathSpec(side="L", f=0.3), BathSpec(side="R", f=-0.2)]),
+    "from_jumps": lambda: Liouvillian.from_jumps(np.diag([0.0, 1.0]),
+                                                 [np.array([[0.0, 1.0], [0.0, 0.0]])]),
+    "by hand": hand_built,
+}
+
+
+@pytest.mark.parametrize("make", GENERATORS)
+def test_a_checked_entry_pattern_is_read_only_and_its_values_are_not(make):
+    # a permuted pattern, written in place, would make apply wrong with no error
+    liou = GENERATORS[make]()
+    order = np.random.default_rng(3).permutation(liou.rows.size)
+    for name in ("rows", "cols"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(liou, name)[:] = getattr(liou, name)[order]
+    liou.values[:] /= 2.0  # as ri divides a collision generator's values by tau
+    assert np.array_equal(dense(liou), dense(GENERATORS[make]()) / 2.0)
 
 
 @pytest.mark.parametrize("length", [63, 100])

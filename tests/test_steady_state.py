@@ -1028,13 +1028,46 @@ def decay_and_pump():
 
 
 @pytest.mark.parametrize("pair", [mirrored_chains, decay_and_pump])
-def test_entries_rewritten_in_place_are_solved_afresh(pair):
+def test_a_pattern_is_fixed_and_another_of_as_many_entries_is_solved_afresh(pair):
+    # the entries of a solved generator cannot be rewritten in place to the
+    # other pattern; the other generator, solved next, takes a plan of its own
     a, b = pair()
     assert a.rows.size == b.rows.size and not np.array_equal(a.cols, b.cols)
     expected = in_new_thread(solve_outcome, b)
     assert solve_outcome(a) != expected
-    a.rows[:], a.cols[:], a.values[:] = b.rows, b.cols, b.values
-    assert solve_outcome(a) == expected
+    with pytest.raises(ValueError, match="read-only"):
+        a.rows[:], a.cols[:] = b.rows, b.cols
+    assert solve_outcome(b) == expected
+    assert steady_state._plans.entries[0].cols is b.cols
+
+
+def test_a_kept_pattern_holds_one_pair_of_index_arrays():
+    # the layout, every generator built on it and the plan share rows and cols
+    spec = ChainSpec(kind="xxz", n=4, alpha=1.0, Delta=0.5, h=0.1)
+    seen = in_new_thread(visit, [(spec, SPIN_PAIR), (replace(spec, Delta=0.8), SPIN_PAIR)])
+    (a, _, layout, plan), (b, *_) = seen
+    assert seen[1][2] is layout and seen[1][3] is plan
+    assert a.rows is b.rows is layout.rows is plan.rows
+    assert a.cols is b.cols is layout.cols is plan.cols
+    for index in (a.rows, a.cols):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+
+
+def test_index_views_are_copied_so_a_write_to_their_base_leaves_the_plan_alone():
+    built = build_liouvillian(ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5), SPIN_PAIR)
+    expected = in_new_thread(solve_outcome, built)
+
+    def solve_write_solve():
+        rows, cols = built.rows.copy(), built.cols.copy()
+        liou = Liouvillian(rows[:], cols[:], built.values, built.dim)
+        first = solve_outcome(liou)
+        plan = steady_state._plans.entries[0]
+        rows[:], cols[:] = rows[::-1], 0  # the bases stay writable
+        again = solve_outcome(Liouvillian(built.rows, built.cols, built.values, built.dim))
+        return first, again, steady_state._plans.entries[0] is plan, plan.rows is liou.rows
+
+    assert in_new_thread(solve_write_solve) == (expected, expected, True, True)
 
 
 def test_threads_solving_in_turn_match_the_serial_solves():
