@@ -12,7 +12,9 @@ presets list   show the built-in scenario presets
 Configuration is INI-style with sections [model], [bath_L], [bath_R],
 [sweep], [ri], [inversion].  A preset supplies base sections; --config
 overlays individual keys on top (an empty value deletes a key).  Keys are
-case sensitive (Delta and delta are different parameters).
+case sensitive (Delta and delta are different parameters), and values are
+read as written, with no ``%`` interpolation.  A spin bath takes beta, h,
+gamma, f; a bosonic bath beta, omega, g; a key of the other kind is refused.
 
 Exit codes: 0 success, 2 configuration error (a malformed config file and an
 output file that cannot be written included), 3 solver failure (for sweep,
@@ -60,7 +62,8 @@ COLUMNS = (
 )
 
 _MODEL_KEYS = {"kind", "n", "alpha", "Delta", "delta", "h", "field", "bond_Delta", "Delta13"}
-_BATH_KEYS = {"kind", "beta", "h", "gamma", "f", "omega", "g"}
+_BATH_KIND_KEYS = {"spin": ("beta", "h", "gamma", "f"), "bosonic": ("beta", "omega", "g")}
+_BATH_KEYS = {"kind", *_BATH_KIND_KEYS["spin"], *_BATH_KIND_KEYS["bosonic"]}
 _SWEEP_KEYS = {"parameter", "from", "to", "points"}
 # checked as before, then ignored with a note: the collision fixed point is
 # solved, not iterated, so a well-formed old config still runs and a malformed
@@ -199,7 +202,7 @@ def load_config(preset: str | None, config_path: str | None) -> dict[str, dict[s
     else:
         merged = {}
     if config_path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # values are read as written
         parser.optionxform = str  # Delta and delta are distinct keys
         try:
             read = parser.read(config_path)
@@ -273,7 +276,12 @@ def build_bath(cfg: dict[str, dict[str, str]], side: str) -> BathSpec:
         raise ConfigError(f"missing [{name}] section")
     kind = sec.get("kind", "spin")
     kwargs = {"side": side, "kind": kind}
-    for key in ("beta", "h", "gamma", "f", "omega", "g"):
+    own = _BATH_KIND_KEYS.get(kind, ())  # an unknown kind is refused by BathSpec
+    stray = [key for key in sec if key not in ("kind", *own)]
+    if own and stray:
+        raise ConfigError(f"key '{stray[0]}' in [{name}] does not apply to a {kind} bath; "
+                          "remove it (set it empty in the overlay)")
+    for key in own:
         if key in sec:
             kwargs[key] = _get_number(sec, key, name)
     try:
@@ -310,7 +318,16 @@ def sweep_grid(cfg: dict[str, dict[str, str]]) -> tuple[str, np.ndarray]:
                 f"swept parameter '{parameter}' is also fixed as [{section}] {key}; "
                 "remove the fixed value (set it empty in the overlay)"
             )
+    bosonic = {side for side in "LR" if cfg.get(f"bath_{side}", {}).get("kind") == "bosonic"}
+    if parameter in ("h_L", "h_R") and parameter[-1] in bosonic:
+        raise ConfigError(
+            f"sweeping '{parameter}' has no effect on the bosonic [bath_{parameter[-1]}]"
+        )
     if parameter == "gamma":
+        if len(bosonic) == 2:
+            raise ConfigError(
+                "sweeping 'gamma' has no effect between bosonic baths, whose rates g fixes"
+            )
         for side in ("L", "R"):
             if "gamma" in cfg.get(f"bath_{side}", {}):
                 raise ConfigError(
@@ -342,9 +359,11 @@ def point_config(
         if target is not None:
             section, key = target
             cfg.setdefault(section, {})[key] = repr(float(value))
-        elif parameter == "gamma":
+        elif parameter == "gamma":  # the spin baths' rate: a bosonic bath's is fixed by g
             for side in ("L", "R"):
-                cfg.setdefault(f"bath_{side}", {})["gamma"] = repr(float(value))
+                bath = cfg.setdefault(f"bath_{side}", {})
+                if bath.get("kind", "spin") == "spin":
+                    bath["gamma"] = repr(float(value))
     spec = build_chain(cfg)
     baths = [build_bath(cfg, "L"), build_bath(cfg, "R")]
     if parameter in ("f_L", "f_R"):

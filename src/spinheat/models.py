@@ -119,7 +119,9 @@ class BathSpec:
     """One boundary reservoir.
 
     Spin baths: give ``(beta, h)``, or ``f`` alone when only the driving
-    polarization matters.  Bosonic baths: give ``beta``, ``omega``, ``g``.
+    polarization matters, and a rate ``gamma``.  Bosonic baths: give ``beta``,
+    ``omega``, ``g``.  ``omega`` or ``g`` on a spin bath, and ``h`` or ``f`` on
+    a bosonic one, raise ValueError.
     Numbers must be finite: a zero-temperature bath is a large finite ``beta``.
     """
 
@@ -152,6 +154,8 @@ class BathSpec:
                     raise ValueError("driving polarization f must lie in [-1, 1]")
             elif self.beta is None or self.h is None:
                 raise ValueError("a spin bath needs (beta, h), or f directly")
+            if self.omega is not None or self.g is not None:
+                raise ValueError("omega and g apply to bosonic baths only")
         else:
             if self.omega is None or self.omega <= 0:
                 raise ValueError("a bosonic bath needs omega > 0")
@@ -159,8 +163,8 @@ class BathSpec:
                 raise ValueError("a bosonic bath needs a coupling g")
             if self.beta is None or self.beta <= 0:
                 raise ValueError("a bosonic bath needs beta > 0")
-            if self.f is not None:
-                raise ValueError("f applies to spin baths only")
+            if self.f is not None or self.h is not None:
+                raise ValueError("f and h apply to spin baths only")
 
     @property
     def decomposable(self) -> bool:

@@ -175,7 +175,6 @@ def test_steady_hopping_free_xxz_chain(tmp_path, capsys):
     pytest.param("[model]\nn = 3\nn = 4\n", id="duplicate-option"),
     pytest.param("n = 3\n[model]\nalpha = 1\n", id="missing-section-header"),
     pytest.param("[model]\nn = 3\nnot a key value line\n", id="unparsable-line"),
-    pytest.param("[model]\nDelta = 50%\n", id="bad-interpolation"),
 ])
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "malformed.ini"
@@ -184,6 +183,19 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
     assert code == 2
     assert err.startswith("config error: malformed config file") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("model", "Delta = 50%", "Delta"),
+    ("bath_L", "beta = 1\nh = %(beta)s", "h"),  # interpolated, it would read as h = 1
+], ids=["bad-interpolation", "interpolation"])
+def test_values_are_read_as_written(tmp_path, capsys, section, line, key):
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code, out, err = run_cli(["steady", "--preset", "eq16", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: key '{key}' in [{section}] is not a number: ")
+    assert line.split(" = ")[-1] in err
 
 
 def test_config_file_that_is_not_text_is_a_config_error(tmp_path, capsys):
@@ -336,6 +348,58 @@ def test_sweep_refuses_a_parameter_another_key_pins(tmp_path, capsys, parameter,
     code, out, err = run_cli(["sweep", "--config", write_ini(tmp_path / "pin.ini", cfg)], capsys)
     assert code == 2 and out == ""
     assert reason in err
+
+
+ISING2_BOSONIC = {
+    "model": {"kind": "ising", "n": "2", "field": "0.6,0.9", "Delta": "0.8"},
+    "bath_L": {"kind": "bosonic", "beta": "1", "omega": "1", "g": "0.4"},
+    "bath_R": {"kind": "bosonic", "beta": "2", "omega": "1.3", "g": "0.3"},
+}
+
+
+@pytest.mark.parametrize("command, cfg, reason", [
+    ("sweep", dict(ISING2_BOSONIC, sweep={"parameter": "gamma", "from": "0.5", "to": "1.5",
+                                          "points": "3"}),
+     "sweeping 'gamma' has no effect between bosonic baths"),
+    ("sweep", dict(ISING2_BOSONIC, sweep={"parameter": "h_L", "from": "0.5", "to": "1.5",
+                                          "points": "3"}),
+     "sweeping 'h_L' has no effect on the bosonic [bath_L]"),
+    ("check-one-way", dict(XXZ3, bath_R={"kind": "bosonic", "beta": "2", "omega": "1", "g": "0.3"},
+                           sweep={"parameter": "h_R", "from": "0.5", "to": "1.5", "points": "3"},
+                           inversion={"kind": "identity"}),
+     "sweeping 'h_R' has no effect on the bosonic [bath_R]"),
+    ("steady", dict(XXZ3, bath_L={"beta": "1", "h": "1", "omega": "7", "g": "3"}),
+     "key 'omega' in [bath_L] does not apply to a spin bath"),
+    ("steady", dict(ISING2_BOSONIC, bath_R={**ISING2_BOSONIC["bath_R"], "h": "9", "gamma": "4"}),
+     "key 'h' in [bath_R] does not apply to a bosonic bath"),
+], ids=["gamma-sweep", "h_L-sweep", "h_R-check", "spin-omega-g", "bosonic-h-gamma"])
+def test_a_bath_key_that_does_nothing_is_refused(tmp_path, capsys, command, cfg, reason):
+    # each ran before and ignored the key: a sweep printed the same row at every point
+    code, out, err = run_cli([command, "--config", write_ini(tmp_path / "keys.ini", cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and reason in err
+
+
+def test_an_overlay_empties_the_keys_of_the_kind_it_leaves():
+    # a spin preset bath turned bosonic keeps h and gamma unless the overlay
+    # empties them, as the message says
+    cfg = load_config("eq16", None)
+    cfg["bath_R"].update(kind="bosonic", omega="1", g="0.3")
+    with pytest.raises(ConfigError, match="key 'h' in \\[bath_R\\] does not apply to a bosonic bath; "
+                                          "remove it \\(set it empty in the overlay\\)"):
+        build_bath(cfg, "R")
+    for key in ("h", "gamma"):
+        del cfg["bath_R"][key]
+    assert build_bath(cfg, "R").kind == "bosonic"
+
+
+def test_a_gamma_sweep_beside_a_bosonic_bath_sets_the_spin_bath_alone():
+    cfg = dict(XXZ3, bath_R={"kind": "bosonic", "beta": "2", "omega": "1", "g": "0.3"},
+               sweep={"parameter": "gamma", "from": "0.2", "to": "1.4", "points": "3"})
+    parameter, grid = sweep_grid(cfg)
+    for value in grid:
+        _, (left, right) = point_config(cfg, parameter, value)
+        assert (left.gamma, right.gamma) == (value, 1.0)
 
 
 def test_build_chain_and_bath_from_strings():
@@ -664,7 +728,9 @@ _BAD = st.one_of(st.sampled_from(["abc", "1,,2", "1e", "--", "0x1"]),  # malform
 def valid_sections(draw):
     """A configuration with small solves (n <= 4, n_max <= 8).  Every subcommand accepts it,
     except a sweep of a parameter that the chain or a bath refuses at some point: alpha on an
-    ising chain, delta beside n != 3, an f the bath cannot take (|f| = 1, a bosonic bath)."""
+    ising chain, delta beside n != 3, an f the bath cannot take (|f| = 1, a bosonic bath), h_L
+    or h_R over a bosonic bath, gamma between two bosonic baths; and except a bath that now
+    and then holds a key of the other kind."""
     n = draw(st.integers(2, 4))
     if draw(st.booleans()):
         model = {"kind": "xxz", "n": n, "alpha": draw(_NUMBERS), "Delta": draw(_NUMBERS),
@@ -681,6 +747,9 @@ def valid_sections(draw):
             sections[f"bath_{side}"] = {"beta": draw(st.sampled_from(["1", "2", "50"])),
                                         "h": draw(_NUMBERS),
                                         "gamma": draw(st.sampled_from(["1", "0.5"]))}
+        if draw(st.sampled_from([False] * 7 + [True])):  # refused as a key that does nothing
+            other = ["h", "gamma"] if "omega" in sections[f"bath_{side}"] else ["omega", "g"]
+            sections[f"bath_{side}"][draw(st.sampled_from(other))] = draw(_NUMBERS)
     if draw(st.sampled_from([True, True, True, False])):  # check-one-way runs without
         # every sweepable name, and an f every other time: each of its points meets with_f
         parameter = draw(st.one_of(st.sampled_from(list(SWEEPABLE)),

@@ -220,6 +220,19 @@ def test_bath_validation():
         BathSpec(side="L", kind="bosonic", beta=1.0, omega=1.0, g=0.5, f=0.1)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"beta": 1.0, "h": 0.5, "omega": 7.0}, "omega and g apply to bosonic baths only"),
+    ({"f": 0.3, "g": 3.0}, "omega and g apply to bosonic baths only"),
+    ({"kind": "bosonic", "beta": 1.0, "omega": 1.0, "g": 0.5, "h": 9.0},
+     "f and h apply to spin baths only"),
+], ids=["spin-omega", "f-only-g", "bosonic-h"])
+def test_a_key_of_the_other_bath_kind_is_refused(kwargs, match):
+    # unrefused, nothing would read it: the rates of a spin bath come from
+    # (beta, h) or f and gamma, those of a bosonic bath from (beta, omega, g)
+    with pytest.raises(ValueError, match=match):
+        BathSpec(side="L", **kwargs)
+
+
 def test_spin_bath_accepts_negative_beta():
     # population inversion is physical for a two-level reservoir
     b = BathSpec(side="L", beta=-0.5, h=1.0)
