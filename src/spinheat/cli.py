@@ -431,23 +431,6 @@ def write_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out: str | 
             raise ConfigError(f"cannot write output '{out}': {exc.strerror or exc}") from None
 
 
-def _run_grid(points: list[tuple], tol: float, jobs: int) -> list[dict]:
-    """One row per ``(value, spec, baths)`` point, ``jobs`` points at a time, in point order."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-
-    def one(point: tuple) -> dict:
-        value, spec, baths = point
-        return evaluate_point(spec, baths, value, tol)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, points))  # map preserves point order
-    return [one(p) for p in points]
-
-
 # -- inversions ---------------------------------------------------------------
 
 
@@ -517,7 +500,8 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.preset, args.config)
     parameter, grid = sweep_grid(cfg)
     tol = _kernel_tol(args)
-    rows = _run_grid([(v, *point_config(cfg, parameter, v)) for v in grid], tol, args.jobs)
+    points = [(v, *point_config(cfg, parameter, v)) for v in grid]  # every point checked first
+    rows = [evaluate_point(spec, baths, v, tol) for v, spec, baths in points]
     write_rows(rows, COLUMNS, args.format, args.out)
     if all(r["error"] for r in rows):
         print(f"solver failure: every point failed; at {parameter}={_fmt(rows[0]['value'])}: "
@@ -543,7 +527,7 @@ def cmd_check_one_way(args) -> int:
     else:
         parameter, points = None, [(None, *point_config(cfg))]
     flipped = [(v, spec, inverted_baths(baths, inv)) for v, spec, baths in points]
-    solved = _run_grid(points + flipped, KERNEL_TOL, args.jobs)
+    solved = [evaluate_point(spec, baths, v, KERNEL_TOL) for v, spec, baths in points + flipped]
 
     rows = []
     for base, other in zip(solved[:len(points)], solved[len(points):]):
@@ -639,9 +623,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", metavar="NAME", help="scenario preset name (see 'presets list')")
     parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="sweep/check-one-way: points evaluated concurrently (output stays in "
-                             "grid order); steady and ri-converge evaluate one point")
     parser.add_argument("--tol", type=float, default=None, metavar="X",
                         help="steady/sweep/ri-converge: kernel tolerance; check-one-way: "
                              "invariance tolerance (default 1e-10)")

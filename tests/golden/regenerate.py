@@ -85,12 +85,12 @@ CASES: dict[str, tuple[list[str], str | None]] = {
 }
 
 
-def run_case(name: str, extra: tuple[str, ...] = ()) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one case run in process, ``extra`` arguments appended."""
+def run_case(name: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one case run in process."""
     argv, overlay = CASES[name]
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [*argv, *extra]
+        argv = list(argv)
         if overlay is not None:
             config = Path(tmp) / "overlay.ini"
             config.write_text(overlay)

@@ -6,6 +6,8 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -89,20 +91,15 @@ def test_steady_json_format(capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "check-one-way"])
-def test_sweep_deterministic_and_parallel_identical(tmp_path, capsys, command):
+def test_sweep_repeat_runs_are_identical(tmp_path, capsys, command):
     cfg = tmp_path / "small.ini"
     cfg.write_text("[sweep]\npoints = 7\n[inversion]\nkind = flip_f\n")
     args = [command, "--preset", "eq16", "--config", str(cfg), "--format", "json"]
-    outs = []
-    for jobs in ("1", "4"):
-        code, out, err = run_cli(args + ["--jobs", jobs], capsys)
-        assert code == 0
-        outs.append((out, err))
-    assert outs[0] == outs[1]
-    assert len(json.loads(outs[0][0])) == 7
-    # and a repeat run is bit-identical
-    code, again, err = run_cli(args, capsys)
-    assert (again, err) == outs[0]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    assert len(json.loads(out)) == 7
+    # a repeat run is bit-identical
+    assert run_cli(args, capsys) == (code, out, err)
 
 
 def test_sweep_writes_file(tmp_path, capsys):
@@ -684,20 +681,24 @@ def test_check_one_way_accepts_zero_tol(tmp_path, capsys):
     assert "invariant within 0" in err
 
 
-@pytest.mark.parametrize("command, jobs", [
-    pytest.param("sweep", "0", id="0"),
-    pytest.param("sweep", "-3", id="-3"),
-    pytest.param("check-one-way", "0", id="check-one-way-0"),
-    pytest.param("check-one-way", "-3", id="check-one-way--3"),
-])
-def test_sweep_jobs_must_be_at_least_one(tmp_path, capsys, command, jobs):
-    cfg = tmp_path / "small.ini"
-    cfg.write_text(RI_CHAIN + "[sweep]\nparameter = Delta\nfrom = 0\nto = 1\npoints = 2\n"
-                   "[inversion]\nkind = flip_f\n")
-    code, out, err = run_cli([command, "--config", str(cfg), "--jobs", jobs], capsys)
-    assert code == 2
-    assert "config error:" in err and "--jobs" in err
-    assert out == ""
+@pytest.mark.parametrize("command", ["sweep", "check-one-way"])
+def test_jobs_is_not_an_option(capsys, command):
+    # every grid point is evaluated in the calling thread, in grid order
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "fig4", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # a flag removed or renamed in the parser cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```\w*\n(.*?)```", readme, flags=re.S)
+             for line in block.splitlines() if line.startswith("spinheat ")]
+    assert len(lines) >= 6
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert getattr(args, "preset", None) in (None, *PRESETS), line
 
 
 def test_command_required():
@@ -827,11 +828,10 @@ def command_lines(draw):
     if preset is not None:  # under the overlay
         args += ["--preset", preset]
     args += draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
-    args += draw(st.sampled_from([[], ["--jobs", "2"]]))
     if fault == "solver":  # no kernel at a tolerance of 1e-300; check-one-way's --tol is another
         args += ["--tol", "1e-300"]
     if fault == "flag":
-        args += draw(st.sampled_from([["--tol", "nan"], ["--tol", "-1"], ["--jobs", "0"],
+        args += draw(st.sampled_from([["--tol", "nan"], ["--tol", "-1"], ["--jobs", "2"],
                                       ["--preset", "nope"]]))
     text = draw(config_texts(sections, faulty=fault == "text"))
     bosonic = "boson" in (preset or "") or any(
@@ -844,7 +844,8 @@ def command_lines(draw):
 @given(case=command_lines())
 def test_every_command_line_exits_by_the_contract(case):
     # any drawn input ends in a documented exit code, never a traceback, and
-    # a refused configuration or a solver failure says so on stderr
+    # a refused configuration or a solver failure says so on stderr; an unknown
+    # flag is argparse's usage error, exit 2
     commands, args, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.ini"
@@ -852,7 +853,11 @@ def test_every_command_line_exits_by_the_contract(case):
         for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, *args, "--config", str(path)])
+                try:
+                    code = main([command, *args, "--config", str(path)])
+                except SystemExit as exc:
+                    assert exc.code == 2 and "unrecognized arguments" in err.getvalue(), command
+                    continue
             assert code in (0, 2, 3, 4), command
             if code == 2:
                 assert err.getvalue().startswith("config error:"), command

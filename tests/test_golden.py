@@ -32,16 +32,6 @@ def test_cli_output_matches_the_golden_file(name):
     assert_golden(name, run_case(name))
 
 
-def test_two_jobs_match_the_golden_file():
-    assert_golden("sweep_fig4", run_case("sweep_fig4", ("--jobs", "2")))
-
-
-def test_check_one_way_at_two_jobs_matches_the_golden_file():
-    # the base and the inverted chains are solved in two threads, each on its own kept plan
-    name = "check_one_way_json_eq16_flip_f"
-    assert_golden(name, run_case(name, ("--jobs", "2")))
-
-
 # the cases that solve chains (ri-converge solves collision maps, which keep nothing)
 CHAIN_CASES = [name for name, (argv, _) in CASES.items()
                if argv[0] in ("steady", "sweep", "check-one-way")]
