@@ -119,9 +119,9 @@ class BathSpec:
     """One boundary reservoir.
 
     Spin baths: give ``(beta, h)``, or ``f`` alone when only the driving
-    polarization matters, and a rate ``gamma``.  Bosonic baths: give ``beta``,
-    ``omega``, ``g``.  ``omega`` or ``g`` on a spin bath, and ``h`` or ``f`` on
-    a bosonic one, raise ValueError.
+    polarization matters, and a rate ``gamma`` (1.0 when not given).  Bosonic
+    baths: give ``beta``, ``omega``, ``g``.  ``omega`` or ``g`` on a spin bath,
+    and ``h``, ``f`` or ``gamma`` on a bosonic one, raise ValueError.
     Numbers must be finite: a zero-temperature bath is a large finite ``beta``.
     """
 
@@ -129,7 +129,7 @@ class BathSpec:
     kind: str = "spin"
     beta: float | None = None
     h: float | None = None
-    gamma: float = 1.0
+    gamma: float | None = None
     omega: float | None = None
     g: float | None = None
     f: float | None = None
@@ -145,7 +145,9 @@ class BathSpec:
             # beta may be negative: a two-level bath supports population
             # inversion, and some driving polarizations f are reachable from a
             # given field sign only that way
-            if self.gamma < 0:
+            if self.gamma is None:
+                object.__setattr__(self, "gamma", 1.0)
+            elif self.gamma < 0:
                 raise ValueError("spin bath coupling gamma must be >= 0")
             if self.f is not None:
                 if self.beta is not None or self.h is not None:
@@ -165,6 +167,8 @@ class BathSpec:
                 raise ValueError("a bosonic bath needs beta > 0")
             if self.f is not None or self.h is not None:
                 raise ValueError("f and h apply to spin baths only")
+            if self.gamma is not None:
+                raise ValueError("gamma applies to spin baths only; g sets a bosonic bath's rates")
 
     @property
     def decomposable(self) -> bool:

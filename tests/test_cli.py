@@ -396,7 +396,7 @@ def test_a_gamma_sweep_beside_a_bosonic_bath_sets_the_spin_bath_alone():
     parameter, grid = sweep_grid(cfg)
     for value in grid:
         _, (left, right) = point_config(cfg, parameter, value)
-        assert (left.gamma, right.gamma) == (value, 1.0)
+        assert (left.gamma, right.gamma) == (value, None)  # a bosonic bath has no gamma
 
 
 def test_build_chain_and_bath_from_strings():

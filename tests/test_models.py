@@ -225,7 +225,9 @@ def test_bath_validation():
     ({"f": 0.3, "g": 3.0}, "omega and g apply to bosonic baths only"),
     ({"kind": "bosonic", "beta": 1.0, "omega": 1.0, "g": 0.5, "h": 9.0},
      "f and h apply to spin baths only"),
-], ids=["spin-omega", "f-only-g", "bosonic-h"])
+    ({"kind": "bosonic", "beta": 1.0, "omega": 1.0, "g": 0.4, "gamma": 4.0},
+     "gamma applies to spin baths only"),
+], ids=["spin-omega", "f-only-g", "bosonic-h", "bosonic-gamma"])
 def test_a_key_of_the_other_bath_kind_is_refused(kwargs, match):
     # unrefused, nothing would read it: the rates of a spin bath come from
     # (beta, h) or f and gamma, those of a bosonic bath from (beta, omega, g)
