@@ -530,6 +530,26 @@ def test_entry_without_mirror_below_the_bound_joins_the_blocks():
     assert np.max(np.abs(state.rho - np.diag([1.0, 0.0]))) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-16, 1e-12])
+def test_a_chain_entry_without_mirror_is_lone_and_refused_above_the_bound(scale):
+    # |0><1| feeds |0><0| at scale * max|L|, and |1><0| does not feed it: the
+    # plan marks the entry lone, and its defect is the entry itself
+    liou = build_liouvillian(ChainSpec(kind="xxz", n=2, alpha=1.0), SPIN_PAIR)
+    n = liou.dim ** 2
+    at = np.searchsorted(liou.rows * n + liou.cols, 1)  # entry (0, 1), mirror (0, 4)
+    assert not ({1, 4} & set(liou.rows * n + liou.cols))
+    added = Liouvillian(np.insert(liou.rows, at, 0), np.insert(liou.cols, at, 1),
+                        np.insert(liou.values, at, scale * np.abs(liou.values).max()), liou.dim)
+    assert int(_Plan(added.dim, added.rows, added.cols).lone.sum()) == 1
+    if scale > HERMITICITY_BOUND:
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            solve_steady(added)
+        return
+    state = solve_steady(added)
+    assert state.solver == "bordered"
+    assert np.max(np.abs(state.rho - solve_steady(liou).rho)) < 1e-15
+
+
 def lu_sizes(solve, liou):
     """``solve(liou)`` and the size and dtype kind of each matrix its LUs factored, sorted."""
     seen = []
