@@ -532,12 +532,12 @@ def test_entry_without_mirror_below_the_bound_joins_the_blocks():
 
 @pytest.mark.parametrize("scale", [1e-16, 1e-12])
 def test_a_chain_entry_without_mirror_is_lone_and_refused_above_the_bound(scale):
-    # |0><1| feeds |0><0| at scale * max|L|, and |1><0| does not feed it: the
-    # plan marks the entry lone, and its defect is the entry itself
+    # |1><0| feeds |0><0| at scale * max|L|, and its mirror |0><1| does not:
+    # the plan marks the entry lone, and its defect is the entry itself
     liou = build_liouvillian(ChainSpec(kind="xxz", n=2, alpha=1.0), SPIN_PAIR)
-    n = liou.dim ** 2
-    at = np.searchsorted(liou.rows * n + liou.cols, 1)  # entry (0, 1), mirror (0, 4)
-    assert not ({1, 4} & set(liou.rows * n + liou.cols))
+    keys = liou.rows * liou.dim ** 2 + liou.cols
+    assert not ({1, 4} & set(keys))  # entry (0, 1) and its mirror (0, 4) are absent
+    at = np.searchsorted(keys, 1)
     added = Liouvillian(np.insert(liou.rows, at, 0), np.insert(liou.cols, at, 1),
                         np.insert(liou.values, at, scale * np.abs(liou.values).max()), liou.dim)
     assert int(_Plan(added.dim, added.rows, added.cols).lone.sum()) == 1
