@@ -16,10 +16,11 @@ case sensitive (Delta and delta are different parameters), and values are
 read as written, with no ``%`` interpolation.  A spin bath takes beta, h,
 gamma, f; a bosonic bath beta, omega, g; a key of the other kind is refused.
 
-Exit codes: 0 success, 2 configuration error (a malformed config file and an
-output file that cannot be written included), 3 solver failure (for sweep,
-of every point), 4 invariance check failed beyond tolerance.  On exit 2 and 3
-stderr starts with "config error:" and "solver failure:".
+Exit codes, all set by ``main``: 0 success (``--help`` included), 2
+configuration error (a refused command line, a malformed config file and an
+unwritable output file included), 3 solver failure (for sweep, of every
+point), 4 invariance check failed beyond tolerance.  On exit 2 and 3 stderr
+starts with "config error:" and "solver failure:".
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .bathops import TruncationError
 from .currents import current_report
-from .linalg import DimensionLimitError, KERNEL_TOL, KernelError, trace_distance
+from .linalg import KERNEL_TOL, KernelError, trace_distance
 from .models import BathSpec, ChainSpec, bath_f, with_f
 from .ri import RIConfig, ri_fixed_point, ri_rates
 from .steady_state import steady_for
@@ -443,30 +444,27 @@ def inverted_baths(baths: list[BathSpec], inv: dict[str, str]) -> list[BathSpec]
         return list(baths)
     if any(b.kind != "spin" for b in baths):
         raise ConfigError("bath inversions are defined for spin baths only")
-    if kind in ("flip_f", "flip_h"):  # f = -tanh(beta h / 2) flips with h
-        return [replace(b, h=-b.h) for b in baths]
     by_side = {b.side: b for b in baths}
-    if kind == "kappa_swap":
+    bl, br = by_side["L"], by_side["R"]
+    if kind in ("flip_f", "flip_h"):  # f = -tanh(beta h / 2) flips with h
+        new = [{"h": -bl.h}, {"h": -br.h}]
+    elif kind == "kappa_swap":
         kappa_L = _get_number(inv, "kappa_L", "inversion")
         kappa_R = _get_number(inv, "kappa_R", "inversion")
         if kappa_L <= 0 or kappa_R <= 0:
             raise ConfigError("kappa_L and kappa_R must be positive")
-        bl, br = by_side["L"], by_side["R"]
-        return [
-            replace(bl, beta=kappa_R * br.beta, h=br.h / kappa_R),
-            replace(br, beta=kappa_L * bl.beta, h=bl.h / kappa_L),
-        ]
-    if kind == "custom":
-        bl, br = by_side["L"], by_side["R"]
-        def pick(key: str, default: float) -> float:
-            return _get_number(inv, key, "inversion") if key in inv else default
-
-        new_l = replace(bl, beta=pick("beta_L", bl.beta), h=pick("h_L", bl.h))
-        new_r = replace(br, beta=pick("beta_R", br.beta), h=pick("h_R", br.h))
-        return [new_l, new_r]
-    raise ConfigError(
-        f"unknown inversion kind {kind!r}; use identity, flip_f, flip_h, kappa_swap, or custom"
-    )
+        new = [{"beta": kappa_R * br.beta, "h": br.h / kappa_R},
+               {"beta": kappa_L * bl.beta, "h": bl.h / kappa_L}]
+    elif kind == "custom":
+        new = [{key: _get_number(inv, f"{key}_{b.side}", "inversion")
+                for key in ("beta", "h") if f"{key}_{b.side}" in inv} for b in (bl, br)]
+    else:
+        raise ConfigError(f"unknown inversion kind {kind!r}; use identity, flip_f, flip_h, "
+                          "kappa_swap, or custom")
+    try:
+        return [replace(bl, **new[0]), replace(br, **new[1])]
+    except ValueError as exc:
+        raise ConfigError(f"invalid [inversion]: {exc}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -477,36 +475,25 @@ DEVIATION_COLUMNS = (
 )
 
 
-def _kernel_tol(args) -> float:
-    """The ``--tol`` kernel tolerance, ``KERNEL_TOL`` when absent; finite and > 0."""
-    tol = args.tol if args.tol is not None else KERNEL_TOL
-    if not 0 < tol < np.inf:
-        raise ConfigError(f"--tol must be a finite number > 0, got {tol!r}")
-    return tol
-
-
 def cmd_steady(args) -> int:
     cfg = load_config(args.preset, args.config)
     spec, baths = point_config(cfg)
-    row = evaluate_point(spec, baths, None, _kernel_tol(args))
+    row = evaluate_point(spec, baths, None, args.tol)
     write_rows([row], COLUMNS, args.format, args.out)
     if row["error"]:
-        print(f"solver failure: {row['error']}", file=sys.stderr)
-        return 3
+        raise KernelError(row["error"])
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.preset, args.config)
     parameter, grid = sweep_grid(cfg)
-    tol = _kernel_tol(args)
     points = [(v, *point_config(cfg, parameter, v)) for v in grid]  # every point checked first
-    rows = [evaluate_point(spec, baths, v, tol) for v, spec, baths in points]
+    rows = [evaluate_point(spec, baths, v, args.tol) for v, spec, baths in points]
     write_rows(rows, COLUMNS, args.format, args.out)
     if all(r["error"] for r in rows):
-        print(f"solver failure: every point failed; at {parameter}={_fmt(rows[0]['value'])}: "
-              f"{rows[0]['error']}", file=sys.stderr)
-        return 3
+        raise KernelError(f"every point failed; at {parameter}={_fmt(rows[0]['value'])}: "
+                          f"{rows[0]['error']}")
     return 0
 
 
@@ -518,9 +505,6 @@ def cmd_check_one_way(args) -> int:
             "check-one-way needs an [inversion] section "
             "(kind = identity | flip_f | flip_h | kappa_swap | custom)"
         )
-    tol = args.tol if args.tol is not None else 1e-10
-    if not 0 <= tol < np.inf:
-        raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
     if "sweep" in cfg:
         parameter, grid = sweep_grid(cfg)
         points = [(v, *point_config(cfg, parameter, v)) for v in grid]
@@ -544,13 +528,13 @@ def cmd_check_one_way(args) -> int:
     for key in DEVIATION_COLUMNS[3:]:
         peak = max(r[key] for r in rows)
         print(f"max |{key[1:]} change| = {_fmt(peak)}", file=sys.stderr)
-    if max_df > tol:
+    if max_df > args.tol:
         print(
-            f"energy current not invariant: max |dF| = {_fmt(max_df)} > tol {_fmt(tol)}",
+            f"energy current not invariant: max |dF| = {_fmt(max_df)} > tol {_fmt(args.tol)}",
             file=sys.stderr,
         )
         return 4
-    print(f"energy current invariant within {_fmt(tol)}", file=sys.stderr)
+    print(f"energy current invariant within {_fmt(args.tol)}", file=sys.stderr)
     return 0
 
 
@@ -574,20 +558,19 @@ def cmd_ri_converge(args) -> int:
         raise ConfigError("ri-converge needs at least 3 tau values ([ri] taus)")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("[ri] taus must be strictly decreasing")
-    tol = _kernel_tol(args)
     n_max = _get_number(ri_sec, "n_max", "ri", int) if "n_max" in ri_sec else None
     try:
         ri_cfgs = [RIConfig(tau=tau, n_max=n_max) for tau in taus]
     except ValueError as exc:
         raise ConfigError(f"invalid [ri]: {exc}") from None
 
-    reference = steady_for(spec, baths, tol=tol)
+    reference = steady_for(spec, baths, tol=args.tol)
     report = current_report(spec, baths, reference)
 
     rows = []
     for ri_cfg in ri_cfgs:
         tau = ri_cfg.tau
-        state, history = ri_fixed_point(spec, baths, ri_cfg, tol)
+        state, history = ri_fixed_point(spec, baths, ri_cfg, args.tol)
         rates = ri_rates(history, tau)
         rows.append({
             "tau": tau,
@@ -618,31 +601,48 @@ def cmd_presets(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="INI config file overlaying the preset")
-    parser.add_argument("--preset", metavar="NAME", help="scenario preset name (see 'presets list')")
-    parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--tol", type=float, default=None, metavar="X",
-                        help="steady/sweep/ri-converge: kernel tolerance; check-one-way: "
-                             "invariance tolerance (default 1e-10)")
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with a ``ConfigError``, which ``main`` reports."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _tolerance(raw: str, strict: bool = True) -> float:
+    """The argparse ``type`` of ``--tol``: a finite float, > 0 when ``strict``, else >= 0."""
+    try:
+        tol = float(raw)
+        if np.isfinite(tol) and (tol > 0 if strict else tol >= 0):
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a finite number {'>' if strict else '>='} 0, got {raw!r}")
 
 
 @functools.cache  # built on first use, not at import; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # add_subparsers makes each subcommand's parser a _Parser too
         prog="spinheat",
         description="Steady states and heat/work currents of boundary-driven spin chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("steady", cmd_steady),
-        ("sweep", cmd_sweep),
-        ("check-one-way", cmd_check_one_way),
-        ("ri-converge", cmd_ri_converge),
+    kernel = (_tolerance, KERNEL_TOL, "kernel tolerance, finite and > 0")
+    for name, fn, (tol_type, tol_default, tol_help) in (
+        ("steady", cmd_steady, kernel),
+        ("sweep", cmd_sweep, kernel),
+        ("check-one-way", cmd_check_one_way,
+         (functools.partial(_tolerance, strict=False), 1e-10,
+          "invariance tolerance of |dF|, finite and >= 0")),
+        ("ri-converge", cmd_ri_converge, kernel),
     ):
         sp = sub.add_parser(name)
-        _add_common(sp)
+        sp.add_argument("--config", metavar="PATH", help="INI config file overlaying the preset")
+        sp.add_argument("--preset", metavar="NAME", help="scenario preset name (see 'presets list')")
+        sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--tol", type=tol_type, default=tol_default, metavar="X",
+                        help=f"{tol_help} (default %(default)g)")
         sp.set_defaults(fn=fn)
     sp = sub.add_parser("presets")
     sp.add_argument("action", choices=("list",))
@@ -651,13 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (KernelError, DimensionLimitError, TruncationError) as exc:
+    except (KernelError, TruncationError, ValueError) as exc:  # ValueError: the solver's refusals
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

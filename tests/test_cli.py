@@ -223,10 +223,10 @@ def test_a_refused_command_line_leaves_the_next_call_unchanged(capsys):
     build_parser.cache_clear()
     alone = run_cli(["steady", "--preset", "ising_spin_n2", "--format", "json"], capsys)
     build_parser.cache_clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["steady", "--preset", "ising_spin_n2", "--format", "xml", "--jobs", "x"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    code, out, err = run_cli(
+        ["steady", "--preset", "ising_spin_n2", "--format", "xml", "--jobs", "x"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "invalid choice" in err
     after = run_cli(["steady", "--preset", "ising_spin_n2", "--format", "json"], capsys)
     assert after == alone
     assert build_parser.cache_info().misses == 1
@@ -506,6 +506,15 @@ def test_check_one_way_kappa_swap(tmp_path, capsys):
     assert code == 0
 
 
+def test_an_inversion_the_baths_cannot_take_is_a_config_error(tmp_path, capsys):
+    # kappa_R * beta_R overflows: BathSpec's refusal is the inversion's, exit 2
+    cfg = tmp_path / "kappa.ini"
+    cfg.write_text("[inversion]\nkind = kappa_swap\nkappa_L = 1e308\nkappa_R = 1e308\n")
+    code, out, err = run_cli(["check-one-way", "--preset", "fig4", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: invalid [inversion]:") and "finite" in err
+
+
 @pytest.mark.parametrize("key", ["beta_L", "h_L", "beta_R", "h_R"])
 def test_custom_inversion_rejects_non_numbers(tmp_path, capsys, key):
     cfg = tmp_path / "custom.ini"
@@ -615,6 +624,20 @@ def test_ri_converge_tol_is_the_kernel_tolerance(tmp_path, capsys, monkeypatch):
     assert seen == [("steady", 1e-9)] + [("collision", 1e-9)] * 3
 
 
+def test_a_value_error_of_the_solver_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    import spinheat.cli as cli_mod
+
+    def refusing(spec, baths, cfg, tol):
+        raise ValueError("generator does not preserve Hermiticity")
+
+    monkeypatch.setattr(cli_mod, "ri_fixed_point", refusing)
+    cfg = tmp_path / "ri.ini"
+    cfg.write_text(RI_CHAIN + "[ri]\ntaus = 2e-2, 1e-2, 5e-3\n")
+    code, out, err = run_cli(["ri-converge", "--config", str(cfg)], capsys)
+    assert code == 3 and out == ""
+    assert err == "solver failure: generator does not preserve Hermiticity\n"
+
+
 @pytest.mark.parametrize("command, preset, overlay, key", [
     ("steady", "ising_spin_n2", "[bath_L]\ngamma = nan\n", "gamma"),
     ("steady", "ising_spin_n2", "[bath_L]\nbeta = nan\n", "beta"),
@@ -684,10 +707,9 @@ def test_check_one_way_accepts_zero_tol(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["sweep", "check-one-way"])
 def test_jobs_is_not_an_option(capsys, command):
     # every grid point is evaluated in the calling thread, in grid order
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--preset", "fig4", "--jobs", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    code, out, err = run_cli([command, "--preset", "fig4", "--jobs", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: unrecognized arguments: --jobs 2")
 
 
 def test_readme_command_lines_parse():
@@ -701,9 +723,41 @@ def test_readme_command_lines_parse():
         assert getattr(args, "preset", None) in (None, *PRESETS), line
 
 
-def test_command_required():
-    with pytest.raises(SystemExit):
-        main([])
+def test_command_required(capsys):
+    code, out, err = run_cli([], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "required" in err
+
+
+@pytest.mark.parametrize("args", [["--format", "xml"], ["--tol", "abc"], ["--tol", "inf"]],
+                         ids=["format-xml", "tol-abc", "tol-inf"])
+@pytest.mark.parametrize("command", ["steady", "check-one-way"])
+def test_a_refused_flag_is_a_config_error(capsys, command, args):
+    code, out, err = run_cli([command, "--preset", "eq16", *args], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: argument {args[0]}:")
+
+
+@pytest.mark.parametrize("command, meaning, default", [
+    ("steady", "kernel tolerance", "1e-10"),
+    ("check-one-way", "invariance tolerance of |dF|", "1e-10"),
+], ids=["steady", "check-one-way"])
+def test_each_subcommand_states_one_meaning_of_tol(capsys, command, meaning, default):
+    with pytest.raises(SystemExit) as exc:  # argparse's --help
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--tol X {meaning}" in text and f"(default {default})" in text
+    assert text.count("tolerance") == 1
+
+
+def test_console_entry_refuses_an_unknown_flag_as_a_config_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinheat.cli", "sweep", "--preset", "fig4", "--jobs", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("config error: unrecognized arguments")
 
 
 def test_installed_entry_point():
@@ -831,7 +885,8 @@ def command_lines(draw):
     if fault == "solver":  # no kernel at a tolerance of 1e-300; check-one-way's --tol is another
         args += ["--tol", "1e-300"]
     if fault == "flag":
-        args += draw(st.sampled_from([["--tol", "nan"], ["--tol", "-1"], ["--jobs", "2"],
+        args += draw(st.sampled_from([["--tol", "nan"], ["--tol", "-1"], ["--tol", "abc"],
+                                      ["--tol", "inf"], ["--format", "xml"], ["--jobs", "2"],
                                       ["--preset", "nope"]]))
     text = draw(config_texts(sections, faulty=fault == "text"))
     bosonic = "boson" in (preset or "") or any(
@@ -844,8 +899,7 @@ def command_lines(draw):
 @given(case=command_lines())
 def test_every_command_line_exits_by_the_contract(case):
     # any drawn input ends in a documented exit code, never a traceback, and
-    # a refused configuration or a solver failure says so on stderr; an unknown
-    # flag is argparse's usage error, exit 2
+    # a refused command line or configuration or a solver failure says so on stderr
     commands, args, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.ini"
@@ -853,11 +907,7 @@ def test_every_command_line_exits_by_the_contract(case):
         for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main([command, *args, "--config", str(path)])
-                except SystemExit as exc:
-                    assert exc.code == 2 and "unrecognized arguments" in err.getvalue(), command
-                    continue
+                code = main([command, *args, "--config", str(path)])
             assert code in (0, 2, 3, 4), command
             if code == 2:
                 assert err.getvalue().startswith("config error:"), command
