@@ -353,7 +353,8 @@ def classify_regime(report: CurrentReport, baths: Sequence[BathSpec]) -> str:
 def current_report(spec: ChainSpec, baths: Sequence[BathSpec], state) -> CurrentReport:
     """Assemble all steady-state rates and validate the energy balance.
 
-    Raises when the four rates do not sum to zero within ``FIRST_LAW_TOL``
+    Raises when a rate is not finite (a bath whose heat/work moments overflow),
+    or when the four rates do not sum to zero within ``FIRST_LAW_TOL``
     (relative to the largest rate), which would mean the state passed in is
     not stationary or the bath description is inconsistent.
     """
@@ -362,8 +363,12 @@ def current_report(spec: ChainSpec, baths: Sequence[BathSpec], state) -> Current
         raise ValueError("a current report needs exactly one bath per side")
     rho = _density(state, spec)
     h = build_hamiltonian(spec)
-    q_l, w_l = (expectation(op, rho) for op in _rate_operators(spec, by_side["L"], h))
-    q_r, w_r = (expectation(op, rho) for op in _rate_operators(spec, by_side["R"], h))
+    with np.errstate(over="ignore", invalid="ignore"):  # a bath's moments overflow: refused below
+        q_l, w_l = (expectation(op, rho) for op in _rate_operators(spec, by_side["L"], h))
+        q_r, w_r = (expectation(op, rho) for op in _rate_operators(spec, by_side["R"], h))
+    if not np.isfinite([q_l, q_r, w_l, w_r]).all():  # NaN would pass the first-law test
+        raise ValueError(f"rates are not finite: qdot_L={q_l:.3e}, qdot_R={q_r:.3e}, "
+                         f"wdot_L={w_l:.3e}, wdot_R={w_r:.3e}")
     total = q_l + q_r + w_l + w_r
     scale = max(abs(q_l), abs(q_r), abs(w_l), abs(w_r))
     if abs(total) > max(FIRST_LAW_TOL * scale, 1e-12):

@@ -751,6 +751,27 @@ def test_each_subcommand_states_one_meaning_of_tol(capsys, command, meaning, def
     assert text.count("tolerance") == 1
 
 
+@pytest.mark.parametrize("command, overlay", [
+    ("steady", "[bath_L]\nbeta = -1\nh = 1e308\n"),
+    ("ri-converge", "[bath_L]\nbeta = -1\nh = 1e308\n"),
+    ("check-one-way", "[inversion]\nkind = custom\nbeta_L = -1\nh_L = 1e308\n[sweep]\npoints = 2\n"),
+], ids=["steady", "ri-converge", "check-one-way"])
+def test_rates_a_bath_overflows_are_a_solver_failure(tmp_path, command, overlay):
+    # a child process keeps numpy's overflow a warning; in this one the test
+    # filters make it an error, which evaluate_point records as a failed row
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(overlay)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "spinheat.cli", command, "--preset", "eq16",
+         "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver failure:") and "rates are not finite" in proc.stderr
+    if command == "steady":
+        assert parse_csv(proc.stdout)[0]["error"].startswith("ValueError: rates are not finite")
+
+
 def test_console_entry_refuses_an_unknown_flag_as_a_config_error():
     proc = subprocess.run(
         [sys.executable, "-m", "spinheat.cli", "sweep", "--preset", "fig4", "--jobs", "2"],
@@ -773,6 +794,7 @@ def test_installed_entry_point():
 # -- the exit-code contract over drawn configuration text -----------------------
 
 _NUMBERS = st.sampled_from(["0.5", "-0.7", "1", "1.5", "-2", "0.25"])
+_EXTREME = st.one_of(_NUMBERS, st.sampled_from(["1e308", "-1e308", "1e-308"]))  # overflow, underflow
 _BAD = st.one_of(st.sampled_from(["abc", "1,,2", "1e", "--", "0x1"]),  # malformed
                  st.sampled_from(["nan", "inf", "-inf"]),  # non-finite
                  st.sampled_from(["", "  "]),  # empty: the key is removed
@@ -784,8 +806,9 @@ def valid_sections(draw):
     """A configuration with small solves (n <= 4, n_max <= 8).  Every subcommand accepts it,
     except a sweep of a parameter that the chain or a bath refuses at some point: alpha on an
     ising chain, delta beside n != 3, an f the bath cannot take (|f| = 1, a bosonic bath), h_L
-    or h_R over a bosonic bath, gamma between two bosonic baths; and except a bath that now
-    and then holds a key of the other kind."""
+    or h_R over a bosonic bath, gamma between two bosonic baths; except a bath that now and
+    then holds a key of the other kind; and except an extreme inversion or bath field (1e308,
+    -1e308, 1e-308) that overflows a bath or its rates."""
     n = draw(st.integers(2, 4))
     if draw(st.booleans()):
         model = {"kind": "xxz", "n": n, "alpha": draw(_NUMBERS), "Delta": draw(_NUMBERS),
@@ -800,7 +823,7 @@ def valid_sections(draw):
                                         "omega": "1", "g": draw(st.sampled_from(["0.3", "0.5"]))}
         else:
             sections[f"bath_{side}"] = {"beta": draw(st.sampled_from(["1", "2", "50"])),
-                                        "h": draw(_NUMBERS),
+                                        "h": draw(st.one_of(_NUMBERS, st.just("1e308"))),
                                         "gamma": draw(st.sampled_from(["1", "0.5"]))}
         if draw(st.sampled_from([False] * 7 + [True])):  # refused as a key that does nothing
             other = ["h", "gamma"] if "omega" in sections[f"bath_{side}"] else ["omega", "g"]
@@ -827,9 +850,9 @@ def valid_sections(draw):
                                 ["identity", "flip_f", "flip_h", "kappa_swap", "custom"]))
     sections["inversion"] = {"kind": kind}
     if kind == "kappa_swap":
-        sections["inversion"].update(kappa_L="2", kappa_R="0.5")
+        sections["inversion"].update(kappa_L=draw(_EXTREME), kappa_R=draw(_EXTREME))
     if kind == "custom":
-        sections["inversion"]["h_L"] = draw(_NUMBERS)
+        sections["inversion"].update(beta_L=draw(_EXTREME), h_L=draw(_EXTREME))
     return sections
 
 

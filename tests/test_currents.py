@@ -236,6 +236,15 @@ def test_report_rejects_nonstationary_state():
         current_report(spec, baths, rho)
 
 
+def test_report_rejects_rates_a_bath_overflows():
+    # beta = -1, h = 1e308: the bath's heat moment overflows, and NaN rates
+    # would pass the first-law test; numpy's overflow warning stays quiet
+    spec = ChainSpec(kind="xxz", n=3, alpha=1.0, delta=1.0)
+    baths = [BathSpec(side="L", beta=-1.0, h=1e308), BathSpec(side="R", beta=2.0, h=-0.5)]
+    with pytest.raises(ValueError, match="rates are not finite: qdot_L=nan"):
+        current_report(spec, baths, steady_for(spec, baths))
+
+
 @pytest.mark.parametrize("shape", [(4, 4), (16, 16), (8,)])
 def test_rates_reject_a_state_of_another_shape(shape):
     spec = ChainSpec(kind="xxz", n=3, alpha=1.0, Delta=0.5)
