@@ -34,6 +34,25 @@ def test_import_builds_no_parser():
     assert proc.stdout.strip() == "0"
 
 
+def test_cli_reports_failures_and_exits_in_one_place():
+    # cli.main alone turns a failure into its stderr prefix and exit code, and
+    # only the console entry calls sys.exit
+    tree = ast.parse((ROOT / "src" / "spinheat" / "cli.py").read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+
+    def holders(match):  # the top-level definition around each match, once per match
+        return [getattr(stmt, "name", "<module>") for stmt in tree.body
+                for node in ast.walk(stmt) if id(node) not in docstrings and match(node)]
+
+    for prefix in ("config error:", "solver failure:"):
+        assert holders(lambda node: isinstance(node, ast.Constant)
+                       and isinstance(node.value, str) and prefix in node.value) == ["main"]
+    assert holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exit"
+                   and isinstance(node.value, ast.Name) and node.value.id == "sys") == ["entry"]
+
+
 def test_exports_resolve_and_cover_the_readme():
     import spinheat
 
