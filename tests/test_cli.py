@@ -662,7 +662,7 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, preset,
     assert out == ""
 
 
-BAD_TOL = ["0", "-1", "nan", "inf"]
+BAD_TOL = ["0", "-1", "nan", "inf", "abc"]
 
 
 @pytest.mark.parametrize("tol", BAD_TOL)
@@ -675,7 +675,7 @@ def test_kernel_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
     )
     code, out, err = run_cli([command, "--config", str(cfg), "--tol", tol], capsys)
     assert code == 2
-    assert "config error:" in err and "--tol" in err
+    assert err.startswith("config error: argument --tol:")
     assert out == ""
 
 
@@ -691,7 +691,7 @@ def test_check_one_way_tol_must_be_finite_and_nonnegative(tmp_path, capsys, tol)
         ["check-one-way", "--preset", "fig1", "--config", str(cfg), "--tol", tol], capsys
     )
     assert code == 2
-    assert "config error:" in err and "--tol" in err
+    assert err.startswith("config error: argument --tol:")
 
 
 def test_check_one_way_accepts_zero_tol(tmp_path, capsys):
@@ -729,25 +729,16 @@ def test_command_required(capsys):
     assert err.startswith("config error:") and "required" in err
 
 
-@pytest.mark.parametrize("args", [["--format", "xml"], ["--tol", "abc"], ["--tol", "inf"]],
-                         ids=["format-xml", "tol-abc", "tol-inf"])
-@pytest.mark.parametrize("command", ["steady", "check-one-way"])
-def test_a_refused_flag_is_a_config_error(capsys, command, args):
-    code, out, err = run_cli([command, "--preset", "eq16", *args], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith(f"config error: argument {args[0]}:")
-
-
-@pytest.mark.parametrize("command, meaning, default", [
-    ("steady", "kernel tolerance", "1e-10"),
-    ("check-one-way", "invariance tolerance of |dF|", "1e-10"),
+@pytest.mark.parametrize("command, meaning", [
+    ("steady", "kernel tolerance, finite and > 0"),
+    ("check-one-way", "invariance tolerance of |dF|, finite and >= 0"),
 ], ids=["steady", "check-one-way"])
-def test_each_subcommand_states_one_meaning_of_tol(capsys, command, meaning, default):
+def test_each_subcommand_states_one_meaning_of_tol(capsys, command, meaning):
     with pytest.raises(SystemExit) as exc:  # argparse's --help
         main([command, "--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert f"--tol X {meaning}" in text and f"(default {default})" in text
+    assert f"--tol X {meaning} (default 1e-10)" in text
     assert text.count("tolerance") == 1
 
 
