@@ -19,7 +19,6 @@ from .currents import (
     energy_current_closed_form_3site,
     entropy_production_rate,
     spin_current,
-    von_neumann_entropy,
 )
 from .linalg import (
     DimensionLimitError,
@@ -42,7 +41,6 @@ from .models import (
     ChainSpec,
     bath_f,
     bath_n,
-    bond_energy,
     build_hamiltonian,
     with_f,
 )
@@ -56,11 +54,11 @@ __all__ = [
     "BathCopy", "BathSpec", "BoundaryRates", "ChainSpec", "CollisionEngine",
     "CurrentReport", "CycleLog", "DimensionLimitError", "HermiticityError",
     "KernelError", "Liouvillian", "RIConfig", "SteadyState", "TruncationError",
-    "bath_copy", "bath_f", "bath_n", "bond_energy", "bose_n_max",
+    "bath_copy", "bath_f", "bath_n", "bose_n_max",
     "bosonic_rates", "build_hamiltonian", "build_liouvillian",
     "classify_regime", "closed_form_currents_3site", "current_report",
     "energy_current_closed_form_3site", "entropy_production_rate", "herm_expm",
     "jump_ops", "kron_all", "pauli", "ri_fixed_point", "ri_rates", "site_op",
     "solve_steady", "spin_current", "steady_for", "trace_distance", "two_site_op",
-    "unvec", "vec", "von_neumann_entropy", "with_f",
+    "unvec", "vec", "with_f",
 ]

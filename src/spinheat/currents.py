@@ -281,15 +281,7 @@ def closed_form_currents_3site(
 
 
 # ---------------------------------------------------------------------------
-# entropy, magnetization transport, operating regime
-
-
-def von_neumann_entropy(state) -> float:
-    """``-Tr(rho ln rho)`` with the 0 ln 0 = 0 convention."""
-    rho = _density(state)
-    eigs = np.linalg.eigvalsh(rho)
-    eigs = eigs[eigs > 1e-15]
-    return float(-np.sum(eigs * np.log(eigs)))
+# entropy production, magnetization transport, operating regime
 
 
 def entropy_production_rate(

@@ -3,15 +3,15 @@
 ``check_dense_dim`` enforces the cap ``MAX_DENSE_DIM`` before the chain
 operators, the generator and the collision units allocate.  Every Pauli
 string, those the Hamiltonian sums included, is written from the basis bits
-in ``operators``, so the one Kronecker product ``kron_all`` and the Hermitian
-exponential ``herm_expm`` serve only the collision engine's joint space of
-chain and units (``ri``); ``herm_expm`` works one connected component at a
-time, so that exact zeros keep conserved blocks (each block is checked for
-finiteness and Hermiticity on its own).  The steady-state solver splits its
-generator into the connected ``components`` of its entries and uses
-``svd_kernel`` on the factors of the stacked blocks only where its bordered
-LU is refused: for a stationary coherence, two stationary states in one
-block, or an ill-conditioned kernel.  ``expectation`` reads the rates and
+in ``operators``, so the one Kronecker product ``kron_all`` and the real
+symmetric exponential ``herm_expm`` serve only the collision engine's joint
+space of chain and units (``ri``); ``herm_expm`` works one connected
+component at a time, so that exact zeros keep conserved blocks (each block
+is checked on its own).  The steady-state solver splits its generator into
+the connected ``components`` of its entries and uses ``svd_kernel`` on the
+factors of the stacked blocks only where its bordered LU is refused: for a
+stationary coherence, two stationary states in one block, or an
+ill-conditioned kernel.  ``expectation`` reads the rates and
 ``trace_distance`` compares collision fixed points.  All matrices are plain
 complex numpy arrays; no sparse backend is provided.
 """
@@ -77,33 +77,37 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i t h)`` of a square Hermitian ``h``, one connected component at a time.
+    """``exp(-i t h)`` of a square real symmetric ``h``, one connected component at a time.
 
     Each of the ``components`` of the nonzero entries goes through one
-    stacked ``eigh`` per block size, for machine-accurate unitarity; entries
+    stacked real ``eigh`` per block size, ``h = V W V^T``; ``V cos(tW) V^T``
+    and ``-V sin(tW) V^T`` fill the real and imaginary parts, and entries
     between components stay exactly zero, where one ``eigh`` of the whole
-    matrix would fill them with round-off and lose the conserved blocks.
-    Finiteness and Hermiticity are checked on the gathered blocks only: every
-    nonzero entry, ``nan`` and ``inf`` included, lies in one of them, and no
-    whole-matrix temporary is formed.
+    matrix would fill them with round-off and lose the conserved blocks.  A
+    block with a nonzero imaginary part raises ValueError.  The checks read the
+    gathered blocks only, which hold every nonzero entry, ``nan`` and ``inf`` too.
     """
-    m = np.asarray(h, dtype=complex)
+    m = np.asarray(h)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    out = np.zeros_like(m)
+    out = np.zeros(m.shape, dtype=complex)
     for idx in components(*np.nonzero(m), m.shape[0]):
         block = (idx[:, :, None], idx[:, None, :])
         b = m[block]
         if not np.isfinite(b).all():
             raise ValueError("matrix contains non-finite entries")
-        dev = float(np.abs(b - b.conj().transpose(0, 2, 1)).max())
+        if b.imag.any():
+            raise ValueError("matrix has a block with a nonzero imaginary part")
+        b = b.real
+        dev = float(np.abs(b - b.transpose(0, 2, 1)).max())
         if dev > HERMITICITY_TOL:
             raise HermiticityError(
                 f"matrix deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})"
             )
         w, v = np.linalg.eigh(b)
-        phases = np.exp(-1j * float(t) * w)
-        out[block] = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        vt = v.transpose(0, 2, 1)
+        out.real[block] = (v * np.cos(float(t) * w)[:, None, :]) @ vt
+        out.imag[block] = (v * -np.sin(float(t) * w)[:, None, :]) @ vt
     return out
 
 

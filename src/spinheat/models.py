@@ -1,4 +1,4 @@
-"""Chain and bath parameter bundles, Hamiltonians, bond energy operators.
+"""Chain and bath parameter bundles and chain Hamiltonians.
 
 Two chain families are supported, both sums of the Pauli strings of
 ``operators``, the one module that maps a site to its basis bit:
@@ -217,17 +217,20 @@ def with_f(b: BathSpec, f: float) -> BathSpec:
     return replace(b, f=f)
 
 
-def _chain_terms(spec: ChainSpec, bonds: list[tuple[int, int, float]],
-                 fields: list[tuple[int, float]]) -> np.ndarray:
-    """Sum of bond terms ``(i, j, D)`` and field terms ``(i, c)``, added in the order given.
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Dense chain Hamiltonian on 2^n dimensions, Hermitian by construction.
 
-    A bond adds ``alpha (x_i x_j + y_i y_j) + D z_i z_j`` (xxz) or ``(D/2)
-    z_i z_j`` (ising), a field ``c z_i``, sites 1-based, each read from its
-    Pauli strings (``operators``).  Every term is an exact product added into
-    zeros, in the same order as a sum of Kronecker products would add it, so
-    the result has the bits of that sum.
+    Each bond ``(i, j)`` with coupling ``D`` adds ``alpha (x_i x_j + y_i y_j) + D
+    z_i z_j`` (xxz) or ``(D/2) z_i z_j`` (ising), and each nonzero field ``h_i``
+    adds ``(h_i / 2) z_i``, sites 1-based, each read from its Pauli strings
+    (``operators``).  Every term is an exact product added into zeros, bonds
+    first and then fields, in the same order as a sum of Kronecker products
+    would add it, so the result has the bits of that sum.
     """
     n, dim = spec.n, spec.dim
+    bonds = [(i, i + 1, coupling) for i, coupling in enumerate(spec.bond_couplings, start=1)]
+    if spec.Delta13 != 0.0:
+        bonds.append((1, 3, spec.Delta13))
     states = np.arange(dim)
     diagonal = np.zeros(dim)
     h_mat = np.zeros((dim, dim), dtype=complex)
@@ -240,38 +243,8 @@ def _chain_terms(spec: ChainSpec, bonds: list[tuple[int, int, float]],
         flip, xx = _pauli_columns((("x", i), ("x", j)), n)
         yy = _pauli_columns((("y", i), ("y", j)), n)[1]
         h_mat[flip, states] += spec.alpha * (xx + yy).real
-    for i, c in fields:
-        diagonal += c * _pauli_columns((("z", i),), n)[1].real
+    for i, hi in enumerate(spec.site_fields, start=1):
+        if hi != 0.0:
+            diagonal += (hi / 2.0) * _pauli_columns((("z", i),), n)[1].real
     h_mat[states, states] += diagonal
     return h_mat
-
-
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense chain Hamiltonian on 2^n dimensions, Hermitian by construction."""
-    bonds = [(i, i + 1, coupling) for i, coupling in enumerate(spec.bond_couplings, start=1)]
-    if spec.Delta13 != 0.0:
-        bonds.append((1, 3, spec.Delta13))
-    fields = [(i, hi / 2.0) for i, hi in enumerate(spec.site_fields, start=1) if hi != 0.0]
-    return _chain_terms(spec, bonds, fields)
-
-
-def bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
-    """Local energy of bond ``(bond, bond+1)`` of an xxz chain, 1-based.
-
-    The bond operators tile the Hamiltonian exactly: the coupling part is
-    taken whole, and each site field is shared half-half between the two
-    adjacent bonds, except that the end sites (which have only one bond)
-    contribute their full field to it.  Summing over all bonds returns the
-    chain Hamiltonian.
-    """
-    if spec.kind != "xxz":
-        raise ValueError("bond_energy is defined for xxz chains")
-    n = spec.n
-    if not 1 <= bond <= n - 1:
-        raise ValueError(f"bond {bond} outside 1..{n - 1}")
-    fields = spec.site_fields
-    w_left = 1.0 if bond == 1 else 0.5
-    w_right = 1.0 if bond + 1 == n else 0.5
-    return _chain_terms(spec, [(bond, bond + 1, spec.bond_couplings[bond - 1])],
-                        [(bond, w_left * (fields[bond - 1] / 2.0)),
-                         (bond + 1, w_right * (fields[bond] / 2.0))])

@@ -25,8 +25,9 @@ and ``U`` is the joint propagator (Ciccarello et al., Phys. Rep. 954, 1
 and no Hamiltonian: ``Liouvillian.from_jumps`` builds its entries from the
 Kraus tensor, a cycle is ``rho + tau G(rho)`` applied entry by entry, and the
 fixed point is the kernel of ``G``, found by ``solve_steady``.  ``herm_expm``
-gives ``U`` block by block, so ``U``, every ``K_ab`` and ``G`` keep the
-conserved blocks exactly.  One pass over ``U`` writes the Kraus tensor, and
+gives ``U`` block by block, in real arithmetic (the joint Hamiltonian is
+real), so ``U``, every ``K_ab`` and ``G`` keep the conserved blocks exactly.
+One pass over ``U`` writes the Kraus tensor, and
 the ledger never copies or conjugates it.  Each ledger row (a unit's heat,
 the interaction energy drop, a bosonic unit's top-level weight) is a linear
 functional ``Tr(X rho)`` of the chain state, with the d x d operator ``X``

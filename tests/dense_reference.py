@@ -13,9 +13,10 @@ shares no code with that assembly, and ``Liouvillian.from_jumps`` and
 ``build_liouvillian`` must return its bits.  ``mp_steady_state`` solves a
 chain in 60-digit arithmetic, for states where the full SVD's own rounding
 passes a bound.  ``kron_pauli_string`` is one Kronecker product of
-single-site Paulis, and ``kron_hamiltonian`` and ``kron_bond_energy`` sum such
-products, the way the package built Pauli strings and the chain terms before
-it wrote them from the basis bits.
+single-site Paulis, and ``kron_hamiltonian`` sums such products, the way the
+package built Pauli strings and the Hamiltonian before it wrote them from the
+basis bits.  ``kron_bond_energy`` is one bond's local energy, summed the same
+way; the package keeps no bond energies, and the tests read this one.
 ``rate_operators_matmul`` forms one bath's heat and work operators by products
 of the embedded couplings, as ``currents`` did before it used their bit flip.
 
@@ -289,7 +290,12 @@ def kron_hamiltonian(spec: ChainSpec) -> np.ndarray:
 
 
 def kron_bond_energy(spec: ChainSpec, bond: int) -> np.ndarray:
-    """The local energy of bond ``(bond, bond + 1)`` of an xxz chain as Kronecker products."""
+    """The local energy of bond ``(bond, bond + 1)`` of an xxz chain as Kronecker products.
+
+    The coupling is taken whole, and each end site gives its whole field to
+    its one bond, each inner site half to each of its two: the bond energies
+    sum to the chain Hamiltonian.
+    """
     n, i = spec.n, bond
     eps = _kron_bond(spec, i, i + 1, spec.bond_couplings[i - 1])
     fields = spec.site_fields

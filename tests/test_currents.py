@@ -21,15 +21,15 @@ from spinheat import (
     entropy_production_rate,
     spin_current,
     steady_for,
-    von_neumann_entropy,
 )
 from spinheat.bathops import CURRENT_MARGIN, CURRENT_TAIL, bath_copy
 from spinheat.currents import _rate_operators
-from spinheat.models import bond_energy, build_hamiltonian
+from spinheat.models import build_hamiltonian
 from spinheat.operators import site_op
 from dense_reference import (
     energy_inflow,
     heat_rate_xxz_closed,
+    kron_bond_energy,
     heat_work,
     lindblad_action,
     rate_operators_matmul,
@@ -207,7 +207,7 @@ def test_bond_energies_stationary():
     state = steady_for(spec, baths)
     change = lindblad_action(spec, baths, state.rho)
     for bond in (1, 2):
-        eps = bond_energy(spec, bond)
+        eps = kron_bond_energy(spec, bond)
         drift = float(np.einsum("ij,ji->", eps, change).real)
         assert abs(drift) < 1e-9
 
@@ -608,11 +608,6 @@ def test_spin_current_rejects_ising():
     spec = ChainSpec(kind="ising", n=2, Delta=1.0)
     with pytest.raises(ValueError):
         spin_current(spec, np.eye(4) / 4)
-
-
-def test_von_neumann_entropy_values():
-    assert von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == pytest.approx(0.0, abs=1e-12)
-    assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def mock_report(q_cold, q_hot, w):

@@ -147,8 +147,8 @@ def test_herm_expm_pauli_x_rotation():
 
 def test_herm_expm_unitary_and_group_property():
     rng = np.random.default_rng(9)
-    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = h + h.conj().T
+    h = rng.normal(size=(6, 6))
+    h = h + h.T
     u1 = herm_expm(h, 0.3)
     u2 = herm_expm(h, 0.7)
     assert np.max(np.abs(u1 @ u1.conj().T - np.eye(6))) < 1e-12
@@ -175,9 +175,28 @@ def test_herm_expm_rejects_non_square_input(shape):
         herm_expm(np.zeros(shape), 1.0)
 
 
+def test_herm_expm_refuses_a_block_with_an_imaginary_part():
+    # sigma_y is Hermitian but not real; it sits in its own block, apart from a real one
+    h = np.zeros((4, 4), dtype=complex)
+    h[:2, :2] = SX
+    h[2:, 2:] = [[0.0, -1j], [1j, 0.0]]
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
+        herm_expm(h, 1.0)
+
+
+def test_herm_expm_of_a_complex_matrix_with_zero_imaginary_part_is_that_of_its_real_part():
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(5, 5))
+    h = h + h.T
+    h[:2, 2:] = h[2:, :2] = 0.0  # two blocks
+    c = h.astype(complex)
+    c.imag[0, 1] = c.imag[3, 4] = -0.0  # a signed zero is zero too
+    assert herm_expm(c, 0.7).tobytes() == herm_expm(h, 0.7).tobytes()
+
+
 @st.composite
-def permuted_block_hermitians(draw):
-    """A Hermitian matrix with random blocks (1 x 1 ones too), empty rows, permuted; with labels.
+def permuted_block_symmetric_matrices(draw):
+    """A real symmetric matrix of random blocks (1 x 1 ones too) and empty rows, permuted; labels too.
 
     Entries of two indices with different labels are zero.  A scale of 0
     gives the zero matrix.
@@ -187,11 +206,11 @@ def permuted_block_hermitians(draw):
     empty = sorted(draw(st.sets(st.integers(0, size - 1), max_size=3)))
     scale = draw(st.sampled_from([0.0, 1.0, 4.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    m = np.zeros((size, size), dtype=complex)
+    m = np.zeros((size, size))
     labels = np.zeros(size, dtype=int)
     for label, (lo, hi) in enumerate(zip([0] + cuts, cuts + [size])):
-        a = rng.normal(size=(hi - lo, hi - lo)) + 1j * rng.normal(size=(hi - lo, hi - lo))
-        m[lo:hi, lo:hi] = scale * (a + a.conj().T) / 2
+        a = rng.normal(size=(hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = scale * (a + a.T) / 2
         labels[lo:hi] = label
     m[empty, :] = 0
     m[:, empty] = 0
@@ -201,7 +220,7 @@ def permuted_block_hermitians(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=permuted_block_hermitians())
+@given(case=permuted_block_symmetric_matrices())
 def test_herm_expm_runs_per_component(case):
     h, labels, t = case
     u = herm_expm(h, t)

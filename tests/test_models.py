@@ -1,4 +1,4 @@
-"""Chain/bath parameter validation, Hamiltonians, bond energy operators."""
+"""Chain/bath parameter validation and Hamiltonians."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from spinheat import (
     ChainSpec,
     bath_f,
     bath_n,
-    bond_energy,
     build_hamiltonian,
     with_f,
 )
 from spinheat import DimensionLimitError
-from dense_reference import kron_bond_energy, kron_hamiltonian
+from dense_reference import kron_hamiltonian
 
 
 def test_xxz_bond_split_three_sites():
@@ -80,9 +79,6 @@ def chain_specs(draw):
 @given(spec=chain_specs())
 def test_hamiltonian_has_the_bits_of_the_kronecker_sum(spec):
     assert build_hamiltonian(spec).tobytes() == kron_hamiltonian(spec).tobytes()
-    if spec.kind == "xxz":  # the Kronecker bond energy starts from no zeros: a 0 may differ in sign
-        for bond in range(1, spec.n):
-            assert np.array_equal(bond_energy(spec, bond), kron_bond_energy(spec, bond))
 
 
 def test_ising_two_site_diagonal():
@@ -114,31 +110,6 @@ def test_per_site_field_override():
     assert spec.site_fields == (0.1, 0.2, 0.3)
     uniform = ChainSpec(kind="xxz", n=3, h=0.5)
     assert uniform.site_fields == (0.5, 0.5, 0.5)
-
-
-def test_bond_energies_tile_the_hamiltonian():
-    spec = ChainSpec(kind="xxz", n=4, alpha=0.8, bond_Delta=(0.2, -0.4, 1.0), h=0.6)
-    total = sum(bond_energy(spec, b) for b in range(1, spec.n))
-    assert np.allclose(total, build_hamiltonian(spec), atol=1e-13)
-
-
-def test_bond_energy_two_sites_is_whole_hamiltonian():
-    spec = ChainSpec(kind="xxz", n=2, alpha=1.0, Delta=0.5, h=0.7)
-    assert np.allclose(bond_energy(spec, 1), build_hamiltonian(spec), atol=1e-14)
-
-
-def test_bond_energy_field_weights():
-    # end sites give the whole field to their only bond, inner sites half
-    spec = ChainSpec(kind="xxz", n=3, h=1.0)
-    e1 = bond_energy(spec, 1)
-    z1 = np.kron(np.diag([1.0, -1.0]), np.eye(4))
-    z2 = np.kron(np.kron(np.eye(2), np.diag([1.0, -1.0])), np.eye(2))
-    assert np.allclose(e1, 0.5 * z1 + 0.25 * z2, atol=1e-14)
-
-
-def test_bond_energy_rejects_ising():
-    with pytest.raises(ValueError):
-        bond_energy(ChainSpec(kind="ising", n=2, Delta=1.0), 1)
 
 
 def test_chain_validation():

@@ -16,7 +16,6 @@ from spinheat import (
     ChainSpec,
     CollisionEngine,
     RIConfig,
-    bond_energy,
     current_report,
     pauli,
     site_op,
@@ -147,7 +146,7 @@ def test_pauli_columns_are_kept_read_only():
 
 def test_the_strings_of_every_chain_fit_the_kept_columns():
     # one thread asks for every string chains of 2 to 6 sites use: the Hamiltonian's terms,
-    # the boundary jumps and couplings, every bond's energy and spin current; none is dropped
+    # the boundary jumps and couplings, every bond's spin current; none is dropped
     _pauli_columns.cache_clear()
     spin = [BathSpec(side="L", beta=1.0, h=0.8), BathSpec(side="R", beta=2.0, h=-0.5)]
     bosonic = [BathSpec(side=side, kind="bosonic", beta=1.0, omega=1.0, g=0.4) for side in "LR"]
@@ -159,7 +158,6 @@ def test_the_strings_of_every_chain_fit_the_kept_columns():
         for spec, baths in itertools.product((xxz, ising), (spin, bosonic)):
             assert np.isfinite(current_report(spec, baths, steady_for(spec, baths)).f_energy)
         for bond in range(1, n):
-            bond_energy(xxz, bond)
             spin_current(xxz, np.eye(1 << n) / (1 << n), bond)
     info = _pauli_columns.cache_info()
     assert info.misses == info.currsize == info.maxsize
@@ -213,8 +211,7 @@ def test_rates_never_call_np_kron(monkeypatch, spec, baths):
     assert np.isfinite(report.f_energy)
 
 
-def test_bond_energy_and_collision_engine_never_call_np_kron(monkeypatch):
+def test_collision_engine_never_calls_np_kron(monkeypatch):
     monkeypatch.setattr(np, "kron", _no_np_kron)
-    assert bond_energy(XXZ3, 2).shape == (8, 8)
     engine = CollisionEngine(ISING2, BOSE_BATHS, RIConfig(tau=0.05, n_max=3))
     assert engine.d_sys == 4

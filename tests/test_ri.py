@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -392,6 +393,35 @@ def test_truncation_guard_fires_for_tiny_cutoff():
     for n_max in (2, 1):
         with pytest.raises(TruncationError):
             CollisionEngine(spec, baths, RIConfig(tau=5.0, n_max=n_max)).check_truncation(rho)
+
+
+@pytest.fixture
+def complex_couplings(monkeypatch):
+    """Couple each spin unit by sigma_y (x) sigma_x + sigma_x (x) sigma_y: Hermitian, not real."""
+    import spinheat.ri as ri_mod
+
+    def units(bath, **kwargs):
+        return replace(bath_copy(bath, **kwargs), couplings=((pauli("y"), "x"), (pauli("x"), "y")))
+
+    monkeypatch.setattr(ri_mod, "bath_copy", units)
+
+
+def test_a_complex_joint_hamiltonian_is_refused(complex_couplings):
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
+        CollisionEngine(XXZ3, SPIN_PAIR, RIConfig(tau=0.01))
+
+
+def test_ri_converge_on_a_complex_joint_hamiltonian_is_a_solver_failure(
+        complex_couplings, tmp_path, capsys):
+    from spinheat.cli import main
+
+    cfg = tmp_path / "ri.ini"
+    cfg.write_text("[model]\nkind = xxz\nn = 2\nalpha = 1\n"
+                   "[bath_L]\nbeta = 1\nh = 1\n[bath_R]\nbeta = 2\nh = -0.5\n")
+    code = main(["ri-converge", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("solver failure:") and "nonzero imaginary part" in err
 
 
 def test_fixed_point_diagnostics():
