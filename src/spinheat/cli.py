@@ -515,10 +515,11 @@ def cmd_check_one_way(args) -> int:
 
     rows = []
     for base, other in zip(solved[:len(points)], solved[len(points):]):
-        for r in (base, other):
+        for r, configuration in ((base, "base"), (other, "inverted")):
             if r["error"]:
                 at = "" if parameter is None else f" at {parameter}={r['value']}"
-                raise KernelError(f"solver failed{at}: {r['error']}")
+                raise KernelError(f"solver failed{at} in the {configuration} configuration: "
+                                  f"{r['error']}")
         rows.append({"value": base["value"], "F_base": base["F"], "F_inverted": other["F"],
                      **{c: abs(base[c[1:]] - other[c[1:]]) for c in DEVIATION_COLUMNS[3:]}})
 

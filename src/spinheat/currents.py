@@ -349,6 +349,12 @@ def current_report(spec: ChainSpec, baths: Sequence[BathSpec], state) -> Current
     or when the four rates do not sum to zero within ``FIRST_LAW_TOL``
     (relative to the largest rate), which would mean the state passed in is
     not stationary or the bath description is inconsistent.
+
+    ``f_energy = qdot_L + wdot_L`` is a sum of the two rates, so it keeps only
+    the absolute precision of the larger one: where the heat/work split
+    dwarfs the current, the current is lost.  A left bath with ``beta =
+    1e-300, h = 1e300`` on the ``eq16`` chain gives ``f_energy = 0`` exactly,
+    with ``qdot_L = -3.9e299`` and ``wdot_L = +3.9e299``.
     """
     by_side = _check_sides(baths)
     if set(by_side) != {"L", "R"}:

@@ -545,7 +545,21 @@ def test_check_one_way_failure_without_sweep_names_no_parameter(tmp_path, capsys
         ["check-one-way", "--preset", "ising_spin_n2", "--config", str(cfg)], capsys
     )
     assert code == 3
-    assert "solver failed: KernelError: synthetic failure" in err
+    assert "solver failed in the base configuration: KernelError: synthetic failure" in err
+
+
+@pytest.mark.parametrize("overlay, configuration", [
+    ("[inversion]\nkind = custom\nbeta_L = -1\nh_L = 1e308\n", "inverted"),
+    ("[inversion]\nkind = flip_f\n[bath_R]\nbeta = -1\nh = 1e308\n", "base"),
+], ids=["inverted", "base"])
+def test_check_one_way_failure_names_the_configuration(tmp_path, capsys, overlay, configuration):
+    # a bath at h = 1e308 overflows its rates; the message says which twin holds it
+    cfg = tmp_path / "inv.ini"
+    cfg.write_text(overlay)
+    code, out, err = run_cli(["check-one-way", "--preset", "eq16", "--config", str(cfg)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"solver failure: solver failed at h_L=-3.0 in the {configuration} "
+                          "configuration: ValueError: rates are not finite")
 
 
 def test_ri_converge_reports_first_order(tmp_path, capsys):

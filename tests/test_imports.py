@@ -73,6 +73,37 @@ def test_exports_resolve_and_cover_the_readme():
     assert imported and imported <= set(names)
 
 
+# public names that nothing outside their definition uses, each kept for its reason
+UNCALLED_EXPORTS = {
+    # the paper's three-site rate formulas in closed form, a published result kept public
+    # beside energy_current_closed_form_3site; the tests hold the general rates to it
+    "closed_form_currents_3site",
+}
+
+
+def test_every_export_has_a_caller():
+    # a public name that only its own definition and the package __init__ mention is code
+    # that nothing needs; the package, the demos, the benchmark and the README count
+    import spinheat
+
+    init = ROOT / "src" / "spinheat" / "__init__.py"
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in sorted(p for top in ("src", "demos", "bench") for p in (ROOT / top).rglob("*.py")):
+        if path == init:
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        own = [set() for _ in lines]  # the names of the definitions around each line
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for number in range(node.lineno - 1, node.end_lineno):
+                    own[number].add(node.name)
+        for line, names in zip(lines, own):
+            used.update(set(re.findall(r"\w+", line)) - names)
+    assert UNCALLED_EXPORTS <= set(spinheat.__all__)
+    assert sorted(set(spinheat.__all__) - used - UNCALLED_EXPORTS) == []
+
+
 def test_test_and_benchmark_imports_are_declared():
     # a module the tests or the benchmark import is the standard library's,
     # the package, one of their own or a declared dependency, so that
