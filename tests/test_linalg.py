@@ -184,7 +184,7 @@ def test_herm_expm_refuses_a_block_with_an_imaginary_part():
         herm_expm(h, 1.0)
 
 
-def test_herm_expm_of_a_complex_matrix_with_zero_imaginary_part_is_that_of_its_real_part():
+def test_herm_expm_takes_a_zero_imaginary_part_as_real():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(5, 5))
     h = h + h.T
